@@ -10,8 +10,8 @@ both candidate twist conventions, and cuts the algebra down to
 double-coset representative weights.
 """
 
-from tubealg import (AnnularAlgebra, BHSetup, bh_verify_star_iso, box_basis,
-                     double_cosets, end_xg_algebra, group_from_permutations,
+from tubealg import (AnnularAlgebra, BHSetup, bh_verify_star_iso, double_cosets,
+                     end_xg_algebra, group_from_permutations,
                      subgroup_closure, trivial_cocycle, tube_cutdown)
 
 s3 = group_from_permutations(3, [(1, 0, 2), (1, 2, 0)])
@@ -25,8 +25,8 @@ print("annular basis size:", len(alg.labels()), "= (|H||G|)^2")
 
 # Boxes only exist within one H-H double coset of weights.
 print("double coset sizes:", [len(c) for c in double_cosets(s3, H)])
-print("boxes e -> e:", len(box_basis(alg, 0, 0)),
-      "; boxes e -> 3-cycle:", len(box_basis(alg, 0, 2)))
+print("boxes e -> e:", len(alg.box_basis(0, 0)),
+      "; boxes e -> 3-cycle:", len(alg.box_basis(0, 2)))
 
 # A product of annular basis elements: a delta-rule on the middle pair
 # labels, then a single phase times a basis element.

@@ -13,24 +13,22 @@ from .grp import (ClassData, GroupTable, GroupError, centralizer,
                   group_from_permutations, group_from_table, subgroup_closure)
 from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError, Phase,
                     coboundary1, coboundary2, cocycle2_check, cocycle3_check,
-                    inflate_cocycle, is_normalized, normalize3, phase_inv,
-                    phase_mul, phase_pow, product_type_cocycle,
-                    standard_cyclic_cocycle, trivial_cocycle,
-                    two_factor_cocycle)
+                    inflate_cocycle, is_normalized, normalize3,
+                    product_type_cocycle, standard_cyclic_cocycle,
+                    trivial_cocycle, two_factor_cocycle)
 from .coho import (BHSetup, BHSetupError, GammaFamily, gamma,
                    gamma_identity_check, gamma_transport_check, gauge_fix_bh,
                    gl_relations_check, phi_a, phi_class)
 from .tube_diag import (BlockAlgebra, BlockImage, SimpleCount, TubeAlgebra,
-                        TubeBasisElement, simple_count, tube_inner, tube_mult,
-                        tube_star, tube_trace, verify_star_iso)
+                        TubeBasisElement, TubeShapedAlgebra, simple_count,
+                        verify_star_iso)
 from .annular_bh import (ABasisElement, AnnularAlgebra, BoxMorphism,
-                         CutdownAlgebra, a_mult, a_star, a_trace, bh_phi_iso,
-                         bh_phi_iso_inverse, bh_verify_star_iso, box_basis,
-                         box_compose, box_star, compare_cutdown_diagonal,
-                         double_cosets, end_xg_algebra, tube_cutdown)
+                         CutdownAlgebra, bh_verify_star_iso,
+                         compare_cutdown_diagonal, double_cosets,
+                         end_xg_algebra, tube_cutdown)
 from .rep import (Representation, TwistedGroupAlgebra, center_dimension,
                   decompose, induce, regular_representation, restrict,
-                  support_decompose, twisted_algebra)
+                  support_decompose)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -2,29 +2,21 @@
 
 Morphisms between weight objects are spanned by boxes
 ``(h1, g1, g2, h2)`` with ``h1 g1 = g2 h2`` (nonzero only inside one
-H-H double coset); the annular algebra itself has basis
-``A(h1, g1, s, h2, g2)`` with ``h1 g1 s = s h2 g2`` and structure
-constants::
-
-    A(h2,g2,t,h3,g3) . A(h1,g1,s,h2,g2)
-        = w(s,t,h3 g3) w(s, h2 g2, t)^-1 w(h1 g1, s, t) A(h1,g1,st,h3,g3)
-    A(h1,g1,s,h2,g2)^#
-        = w(h1 g1, s, s^-1)^-1 w(s, h2 g2, s^-1) w(s, s^-1, h1 g1)^-1
-          A(h2,g2,s^-1,h1,g1)
-    trace A(h1,g,s,h2,g) = [h1 == h2][s == e]
-
-so the pair labels behave exactly like tube weights for the products
-``h1 g1``.  The block map sends ``A(...)`` to a matrix unit indexed by
-the pairs ``(h, g)`` with ``h g`` in a fixed conjugacy class, tensor a
-twisted centralizer algebra; ``bh_verify_star_iso`` checks the map
+H-H double coset).  The annular algebra is the tube-shaped algebra of
+:mod:`tubealg.tube_diag` on the objects ``(h, g)`` in H x G, each of
+weight ``h g``: its basis ``A(h1, g1, s, h2, g2)`` is the morphism
+``(h1, g1) -s-> (h2, g2)``, with ``h1 g1 s = s h2 g2``.  Products, the
+involution, the trace, the block map and its verifier are the tube
+ones in these weights; ``bh_verify_star_iso`` checks the block map
 under both candidate twist conventions and reports which ones work.
 
 The final corner construction cuts the weight set down to H-H
 double-coset representatives.  The identity endomorphism of each weight
-pushes to the unit of its corner, so the cut-down is the subalgebra on
-representative weights; endomorphism algebras of single weights are the
-twisted algebras produced by :func:`end_xg_algebra`, and their minimal
-idempotent splittings index the simple weight objects.
+pushes to the unit of its corner, so the cut-down is the same algebra
+on the objects ``(h, d)`` with ``d`` a representative weight;
+endomorphism algebras of single weights are the twisted algebras
+produced by :func:`end_xg_algebra`, and their minimal idempotent
+splittings index the simple weight objects.
 """
 
 from __future__ import annotations
@@ -32,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coho import BHSetup, gamma, phi_class, phi_class_plain_conjugate
-from .grp import ClassData, GroupTable, conjugacy_data
+from .coho import BHSetup
+from .grp import GroupTable
 from .phase import CheckResult, Cocycle2, Phase, cocycle2_check, phase_prod
 from .rep import center_dimension, decompose, TwistedGroupAlgebra
-from .staralg import MonomialStarAlgebra
-from .tube_diag import BlockAlgebra, BlockImage, SimpleCount, TubeAlgebra, \
-    block_simple_count
+from .tube_diag import SimpleCount, TubeAlgebra, TubeBasisElement, \
+    TubeShapedAlgebra, block_simple_count
 
 
 @dataclass(frozen=True)
@@ -62,146 +53,37 @@ class BoxMorphism:
     h2: int
 
 
-class AnnularAlgebra(MonomialStarAlgebra):
-    """Structure constants and block decomposition for one valid setup."""
+class AnnularAlgebra(TubeShapedAlgebra):
+    """The tube construction on the objects (h, g) in H x G, of weight h g.
+
+    Objects run H-major, so labels come in the order (h1, g1, s, h2).
+    """
 
     def __init__(self, setup: BHSetup, validate: bool = True):
         # validate=False only makes sense for formula-level comparisons
         # where the caller vouches for the setup (e.g. trivial H)
         if validate:
             setup.validate()
+        self._build(setup, setup.group.elements())
+
+    def _build(self, setup: BHSetup, weights: Sequence[int]) -> None:
+        """Build on the objects (h, g) for h in H and g in ``weights``."""
+        G = setup.group
         self.setup = setup
-        self.group = setup.group
         self.H = tuple(setup.H)
-        self.omega = setup.omega
-        G = self.group
-        self._labels = []
-        for h1 in self.H:
-            for g1 in G.elements():
-                for s in G.elements():
-                    for h2 in self.H:
-                        self._labels.append(self.basis_label(h1, g1, s, h2))
-        self._class_data: Optional[ClassData] = None
-        self._blocks: dict[str, BlockAlgebra] = {}
+        TubeShapedAlgebra.__init__(self, G, setup.omega,
+                                   [(h, g) for h in self.H for g in weights],
+                                   lambda x: G.mul(*x))
+
+    @staticmethod
+    def _pack(x: tuple[int, int], s: int, y: tuple[int, int]) -> ABasisElement:
+        return ABasisElement(x[0], x[1], s, y[0], y[1])
 
     def basis_label(self, h1: int, g1: int, s: int, h2: int) -> ABasisElement:
         G = self.group
         # g2 is forced: h1 g1 s = s h2 g2
         g2 = G.mul(G.inverse(h2), G.mul(G.inverse(s), G.mul(G.mul(h1, g1), s)))
         return ABasisElement(h1, g1, s, h2, g2)
-
-    def validate_label(self, a: ABasisElement) -> None:
-        G = self.group
-        if a.h1 not in self.H or a.h2 not in self.H:
-            raise ValueError(f"labels {a.h1}, {a.h2} must lie in H")
-        lhs = G.mul(G.mul(a.h1, a.g1), a.s)
-        rhs = G.mul(a.s, G.mul(a.h2, a.g2))
-        if lhs != rhs:
-            raise ValueError(f"malformed annular label {a}")
-
-    def labels(self) -> list[ABasisElement]:
-        return self._labels
-
-    def mult_basis(self, left: ABasisElement,
-                   right: ABasisElement) -> Optional[tuple[Phase, ABasisElement]]:
-        self.validate_label(left)
-        self.validate_label(right)
-        if (left.h1, left.g1) != (right.h2, right.g2):
-            return None
-        G, w = self.group, self.omega
-        s, t = right.s, left.s
-        a = G.mul(right.h1, right.g1)
-        b = G.mul(right.h2, right.g2)
-        c = G.mul(left.h2, left.g2)
-        scalar = phase_prod(w(s, t, c), w.bar(s, b, t), w(a, s, t))
-        return scalar, ABasisElement(right.h1, right.g1, G.mul(s, t),
-                                     left.h2, left.g2)
-
-    def star_basis(self, x: ABasisElement) -> tuple[Phase, ABasisElement]:
-        G, w = self.group, self.omega
-        a = G.mul(x.h1, x.g1)
-        b = G.mul(x.h2, x.g2)
-        si = G.inverse(x.s)
-        scalar = phase_prod(w.bar(a, x.s, si), w(x.s, b, si), w.bar(x.s, si, a))
-        return scalar, ABasisElement(x.h2, x.g2, si, x.h1, x.g1)
-
-    def trace_basis(self, x: ABasisElement) -> bool:
-        return x.g1 == x.g2 and x.h1 == x.h2 and x.s == 0
-
-    def unit_labels(self) -> list[ABasisElement]:
-        return [ABasisElement(h, g, 0, h, g)
-                for h in self.H for g in self.group.elements()]
-
-    # -- block decomposition --------------------------------------------------
-
-    @property
-    def class_data(self) -> ClassData:
-        if self._class_data is None:
-            self._class_data = conjugacy_data(self.group)
-        return self._class_data
-
-    def sc_index(self) -> list[list[tuple[int, int]]]:
-        """Per class, the ordered pairs (h, g) in H x G with h g in the class."""
-        cd = self.class_data
-        G = self.group
-        sets: list[list[tuple[int, int]]] = [[] for _ in cd.classes]
-        for h in self.H:
-            for g in G.elements():
-                sets[cd.class_of[G.mul(h, g)]].append((h, g))
-        return sets
-
-    def block_algebra(self, convention: str = "op-inverse") -> BlockAlgebra:
-        """Block sum with the chosen twist convention.
-
-        ``op-inverse`` uses phi_C(s, t) = conj(phi_{g_C}(t^-1, s^-1));
-        ``plain-conjugate`` uses the pointwise conjugate of phi_{g_C}.
-        """
-        if convention not in self._blocks:
-            cd = self.class_data
-            builder = {"op-inverse": phi_class,
-                       "plain-conjugate": phi_class_plain_conjugate}[convention]
-            twists = [builder(self.group, self.omega, cd, c)
-                      for c in range(cd.num_classes())]
-            self._blocks[convention] = BlockAlgebra(
-                self.group, cd, self.sc_index(), twists)
-        return self._blocks[convention]
-
-    def phi_iso(self, x: ABasisElement) -> BlockImage:
-        self.validate_label(x)
-        G, cd = self.group, self.class_data
-        a = G.mul(x.h1, x.g1)
-        b = G.mul(x.h2, x.g2)
-        c = cd.class_of[a]
-        assert cd.class_of[b] == c
-        wa, wb = cd.transport[a], cd.transport[b]
-        u = G.mul(G.inverse(wa), G.mul(x.s, wb))
-        gc = cd.reps[c]
-        assert G.mul(u, gc) == G.mul(gc, u)
-        scalar = gamma(G, self.omega, gc, wa, wb, u).inv()
-        return BlockImage(c, scalar, row=(x.h2, x.g2), col=(x.h1, x.g1),
-                          element=G.inverse(u))
-
-    def phi_iso_inverse(self, c: int, row: tuple[int, int], col: tuple[int, int],
-                        element: int) -> tuple[Phase, ABasisElement]:
-        G, cd = self.group, self.class_data
-        h1, g1 = col
-        h2, g2 = row
-        a = G.mul(h1, g1)
-        b = G.mul(h2, g2)
-        wa, wb = cd.transport[a], cd.transport[b]
-        u = G.inverse(element)
-        s = G.mul(wa, G.mul(u, G.inverse(wb)))
-        scalar = gamma(G, self.omega, cd.reps[c], wa, wb, u)
-        label = ABasisElement(h1, g1, s, h2, g2)
-        self.validate_label(label)
-        return scalar, label
-
-    def support_projector_label(self, c: int) -> ABasisElement:
-        gc = self.class_data.reps[c]
-        return ABasisElement(0, gc, 0, 0, gc)
-
-    def support_block_index(self, c: int) -> tuple[int, int]:
-        return (0, self.class_data.reps[c])
 
     # -- box calculus ----------------------------------------------------------
 
@@ -243,39 +125,6 @@ class AnnularAlgebra(MonomialStarAlgebra):
 
     def identity_box(self, g: int) -> BoxMorphism:
         return BoxMorphism(0, g, g, 0)
-
-
-def bh_phi_iso(alg: AnnularAlgebra, x: ABasisElement) -> BlockImage:
-    """Image of an annular basis element in the block-sum algebra."""
-    return alg.phi_iso(x)
-
-
-def bh_phi_iso_inverse(alg: AnnularAlgebra, c: int, row, col, element: int):
-    return alg.phi_iso_inverse(c, row, col, element)
-
-
-def a_mult(alg: AnnularAlgebra, left: ABasisElement, right: ABasisElement):
-    return alg.mult_basis(left, right)
-
-
-def a_star(alg: AnnularAlgebra, x: ABasisElement):
-    return alg.star_basis(x)
-
-
-def a_trace(alg: AnnularAlgebra, x) -> complex:
-    return alg.trace_element(x)
-
-
-def box_compose(alg: AnnularAlgebra, outer: BoxMorphism, inner: BoxMorphism):
-    return alg.box_compose(outer, inner)
-
-
-def box_star(alg: AnnularAlgebra, b: BoxMorphism):
-    return alg.box_star(b)
-
-
-def box_basis(alg: AnnularAlgebra, g1: int, g2: int) -> list[BoxMorphism]:
-    return alg.box_basis(g1, g2)
 
 
 def box_checks(alg: AnnularAlgebra) -> list[CheckResult]:
@@ -336,53 +185,12 @@ def bh_verify_star_iso(setup: BHSetup) -> BHIsoReport:
     conventions that pass rather than silently preferring one.
     """
     alg = AnnularAlgebra(setup)
-    labels = alg.labels()
-    images = {x: alg.phi_iso(x) for x in labels}
-    results = {}
-    for convention in ("op-inverse", "plain-conjugate"):
-        blocks = alg.block_algebra(convention)
-        res = _check_block_map(alg, blocks, labels, images)
-        results[convention] = res
-    passing = [c for c, r in results.items() if r.ok]
-    blocks = alg.block_algebra("op-inverse")
-    return BHIsoReport(results=results, passing=passing,
-                       basis_count=len(labels),
-                       block_count=blocks.total_dimension())
-
-
-def _check_block_map(alg, blocks, labels, images) -> CheckResult:
-    if blocks.total_dimension() != len(labels):
-        return CheckResult(False, "block-dimension-audit",
-                           (blocks.total_dimension(), len(labels)))
-    seen = {(im.class_index, im.row, im.col, im.element)
-            for im in images.values()}
-    if len(seen) != len(labels):
-        return CheckResult(False, "phi-bijection", ())
-    for b in labels:
-        for a in labels:
-            prod = alg.mult_basis(b, a)
-            block_prod = blocks.mult(images[b], images[a])
-            if prod is None:
-                if block_prod is not None:
-                    return CheckResult(False, "phi-mult-zero", (b, a))
-                continue
-            ph, lab = prod
-            expect = images[lab]
-            if block_prod is None or block_prod.row != expect.row \
-                    or block_prod.col != expect.col \
-                    or block_prod.element != expect.element \
-                    or block_prod.class_index != expect.class_index \
-                    or block_prod.scalar.q != (ph.q + expect.scalar.q) % 1:
-                return CheckResult(False, "phi-mult", (b, a))
-    for a in labels:
-        ph, lab = alg.star_basis(a)
-        expect = images[lab]
-        got = blocks.star(images[a])
-        if got.class_index != expect.class_index or got.row != expect.row \
-                or got.col != expect.col or got.element != expect.element \
-                or got.scalar.q != (ph.q + expect.scalar.q) % 1:
-            return CheckResult(False, "phi-star", (a,))
-    return CheckResult(True, "star-isomorphism")
+    results = {convention: alg.check_block_map(convention)
+               for convention in ("op-inverse", "plain-conjugate")}
+    return BHIsoReport(results=results,
+                       passing=[c for c, r in results.items() if r.ok],
+                       basis_count=len(alg.labels()),
+                       block_count=alg.block_algebra().total_dimension())
 
 
 def end_xg_algebra(setup: BHSetup, g: int) -> Cocycle2:
@@ -424,8 +232,8 @@ def double_cosets(group: GroupTable, H: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-class CutdownAlgebra(MonomialStarAlgebra):
-    """The annular algebra restricted to double-coset representative weights."""
+class CutdownAlgebra(AnnularAlgebra):
+    """The annular algebra on the objects (h, d), d a representative weight."""
 
     def __init__(self, annular: AnnularAlgebra,
                  weights: Optional[Sequence[int]] = None):
@@ -433,25 +241,7 @@ class CutdownAlgebra(MonomialStarAlgebra):
         if weights is None:
             weights = [c[0] for c in double_cosets(annular.group, annular.H)]
         self.weights = tuple(sorted(weights))
-        wset = set(self.weights)
-        self._labels = [x for x in annular.labels()
-                        if x.g1 in wset and x.g2 in wset]
-
-    def labels(self) -> list[ABasisElement]:
-        return self._labels
-
-    def mult_basis(self, left, right):
-        return self.annular.mult_basis(left, right)
-
-    def star_basis(self, x):
-        return self.annular.star_basis(x)
-
-    def trace_basis(self, x) -> bool:
-        return self.annular.trace_basis(x)
-
-    def unit_labels(self):
-        return [ABasisElement(h, g, 0, h, g)
-                for h in self.annular.H for g in self.weights]
+        self._build(annular.setup, self.weights)
 
 
 @dataclass
@@ -536,7 +326,6 @@ def compare_cutdown_diagonal(setup: BHSetup) -> CheckResult:
                            (len(cut.labels()), len(tube.labels())))
 
     def to_tube(x: ABasisElement):
-        from .tube_diag import TubeBasisElement
         return TubeBasisElement(x.g1, x.s, x.g2)
 
     for left in cut.labels():

@@ -106,6 +106,13 @@ def _load_setup(path: str) -> coho.BHSetup:
         raise InputError(f"{path}: malformed setup payload: {exc}") from exc
     except grp.GroupError as exc:
         raise InputError(f"{path}: invalid group in setup: {exc}") from exc
+    except coho.BHSetupError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _setup_failure(exc: coho.BHSetupError) -> tuple[list, dict]:
+    return ([{"name": f"setup:{exc.invariant}", "status": "fail",
+              "witness": _jsonable(exc.witness), "detail": str(exc)}], {})
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -155,8 +162,7 @@ def _cmd_gauge_fix(args) -> tuple[list, dict]:
     try:
         omega_prime, f = coho.gauge_fix_bh(setup)
     except coho.BHSetupError as exc:
-        return ([{"name": f"setup:{exc.invariant}", "status": "fail",
-                  "witness": _jsonable(exc.witness), "detail": str(exc)}], {})
+        return _setup_failure(exc)
     G = setup.group
     checks = [_check_dict(phase.cocycle3_check(omega_prime))]
     checks.append({"name": "normalized", "witness": None, "detail": "",
@@ -211,25 +217,12 @@ def _cmd_bh(args) -> tuple[list, dict]:
     try:
         setup.validate()
     except coho.BHSetupError as exc:
-        return ([{"name": f"setup:{exc.invariant}", "status": "fail",
-                  "witness": _jsonable(exc.witness), "detail": str(exc)}], {})
+        return _setup_failure(exc)
     checks = [{"name": "setup", "status": "pass", "witness": None, "detail": ""}]
     alg = annular_bh.AnnularAlgebra(setup)
     data: dict = {"basis_count": len(alg.labels())}
     if args.action == "build":
-        dump = []
-        for left in alg.labels():
-            for right in alg.labels():
-                hit = alg.mult_basis(left, right)
-                if hit is None:
-                    continue
-                ph, lab = hit
-                dump.append({
-                    "left": [left.h1, left.g1, left.s, left.h2, left.g2],
-                    "right": [right.h1, right.g1, right.s, right.h2, right.g2],
-                    "scalar": str(ph),
-                    "result": [lab.h1, lab.g1, lab.s, lab.h2, lab.g2]})
-        data["structure_constants"] = dump
+        data["structure_constants"] = tube_diag.structure_constants_json(alg)
     elif args.action == "check":
         size = len(alg.labels())
         exhaustive = 0 if size <= args.max_exhaustive ** 2 \
@@ -273,6 +266,10 @@ def _cmd_bh(args) -> tuple[list, dict]:
 
 
 def _cmd_rep(args) -> tuple[list, dict]:
+    use_bh = args.action == "decompose" and args.bh
+    if not use_bh and not (args.group and args.cocycle):
+        raise InputError(f"rep {args.action} needs --group and --cocycle"
+                         + (" or --bh" if args.action == "decompose" else ""))
     if args.action == "induce":
         group = _load_group(args.group)
         omega = _load_cocycle(args.cocycle, group)
@@ -293,9 +290,11 @@ def _cmd_rep(args) -> tuple[list, dict]:
         checks = [_check_dict(res), _check_dict(induced.check(alg))]
         return checks, {"representation": rep.rep_to_json(induced)}
     if args.action == "decompose":
-        if args.bh:
-            setup = _load_setup(args.bh)
-            alg = annular_bh.AnnularAlgebra(setup)
+        if use_bh:
+            try:
+                alg = annular_bh.AnnularAlgebra(_load_setup(args.bh))
+            except coho.BHSetupError as exc:
+                return _setup_failure(exc)
         else:
             group = _load_group(args.group)
             omega = _load_cocycle(args.cocycle, group)

@@ -240,7 +240,13 @@ class BHSetup:
 def bh_setup_from_json(obj: dict) -> BHSetup:
     group = group_from_json(obj["group"])
     omega = cocycle_from_json(group, obj["cocycle"])
-    return BHSetup(group=group, H=tuple(obj["H"]), K=tuple(obj["K"]), omega=omega)
+    H, K = tuple(obj["H"]), tuple(obj["K"])
+    for name, sub in (("H", H), ("K", K)):
+        bad = tuple(x for x in sub if type(x) is not int
+                    or not 0 <= x < group.order)
+        if bad:
+            raise BHSetupError(f"{name} lists group elements", witness=bad)
+    return BHSetup(group=group, H=H, K=K, omega=omega)
 
 
 def _hat(G: GroupTable, p: tuple[int, int]) -> tuple[int, int]:

@@ -77,18 +77,6 @@ ONE = Phase(Fraction(0))
 MINUS_ONE = Phase(Fraction(1, 2))
 
 
-def phase_mul(p: Phase, q: Phase) -> Phase:
-    return p * q
-
-
-def phase_inv(p: Phase) -> Phase:
-    return p.inv()
-
-
-def phase_pow(p: Phase, k: int) -> Phase:
-    return p ** k
-
-
 def phase_prod(*ps: Phase) -> Phase:
     q = Fraction(0)
     for p in ps:
@@ -324,10 +312,14 @@ def cocycle_to_json(omega: Cocycle3) -> dict:
 
 
 def cocycle_from_json(group: GroupTable, obj: dict) -> Cocycle3:
-    mod = int(obj["modulus"])
-    if mod < 1:
-        raise CocycleError("modulus must be positive")
-    values = [Phase(Fraction(int(k), mod)) for k in obj["values"]]
+    mod = obj["modulus"]
+    if type(mod) is not int or mod < 1:
+        raise CocycleError(f"modulus {mod!r} is not a positive integer")
+    values = []
+    for k in obj["values"]:
+        if type(k) is not int:
+            raise CocycleError(f"cocycle value {k!r} is not an integer")
+        values.append(Phase(Fraction(k, mod)))
     return Cocycle3(group, values)
 
 

@@ -74,11 +74,6 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
             raise ValueError(f"element {g} is not in the algebra")
 
 
-def twisted_algebra(group: GroupTable, elements: Sequence[int],
-                    twist: Cocycle2) -> TwistedGroupAlgebra:
-    return TwistedGroupAlgebra(group, elements, twist)
-
-
 def _phase_lcm(phases) -> int:
     n = 1
     for p in phases:

@@ -17,6 +17,8 @@ are always exact phases.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Hashable, Optional, Sequence
 
 from .phase import CheckResult, Phase
@@ -139,47 +141,62 @@ class MonomialStarAlgebra:
 
     # -- exact checks over the basis ---------------------------------------
 
-    def _triples(self, exhaustive_limit: int, samples: int, seed: int):
+    def _composable(self) -> dict:
+        """Per label a, the labels b with b . a nonzero, in label order."""
         labels = list(self.labels())
-        comp: dict = {}
-        for a in labels:
-            for b in labels:
-                if self.mult_basis(b, a) is not None:
-                    comp.setdefault(a, []).append(b)
-        chains = []
-        for a in labels:
-            for b in comp.get(a, ()):
-                for c in comp.get(b, ()):
-                    chains.append((c, b, a))
-                    if exhaustive_limit and len(chains) > exhaustive_limit:
-                        break
-        if not exhaustive_limit or len(chains) <= exhaustive_limit:
-            yield from chains
+        return {a: [b for b in labels if self.mult_basis(b, a) is not None]
+                for a in labels}
+
+    def _triples(self, comp: dict, samples: Optional[int], seed: int):
+        """Composable triples (c, b, a): every one in label order when
+        ``samples`` is None, else ``samples`` uniform draws from them all."""
+        if samples is None:
+            for a, bs in comp.items():
+                for b in bs:
+                    for c in comp[b]:
+                        yield c, b, a
             return
+        # draw a by its number of triples, then b by its number of c's
+        heads = list(comp)
+        tails = [list(accumulate(len(comp[b]) for b in comp[a])) for a in heads]
+        cum = list(accumulate(t[-1] if t else 0 for t in tails))
         rng = random.Random(seed)
         for _ in range(samples):
-            yield chains[rng.randrange(len(chains))]
+            r = rng.randrange(cum[-1])
+            i = bisect_right(cum, r)
+            r -= cum[i - 1] if i else 0
+            j = bisect_right(tails[i], r)
+            r -= tails[i][j - 1] if j else 0
+            b = comp[heads[i]][j]
+            yield comp[b][r], b, heads[i]
 
     def check_associativity(self, exhaustive_limit: int = 0,
                             samples: int = 100000, seed: int = 0) -> CheckResult:
         """(c b) a == c (b a) over composable basis triples, exactly.
 
-        ``exhaustive_limit`` of 0 means fully exhaustive; otherwise
-        triples beyond the limit are sampled.
+        ``exhaustive_limit`` of 0 means fully exhaustive; otherwise, when
+        there are more triples than the limit, ``samples`` of them are
+        drawn uniformly.  ``detail`` says which was done.
         """
-        for c, b, a in self._triples(exhaustive_limit, samples, seed):
+        comp = self._composable()
+        total = sum(len(comp[b]) for bs in comp.values() for b in bs)
+        if exhaustive_limit and total > exhaustive_limit:
+            detail = f"sampled {samples} of {total}, seed {seed}"
+        else:
+            samples, detail = None, f"exhaustive {total}"
+        for c, b, a in self._triples(comp, samples, seed):
             ph_ba, ba = self.mult_basis(b, a)
             ph_cb, cb = self.mult_basis(c, b)
             left = self.mult_basis(cb, a)
             right = self.mult_basis(c, ba)
             if left is None or right is None:
                 if left is not right:
-                    return CheckResult(False, "associativity", (c, b, a))
+                    return CheckResult(False, "associativity", (c, b, a), detail)
                 continue
             if left[1] != right[1] or \
                     (ph_cb.q + left[0].q) % 1 != (ph_ba.q + right[0].q) % 1:
-                return CheckResult(False, "associativity", (c, b, a))
-        return CheckResult(True, "associativity")
+                return CheckResult(False, "associativity", (c, b, a), detail)
+        return CheckResult(True, "associativity", detail=detail)
 
     def check_star_laws(self) -> CheckResult:
         """star is involutive and anti-multiplicative on the basis."""

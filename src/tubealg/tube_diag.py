@@ -1,29 +1,38 @@
-"""The tube algebra of a finite group with a normalized 3-cocycle.
+"""Tube-shaped algebras: twisted groupoid algebras over weighted objects.
 
-The basis is ``a(g1, s, g2)`` with ``g1 s = s g2``; products, the
-involution ``#`` and the canonical trace are given by explicit
-``omega``-phases::
+A tube-shaped algebra over a finite group G with a normalized 3-cocycle
+``w`` is fixed by an ordered list of objects, each carrying a weight in
+G.  Its basis is the morphisms ``x -s-> y`` between objects with
+``wt(x) s = s wt(y)``.  With ``a, b, c`` the weights of ``x, y, z``,
+products, the involution ``#`` and the canonical trace are explicit
+``w``-phases::
 
-    a(g2,t,g3) . a(g1,s,g2) = w(g1,s,t) w(s,g2,t)^-1 w(s,t,g3) a(g1,st,g3)
-    a(g1,s,g2)^#            = w(g1,s,s^-1)^-1 w(s,g2,s^-1) w(s,s^-1,g1)^-1
-                              a(g2, s^-1, g1)
-    trace a(g1,s,g2)        = [g1 == g2][s == e]
+    (y -t-> z) . (x -s-> y) = w(a,s,t) w(s,b,t)^-1 w(s,t,c) (x -st-> z)
+    (x -s-> y)^#            = w(a,s,s^-1)^-1 w(s,b,s^-1) w(s,s^-1,a)^-1
+                              (y -s^-1-> x)
+    trace (x -s-> y)        = [x == y][s == e]
 
-The whole algebra is isomorphic, as a *-algebra, to a direct sum over
-conjugacy classes C of (matrices indexed by C) tensor (the group
-algebra of the centralizer of the class representative, twisted by the
-derived 2-cocycle).  ``phi_iso`` realizes the isomorphism on basis
-elements, with the transport cochain supplying the scalar;
-``verify_star_iso`` checks multiplicativity and *-preservation
-exhaustively and exactly.
+The tube algebra has the objects g in G with weight g, and writes
+``x -s-> y`` as ``a(g1, s, g2)``.  The annular algebra of
+:mod:`tubealg.annular_bh` is the same construction on the objects
+``(h, g)`` in H x G with weight ``h g``.
+
+Each such algebra is isomorphic, as a *-algebra, to a direct sum over
+conjugacy classes C of (matrices indexed by the objects of weight in C)
+tensor (the group algebra of the centralizer of the class
+representative, twisted by the derived 2-cocycle).  ``phi_iso`` realizes
+the isomorphism on basis elements, with the transport cochain supplying
+the scalar; ``check_block_map`` checks multiplicativity and
+*-preservation exhaustively and exactly, and ``verify_star_iso`` runs it
+on the tube algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Optional, Sequence
 
-from .coho import gamma, phi_class
+from .coho import gamma, phi_class, phi_class_plain_conjugate
 from .grp import ClassData, GroupTable, conjugacy_data
 from .phase import CheckResult, Cocycle2, Cocycle3, Phase, is_normalized, phase_prod
 from .rep import TwistedGroupAlgebra, center_dimension
@@ -50,57 +59,74 @@ class BlockImage:
     element: int
 
 
-class TubeAlgebra(MonomialStarAlgebra):
-    """Structure constants and block decomposition for one (G, omega)."""
+class TubeShapedAlgebra(MonomialStarAlgebra):
+    """The algebra of the module docstring on the given weighted objects.
 
-    def __init__(self, group: GroupTable, omega: Cocycle3):
-        omega.ensure_valid()
-        if not is_normalized(omega):
-            raise ValueError("tube algebra needs a normalized cocycle")
+    Subclasses set ``_pack(x, s, y)``, which builds the label of the
+    morphism ``x -s-> y``.  Basis labels come in object order, then in
+    group order of ``s``, then in object order of the target.
+    """
+
+    _pack: Callable
+
+    def __init__(self, group: GroupTable, omega: Cocycle3,
+                 objects: Sequence, weight: Callable):
         self.group = group
         self.omega = omega
-        self._labels = [self.basis_label(g1, s)
-                        for g1 in group.elements() for s in group.elements()]
+        self.objects = tuple(objects)
+        self._weight = {x: weight(x) for x in self.objects}
+        self._by_weight: dict = {}
+        for x in self.objects:
+            self._by_weight.setdefault(self._weight[x], []).append(x)
+        # (x, s, y) -> label, and label -> (x, s, y, wt(x), wt(y))
+        self._label_of: dict = {}
+        self._parts: dict = {}
+        for x in self.objects:
+            a = self._weight[x]
+            for s in group.elements():
+                b = group.conjugate(group.inverse(s), a)
+                for y in self._by_weight.get(b, ()):
+                    label = self._pack(x, s, y)
+                    self._label_of[(x, s, y)] = label
+                    self._parts[label] = (x, s, y, a, b)
+        self._labels = list(self._label_of.values())
         self._class_data: Optional[ClassData] = None
-        self._blocks: Optional[BlockAlgebra] = None
+        self._blocks: dict[str, BlockAlgebra] = {}
+        self._images: Optional[dict] = None
 
-    def basis_label(self, g1: int, s: int) -> TubeBasisElement:
-        G = self.group
-        g2 = G.mul(G.inverse(s), G.mul(g1, s))
-        return TubeBasisElement(g1, s, g2)
+    def _split(self, label) -> tuple:
+        try:
+            return self._parts[label]
+        except KeyError:
+            raise ValueError(f"malformed label {label}") from None
 
-    def validate_label(self, a: TubeBasisElement) -> None:
-        G = self.group
-        if G.mul(a.g1, a.s) != G.mul(a.s, a.g2):
-            raise ValueError(f"malformed tube label {a}")
+    def validate_label(self, label) -> None:
+        self._split(label)
 
-    def labels(self) -> list[TubeBasisElement]:
+    def labels(self) -> list:
         return self._labels
 
-    def mult_basis(self, left: TubeBasisElement,
-                   right: TubeBasisElement) -> Optional[tuple[Phase, TubeBasisElement]]:
-        self.validate_label(left)
-        self.validate_label(right)
-        if right.g2 != left.g1:
+    def mult_basis(self, left, right) -> Optional[tuple[Phase, object]]:
+        x, s, y, a, b = self._split(right)
+        y2, t, z, _, c = self._split(left)
+        if y != y2:
             return None
-        G, w = self.group, self.omega
-        g1, s = right.g1, right.s
-        g2, t, g3 = left.g1, left.s, left.g2
-        scalar = phase_prod(w(g1, s, t), w.bar(s, g2, t), w(s, t, g3))
-        return scalar, TubeBasisElement(g1, G.mul(s, t), g3)
+        w = self.omega
+        scalar = phase_prod(w(a, s, t), w.bar(s, b, t), w(s, t, c))
+        return scalar, self._label_of[(x, self.group.mul(s, t), z)]
 
-    def star_basis(self, a: TubeBasisElement) -> tuple[Phase, TubeBasisElement]:
-        G, w = self.group, self.omega
-        si = G.inverse(a.s)
-        scalar = phase_prod(w.bar(a.g1, a.s, si), w(a.s, a.g2, si),
-                            w.bar(a.s, si, a.g1))
-        return scalar, TubeBasisElement(a.g2, si, a.g1)
+    def star_basis(self, label) -> tuple[Phase, object]:
+        x, s, y, a, b = self._split(label)
+        w, si = self.omega, self.group.inverse(s)
+        scalar = phase_prod(w.bar(a, s, si), w(s, b, si), w.bar(s, si, a))
+        return scalar, self._label_of[(y, si, x)]
 
-    def trace_basis(self, a: TubeBasisElement) -> bool:
-        return a.g1 == a.g2 and a.s == 0
+    def trace_basis(self, label) -> bool:
+        x, s, y, _, _ = self._split(label)
+        return s == 0 and x == y
 
-    def unit_labels(self) -> list[TubeBasisElement]:
-        return [TubeBasisElement(g, 0, g) for g in self.group.elements()]
+    def unit_labels(self) -> list:
+        return [self._label_of[(x, 0, x)] for x in self.objects]
 
     # -- block decomposition ------------------------------------------------
 
@@ -110,47 +136,119 @@ class TubeAlgebra(MonomialStarAlgebra):
             self._class_data = conjugacy_data(self.group)
         return self._class_data
 
-    def block_algebra(self) -> "BlockAlgebra":
-        if self._blocks is None:
-            cd = self.class_data
-            twists = [phi_class(self.group, self.omega, cd, c)
-                      for c in range(cd.num_classes())]
-            index_sets = [list(cls) for cls in cd.classes]
-            self._blocks = BlockAlgebra(self.group, cd, index_sets, twists)
-        return self._blocks
+    def sc_index(self) -> list[list]:
+        """Per class, the objects whose weight lies in it, in object order."""
+        cd = self.class_data
+        sets: list[list] = [[] for _ in cd.classes]
+        for x in self.objects:
+            sets[cd.class_of[self._weight[x]]].append(x)
+        return sets
 
-    def phi_iso(self, a: TubeBasisElement) -> BlockImage:
+    def block_algebra(self, convention: str = "op-inverse") -> "BlockAlgebra":
+        """Block sum with the chosen twist convention.
+
+        ``op-inverse`` uses phi_C(s, t) = conj(phi_{g_C}(t^-1, s^-1)), the
+        twist under which the block map is multiplicative;
+        ``plain-conjugate`` uses the pointwise conjugate of phi_{g_C}.
+        """
+        if convention not in self._blocks:
+            cd = self.class_data
+            builder = {"op-inverse": phi_class,
+                       "plain-conjugate": phi_class_plain_conjugate}[convention]
+            twists = [builder(self.group, self.omega, cd, c)
+                      for c in range(cd.num_classes())]
+            self._blocks[convention] = BlockAlgebra(
+                self.group, cd, self.sc_index(), twists)
+        return self._blocks[convention]
+
+    def phi_iso(self, label) -> BlockImage:
         """Image of a basis element in the block-sum algebra."""
-        self.validate_label(a)
+        x, s, y, a, b = self._split(label)
         G, cd = self.group, self.class_data
-        c = cd.class_of[a.g1]
-        assert cd.class_of[a.g2] == c
-        w1, w2 = cd.transport[a.g1], cd.transport[a.g2]
-        u = G.mul(G.inverse(w1), G.mul(a.s, w2))
+        c = cd.class_of[a]
+        assert cd.class_of[b] == c
+        wa, wb = cd.transport[a], cd.transport[b]
+        u = G.mul(G.inverse(wa), G.mul(s, wb))
         gc = cd.reps[c]
         assert G.mul(u, gc) == G.mul(gc, u), "transported middle must centralize"
-        scalar = gamma(G, self.omega, gc, w1, w2, u).inv()
-        return BlockImage(c, scalar, row=a.g2, col=a.g1, element=G.inverse(u))
+        scalar = gamma(G, self.omega, gc, wa, wb, u).inv()
+        return BlockImage(c, scalar, row=y, col=x, element=G.inverse(u))
 
-    def phi_iso_inverse(self, c: int, row, col, element: int) -> tuple[Phase, TubeBasisElement]:
+    def phi_iso_inverse(self, c: int, row, col, element: int) -> tuple[Phase, object]:
         """Preimage of E[row, col] tensor [element] as scalar * basis label."""
         G, cd = self.group, self.class_data
-        g2, g1 = row, col
-        w1, w2 = cd.transport[g1], cd.transport[g2]
+        wa = cd.transport[self._weight[col]]
+        wb = cd.transport[self._weight[row]]
         u = G.inverse(element)
-        s = G.mul(w1, G.mul(u, G.inverse(w2)))
-        gc = cd.reps[c]
-        scalar = gamma(G, self.omega, gc, w1, w2, u)
-        label = TubeBasisElement(g1, s, g2)
-        self.validate_label(label)
-        return scalar, label
+        s = G.mul(wa, G.mul(u, G.inverse(wb)))
+        label = self._label_of.get((col, s, row))
+        if label is None:
+            raise ValueError(f"no basis label {col} -{s}-> {row}")
+        return gamma(G, self.omega, cd.reps[c], wa, wb, u), label
 
-    def support_projector_label(self, c: int) -> TubeBasisElement:
-        gc = self.class_data.reps[c]
-        return TubeBasisElement(gc, 0, gc)
+    def support_block_index(self, c: int):
+        """The least object whose weight is the representative of class c."""
+        return min(self._by_weight[self.class_data.reps[c]])
 
-    def support_block_index(self, c: int) -> int:
-        return self.class_data.reps[c]
+    def support_projector_label(self, c: int):
+        x = self.support_block_index(c)
+        return self._label_of[(x, 0, x)]
+
+    def check_block_map(self, convention: str = "op-inverse") -> CheckResult:
+        """Exhaustively check the block map: bijective, multiplicative, *-preserving."""
+        blocks = self.block_algebra(convention)
+        labels = self.labels()
+        if self._images is None:
+            self._images = {a: self.phi_iso(a) for a in labels}
+        images = self._images
+        if blocks.total_dimension() != len(labels):
+            return CheckResult(False, "block-dimension-audit",
+                               (blocks.total_dimension(), len(labels)))
+        if len({_position(im) for im in images.values()}) != len(labels):
+            return CheckResult(False, "phi-bijection", ())
+        for b in labels:
+            for a in labels:
+                prod = self.mult_basis(b, a)
+                block_prod = blocks.mult(images[b], images[a])
+                if prod is None:
+                    if block_prod is not None:
+                        return CheckResult(False, "phi-mult-zero", (b, a))
+                elif not _is_image(block_prod, prod, images):
+                    return CheckResult(False, "phi-mult", (b, a))
+        for a in labels:
+            if not _is_image(blocks.star(images[a]), self.star_basis(a), images):
+                return CheckResult(False, "phi-star", (a,))
+        return CheckResult(True, "star-isomorphism")
+
+
+def _position(im: BlockImage) -> tuple:
+    return (im.class_index, im.row, im.col, im.element)
+
+
+def _is_image(got: Optional[BlockImage], hit: tuple[Phase, object],
+              images: dict) -> bool:
+    """Whether ``got`` is the image of ``phase * label`` for ``hit``."""
+    ph, label = hit
+    want = images[label]
+    return got is not None and _position(got) == _position(want) \
+        and got.scalar.q == (ph.q + want.scalar.q) % 1
+
+
+class TubeAlgebra(TubeShapedAlgebra):
+    """The tube algebra of one (G, omega): objects G, each its own weight."""
+
+    _pack = TubeBasisElement
+
+    def __init__(self, group: GroupTable, omega: Cocycle3):
+        omega.ensure_valid()
+        if not is_normalized(omega):
+            raise ValueError("tube algebra needs a normalized cocycle")
+        super().__init__(group, omega, group.elements(), lambda g: g)
+
+    def basis_label(self, g1: int, s: int) -> TubeBasisElement:
+        G = self.group
+        g2 = G.mul(G.inverse(s), G.mul(g1, s))
+        return TubeBasisElement(g1, s, g2)
 
 
 class BlockAlgebra:
@@ -190,65 +288,9 @@ class BlockAlgebra:
                    for idx, tw in zip(self.index_sets, self.twists))
 
 
-def tube_mult(alg: TubeAlgebra, left: TubeBasisElement,
-              right: TubeBasisElement) -> Optional[tuple[Phase, TubeBasisElement]]:
-    """Product left . right on basis labels (right acts first)."""
-    return alg.mult_basis(left, right)
-
-
-def tube_star(alg: TubeAlgebra, a: TubeBasisElement) -> tuple[Phase, TubeBasisElement]:
-    return alg.star_basis(a)
-
-
-def tube_trace(alg: TubeAlgebra, x) -> complex:
-    """Canonical trace of a linear element."""
-    return alg.trace_element(x)
-
-
-def tube_inner(alg: TubeAlgebra, x, y) -> complex:
-    """<x, y> = trace(y^# x)."""
-    return alg.inner(x, y)
-
-
 def verify_star_iso(group: GroupTable, omega: Cocycle3) -> CheckResult:
-    """Exhaustively check the block map: multiplicative, *-preserving, bijective."""
-    alg = TubeAlgebra(group, omega)
-    blocks = alg.block_algebra()
-    labels = alg.labels()
-    images = {a: alg.phi_iso(a) for a in labels}
-
-    if blocks.total_dimension() != len(labels):
-        return CheckResult(False, "block-dimension-audit",
-                           (blocks.total_dimension(), len(labels)))
-    seen = {(im.class_index, im.row, im.col, im.element) for im in images.values()}
-    if len(seen) != len(labels):
-        return CheckResult(False, "phi-bijection", ())
-
-    for b in labels:
-        for a in labels:
-            prod = alg.mult_basis(b, a)
-            block_prod = blocks.mult(images[b], images[a])
-            if prod is None:
-                if block_prod is not None:
-                    return CheckResult(False, "phi-mult-zero", (b, a))
-                continue
-            ph, lab = prod
-            expect = images[lab]
-            if block_prod is None or block_prod.class_index != expect.class_index \
-                    or block_prod.row != expect.row or block_prod.col != expect.col \
-                    or block_prod.element != expect.element \
-                    or block_prod.scalar.q != (ph.q + expect.scalar.q) % 1:
-                return CheckResult(False, "phi-mult", (b, a))
-
-    for a in labels:
-        ph, lab = alg.star_basis(a)
-        expect = images[lab]
-        got = blocks.star(images[a])
-        if got.class_index != expect.class_index or got.row != expect.row \
-                or got.col != expect.col or got.element != expect.element \
-                or got.scalar.q != (ph.q + expect.scalar.q) % 1:
-            return CheckResult(False, "phi-star", (a,))
-    return CheckResult(True, "star-isomorphism")
+    """Exhaustively check the block map of the tube algebra of (G, omega)."""
+    return TubeAlgebra(group, omega).check_block_map()
 
 
 @dataclass
@@ -279,19 +321,20 @@ def block_simple_count(blocks: BlockAlgebra) -> SimpleCount:
     return SimpleCount(per_class=per, total=total)
 
 
-def structure_constants_json(alg: TubeAlgebra) -> list[dict]:
-    """Wire dump of all nonzero products of basis elements."""
+def structure_constants_json(alg: TubeShapedAlgebra) -> list[dict]:
+    """Wire dump of all nonzero products of basis elements.
+
+    A label is written as the list of its fields: ``[g1, s, g2]`` for
+    the tube algebra, ``[h1, g1, s, h2, g2]`` for the annular one.
+    """
+    labels = alg.labels()
+    names = [f.name for f in fields(labels[0])]
+    wire = {lab: [getattr(lab, n) for n in names] for lab in labels}
     out = []
-    for left in alg.labels():
-        for right in alg.labels():
+    for left in labels:
+        for right in labels:
             hit = alg.mult_basis(left, right)
-            if hit is None:
-                continue
-            ph, lab = hit
-            out.append({
-                "left": [left.g1, left.s, left.g2],
-                "right": [right.g1, right.s, right.g2],
-                "scalar": str(ph),
-                "result": [lab.g1, lab.s, lab.g2],
-            })
+            if hit is not None:
+                out.append({"left": wire[left], "right": wire[right],
+                            "scalar": str(hit[0]), "result": wire[hit[1]]})
     return out

@@ -143,3 +143,25 @@ def bh_v4() -> BHSetup:
 @pytest.fixture
 def bh_z1() -> BHSetup:
     return bh_setup_z1()
+
+
+def corrupt_last_twist(monkeypatch) -> None:
+    """Flip the sign of one value of the last class's block twist.
+
+    Every block algebra is built through ``tube_diag.phi_class``, so
+    this reaches the tube and the annular block maps alike.
+    """
+    from tubealg import tube_diag
+    from tubealg.phase import Cocycle2, Phase
+
+    original = tube_diag.phi_class
+
+    def corrupted(group, omega, class_data, c):
+        tw = original(group, omega, class_data, c)
+        if c != class_data.num_classes() - 1:
+            return tw
+        values = list(tw.values)
+        values[-1] = values[-1] * Phase.of(1, 2)
+        return Cocycle2(group, tw.elements, values)
+
+    monkeypatch.setattr(tube_diag, "phi_class", corrupted)

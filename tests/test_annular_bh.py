@@ -3,17 +3,16 @@
 import pytest
 
 from tubealg.annular_bh import (ABasisElement, AnnularAlgebra, BoxMorphism,
-                                CutdownAlgebra, a_mult, a_star, a_trace,
-                                bh_verify_star_iso, box_basis, box_checks,
-                                box_compose, box_star, compare_cutdown_diagonal,
-                                double_cosets, end_xg_algebra, tube_cutdown)
+                                CutdownAlgebra, bh_verify_star_iso, box_checks,
+                                compare_cutdown_diagonal, double_cosets,
+                                end_xg_algebra, tube_cutdown)
 from tubealg.coho import BHSetup
 from tubealg.grp import subgroup_closure
 from tubealg.phase import (Phase, cocycle2_check, standard_cyclic_cocycle,
                            trivial_cocycle)
 
 from conftest import (bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
-                      symmetric_group)
+                      corrupt_last_twist, symmetric_group)
 
 ONE = Phase.of(0)
 
@@ -30,16 +29,16 @@ def annular(request):
 def test_identity_boxes_compose(annular):
     for g in annular.group.elements():
         b = annular.identity_box(g)
-        ph, out = box_compose(annular, b, b)
+        ph, out = annular.box_compose(b, b)
         assert ph == ONE and out == b
 
 
 def test_box_compose_trivial_cocycle():
     alg = AnnularAlgebra(bh_setup_s3())
     for g1 in alg.group.elements():
-        for inner in box_basis(alg, g1, g1):
-            for outer in box_basis(alg, g1, g1):
-                ph, out = box_compose(alg, outer, inner)
+        for inner in alg.box_basis(g1, g1):
+            for outer in alg.box_basis(g1, g1):
+                ph, out = alg.box_compose(outer, inner)
                 assert ph == ONE
                 assert out.h1 == alg.group.mul(outer.h1, inner.h1)
 
@@ -47,9 +46,9 @@ def test_box_compose_trivial_cocycle():
 def test_box_compose_product_fixture_oracle():
     alg = AnnularAlgebra(bh_setup_v4())
     w, G = alg.omega, alg.group
-    inner = box_basis(alg, 1, 1)[1]       # a box on the weight in K
-    outer = box_basis(alg, 1, 1)[1]
-    ph, out = box_compose(alg, outer, inner)
+    inner = alg.box_basis(1, 1)[1]       # a box on the weight in K
+    outer = alg.box_basis(1, 1)[1]
+    ph, out = alg.box_compose(outer, inner)
     oracle = w(outer.h1, inner.h1, inner.g1).inv() * \
         w(outer.h1, outer.g1, inner.h2) * \
         w(outer.g2, outer.h2, inner.h2).inv()
@@ -60,7 +59,7 @@ def test_box_compose_product_fixture_oracle():
 
 def test_box_star_identity_box(annular):
     b = annular.identity_box(0)
-    ph, out = box_star(annular, b)
+    ph, out = annular.box_star(b)
     assert ph == ONE and out == b
 
 
@@ -72,9 +71,9 @@ def test_box_checks_exhaustive(annular):
 def test_box_basis_counts():
     alg = AnnularAlgebra(bh_setup_s3())
     G, H = alg.group, alg.H
-    assert len(box_basis(alg, 0, 0)) == len(H)
+    assert len(alg.box_basis(0, 0)) == len(H)
     # weights in different double cosets have no morphisms
-    assert box_basis(alg, 0, 2) == []
+    assert alg.box_basis(0, 2) == []
     # endomorphisms of a weight g are counted by |H meet g H g^-1|
     g = 2
     overlap = [h for h in H
@@ -83,7 +82,7 @@ def test_box_basis_counts():
     # oracle: h1 determines h2 = g^-1 h1 g which must land in H
     expected = sum(1 for h1 in H
                    if G.mul(G.mul(G.inverse(g), h1), g) in set(H))
-    assert len(box_basis(alg, g, g)) == expected == 1
+    assert len(alg.box_basis(g, g)) == expected == 1
 
 
 # -- annular basis -------------------------------------------------------------
@@ -102,7 +101,7 @@ def test_a_mult_trivial_is_delta_rule():
     alg = AnnularAlgebra(bh_setup_s3())
     right = alg.basis_label(1, 2, 3, 0)
     left = alg.basis_label(right.h2, right.g2, 4, 1)
-    ph, lab = a_mult(alg, left, right)
+    ph, lab = alg.mult_basis(left, right)
     assert ph == ONE
     assert lab.h1 == right.h1 and lab.g1 == right.g1
     assert lab.s == alg.group.mul(right.s, left.s)
@@ -113,14 +112,14 @@ def test_a_mult_zero_on_label_mismatch():
     right = alg.basis_label(0, 0, 0, 1)      # target pair (1, g)
     left = alg.basis_label(0, right.g2, 0, 0)  # source pair (0, g)
     assert (left.h1, left.g1) != (right.h2, right.g2)
-    assert a_mult(alg, left, right) is None
+    assert alg.mult_basis(left, right) is None
 
 
 def test_a_idempotents(annular):
     for h in annular.H:
         for g in annular.group.elements():
             lab = ABasisElement(h, g, 0, h, g)
-            ph, out = a_mult(annular, lab, lab)
+            ph, out = annular.mult_basis(lab, lab)
             assert ph == ONE and out == lab
 
 
@@ -132,7 +131,7 @@ def test_a_mult_product_fixture_oracle():
         for t in G.elements():
             for h3 in alg.H:
                 left = alg.basis_label(right.h2, right.g2, t, h3)
-                ph, lab = a_mult(alg, left, right)
+                ph, lab = alg.mult_basis(left, right)
                 assert ph == a_mult_oracle(w, G, right, left)
                 if ph != ONE:
                     found_nontrivial = True
@@ -142,8 +141,31 @@ def test_a_mult_product_fixture_oracle():
 def test_a_star_identity_like(annular):
     for h in annular.H:
         lab = ABasisElement(h, 0, 0, h, 0)
-        ph, out = a_star(annular, lab)
+        ph, out = annular.star_basis(lab)
         assert ph == ONE and out == lab
+
+
+def a_star_oracle(omega, G, x):
+    """The three-factor involution scalar, written out directly."""
+    s, si = x.s, G.inverse(x.s)
+    a = G.mul(x.h1, x.g1)
+    b = G.mul(x.h2, x.g2)
+    return omega(a, s, si).inv() * omega(s, b, si) * omega(s, si, a).inv()
+
+
+@pytest.mark.parametrize("make_setup", [bh_setup_s3, bh_setup_v4])
+def test_a_star_oracle_every_label(make_setup):
+    alg = AnnularAlgebra(make_setup())
+    G = alg.group
+    for x in alg.labels():
+        ph, out = alg.star_basis(x)
+        assert ph == a_star_oracle(alg.omega, G, x)
+        assert out == ABasisElement(x.h2, x.g2, G.inverse(x.s), x.h1, x.g1)
+
+
+def test_a_star_oracle_sees_nontrivial_phases():
+    alg = AnnularAlgebra(bh_setup_v4())
+    assert any(alg.star_basis(x)[0] != ONE for x in alg.labels())
 
 
 def test_exact_basis_laws(annular):
@@ -170,7 +192,7 @@ def test_basis_and_block_counts():
 def test_a_trace_values():
     alg = AnnularAlgebra(bh_setup_s3())
     one = alg.basis_element(ABasisElement(1, 2, 0, 1, 2))
-    assert a_trace(alg, one) == 1
+    assert alg.trace_element(one) == 1
     h1_ne_h2 = alg.basis_label(1, 0, 0, 0)
     assert not alg.trace_basis(h1_ne_h2)
 
@@ -215,6 +237,15 @@ def test_bh_star_iso_conventions_separated():
     assert report.passing == ["op-inverse"]
     failed = report.results["plain-conjugate"]
     assert not failed.ok and failed.name == "phi-mult"
+
+
+def test_bh_star_iso_detects_corrupted_twist(monkeypatch):
+    corrupt_last_twist(monkeypatch)
+    report = bh_verify_star_iso(bh_setup_v4())
+    assert "op-inverse" not in report.passing
+    res = report.results["op-inverse"]
+    assert not res.ok and res.name in ("phi-mult", "phi-star")
+    assert res.witness
 
 
 def test_z2z4_fixture_full_battery():

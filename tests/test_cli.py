@@ -38,6 +38,20 @@ def files(tmp_path):
                   "generators": [[1, 0, 2], [1, 2, 0]]},
         "H": [0, 1], "K": [0, 2, 5],
         "cocycle": cocycle_to_json(trivial_cocycle(s3))})
+    write("bh_s3_h_out_of_range.json", {
+        "group": {"type": "perm", "degree": 3,
+                  "generators": [[1, 0, 2], [1, 2, 0]]},
+        "H": [0, 6], "K": [0, 2, 5],
+        "cocycle": cocycle_to_json(trivial_cocycle(s3))})
+    write("bh_s3_h_not_subgroup.json", {
+        "group": {"type": "perm", "degree": 3,
+                  "generators": [[1, 0, 2], [1, 2, 0]]},
+        "H": [0, 2], "K": [0, 1],
+        "cocycle": cocycle_to_json(trivial_cocycle(s3))})
+    for name, value in (("half", 0.5), ("fraction", "1/2")):
+        payload = cocycle_to_json(z2)
+        payload["values"][-1] = value
+        write(f"semion_{name}.json", payload)
     return out
 
 
@@ -185,3 +199,38 @@ def test_env_default_max_exhaustive(files, capsys, monkeypatch):
                                 "--cocycle", files["semion.json"],
                                 "--max-exhaustive", "5"])
     assert report["max_exhaustive"] == 5
+
+
+# -- malformed input: exit 2 with exactly one JSON report ----------------------
+
+
+@pytest.mark.parametrize("cocycle", ["semion_half.json", "semion_fraction.json"])
+def test_non_integer_cocycle_value_is_input_error(files, capsys, cocycle):
+    code, report = run(capsys, ["verify-cocycle", "--group", files["z2.json"],
+                                "--cocycle", files[cocycle]])
+    assert code == 2
+    assert report["status"] == "error" and "integer" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [["bh", "check"], ["gauge-fix"],
+                                  ["rep", "decompose"]])
+def test_subgroup_element_out_of_range_is_input_error(files, capsys, argv):
+    code, report = run(capsys, argv + ["--bh",
+                                       files["bh_s3_h_out_of_range.json"]])
+    assert code == 2
+    assert report["status"] == "error" and "H lists" in report["error"]
+
+
+def test_rep_decompose_without_input_is_input_error(files, capsys):
+    code, report = run(capsys, ["rep", "decompose"])
+    assert code == 2
+    assert report["status"] == "error" and "--bh" in report["error"]
+
+
+def test_rep_decompose_invalid_setup_fails_with_witness(files, capsys):
+    code, report = run(capsys, ["rep", "decompose", "--bh",
+                                files["bh_s3_h_not_subgroup.json"]])
+    assert code == 1
+    check = report["checks"][0]
+    assert check["name"] == "setup:H is a subgroup"
+    assert check["status"] == "fail" and check["witness"] == [0, 2]

@@ -10,8 +10,7 @@ from tubealg.phase import (Cocycle2, Phase, standard_cyclic_cocycle,
 from tubealg.rep import (Representation,
                          TwistedGroupAlgebra, center_dimension, decompose,
                          induce, regular_representation, rep_from_json,
-                         rep_to_json, restrict, support_decompose,
-                         twisted_algebra)
+                         rep_to_json, restrict, support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count
 
 from conftest import symmetric_group
@@ -29,7 +28,7 @@ def _z2_twisted():
 def test_untwisted_is_group_algebra():
     z3 = cyclic_group(3)
     phi = Cocycle2(z3, (0, 1, 2), [ONE] * 9)
-    alg = twisted_algebra(z3, (0, 1, 2), phi)
+    alg = TwistedGroupAlgebra(z3, (0, 1, 2), phi)
     for g in range(3):
         for h in range(3):
             ph, lab = alg.mult_basis(g, h)
@@ -46,7 +45,7 @@ def test_non_cocycle_rejected_with_witness():
     z2 = cyclic_group(2)
     bad = Cocycle2(z2, (0, 1), [ONE, ONE, MINUS, ONE])
     with pytest.raises(ValueError) as exc:
-        twisted_algebra(z2, (0, 1), bad)
+        TwistedGroupAlgebra(z2, (0, 1), bad)
     assert "triple" in str(exc.value)
 
 

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from tubealg.coho import gamma
-from tubealg.phase import Phase, standard_cyclic_cocycle, trivial_cocycle
+from tubealg.grp import group_from_permutations, subgroup_closure
+from tubealg.phase import (Phase, inflate_cocycle, standard_cyclic_cocycle,
+                           trivial_cocycle)
 from tubealg.tube_diag import (TubeAlgebra, TubeBasisElement, simple_count,
-                               structure_constants_json, tube_inner, tube_mult,
-                               tube_star, tube_trace, verify_star_iso)
+                               structure_constants_json, verify_star_iso)
 from tubealg.rep import TwistedGroupAlgebra, decompose
 
-from conftest import symmetric_group
+from conftest import corrupt_last_twist, symmetric_group
 
 ONE = Phase.of(0)
 
@@ -50,7 +51,7 @@ def test_mult_trivial_cocycle_is_label_composition():
 
 def test_mult_semion_square(semion_algebra):
     a = TubeBasisElement(1, 1, 1)
-    ph, lab = tube_mult(semion_algebra, a, a)
+    ph, lab = semion_algebra.mult_basis(a, a)
     assert ph == Phase.of(1, 2)
     assert lab == TubeBasisElement(1, 0, 1)
     assert ph == mult_oracle(semion_algebra.omega, a, a)
@@ -59,24 +60,24 @@ def test_mult_semion_square(semion_algebra):
 def test_mult_mismatched_middle_is_zero(semion_algebra):
     left = TubeBasisElement(0, 1, 0)
     right = TubeBasisElement(1, 1, 1)
-    assert tube_mult(semion_algebra, left, right) is None
+    assert semion_algebra.mult_basis(left, right) is None
 
 
 def test_mult_validates_labels(semion_algebra):
     with pytest.raises(ValueError):
-        tube_mult(semion_algebra, TubeBasisElement(1, 1, 0),
-                  TubeBasisElement(1, 1, 1))
+        semion_algebra.mult_basis(TubeBasisElement(1, 1, 0),
+                                  TubeBasisElement(1, 1, 1))
 
 
 def test_star_diagonal_identity_fixed(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     for g in small_fixture.group.elements():
-        ph, lab = tube_star(alg, TubeBasisElement(g, 0, g))
+        ph, lab = alg.star_basis(TubeBasisElement(g, 0, g))
         assert ph == ONE and lab == TubeBasisElement(g, 0, g)
 
 
 def test_star_semion(semion_algebra):
-    ph, lab = tube_star(semion_algebra, TubeBasisElement(1, 1, 1))
+    ph, lab = semion_algebra.star_basis(TubeBasisElement(1, 1, 1))
     assert ph == Phase.of(1, 2)
     assert lab == TubeBasisElement(1, 1, 1)
     assert ph == star_oracle(semion_algebra.omega, TubeBasisElement(1, 1, 1))
@@ -95,11 +96,46 @@ def test_associativity_sampled_s4(s4_sign_fixture):
     assert res.ok
 
 
+def _dihedral8_sign():
+    """Order-8 dihedral group with the sign cocycle inflated from Z/2."""
+    g = group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
+    rotations = set(subgroup_closure(g, [1]))
+    signs = [0 if x in rotations else 1 for x in g.elements()]
+    return g, inflate_cocycle(standard_cyclic_cocycle(2, 1), g, signs)
+
+
+class _SignFlippedTube(TubeAlgebra):
+    """Negates every product whose left factor is the last basis label."""
+
+    def mult_basis(self, left, right):
+        hit = super().mult_basis(left, right)
+        if hit is not None and left == self.labels()[-1]:
+            return hit[0] * Phase.of(1, 2), hit[1]
+        return hit
+
+
+def test_associativity_detail_states_coverage():
+    alg = TubeAlgebra(*_dihedral8_sign())
+    res = alg.check_associativity()
+    assert res.ok and res.detail == "exhaustive 4096"
+    res = alg.check_associativity(exhaustive_limit=100, samples=500, seed=3)
+    assert res.ok and res.detail == "sampled 500 of 4096, seed 3"
+
+
+def test_associativity_sampling_reaches_late_triples():
+    # the broken triples all involve the last label; a sample drawn from
+    # a prefix of the triple list never meets them
+    alg = _SignFlippedTube(*_dihedral8_sign())
+    assert not alg.check_associativity().ok
+    res = alg.check_associativity(exhaustive_limit=100, samples=2000, seed=3)
+    assert not res.ok and res.name == "associativity"
+    assert alg.labels()[-1] in res.witness
+
+
 def test_trace_values(semion_algebra):
-    assert tube_trace(semion_algebra,
-                      semion_algebra.basis_element(TubeBasisElement(0, 0, 0))) == 1
-    assert tube_trace(semion_algebra,
-                      semion_algebra.basis_element(TubeBasisElement(1, 1, 1))) == 0
+    alg = semion_algebra
+    assert alg.trace_element(alg.basis_element(TubeBasisElement(0, 0, 0))) == 1
+    assert alg.trace_element(alg.basis_element(TubeBasisElement(1, 1, 1))) == 0
 
 
 def test_trace_positivity_sampled(small_fixture):
@@ -107,7 +143,7 @@ def test_trace_positivity_sampled(small_fixture):
     rng = random.Random(3)
     for _ in range(10):
         x = alg.random_element(rng)
-        val = tube_trace(alg, alg.mult_elements(alg.star_element(x), x))
+        val = alg.trace_element(alg.mult_elements(alg.star_element(x), x))
         assert val.real > 0
         assert abs(val.imag) < 1e-9
 
@@ -117,13 +153,13 @@ def test_inner_product_basics(semion_algebra):
     a = alg.basis_element(TubeBasisElement(1, 1, 1))
     b = alg.basis_element(TubeBasisElement(0, 1, 0))
     zero = alg.element({})
-    assert tube_inner(alg, zero, a) == 0
-    assert abs(tube_inner(alg, a, a) - 1) < 1e-12
-    assert tube_inner(alg, a, b) == 0
+    assert alg.inner(zero, a) == 0
+    assert abs(alg.inner(a, a) - 1) < 1e-12
+    assert alg.inner(a, b) == 0
     # sesquilinearity spot checks
     x = a.scale(2j)
-    assert abs(tube_inner(alg, x, b + a) -
-               (2j * tube_inner(alg, a, b) + 2j * tube_inner(alg, a, a))) < 1e-12
+    assert abs(alg.inner(x, b + a) -
+               (2j * alg.inner(a, b) + 2j * alg.inner(a, a))) < 1e-12
 
 
 def test_block_dimension_audit(small_fixture):
@@ -176,6 +212,14 @@ def test_phi_iso_roundtrip(small_fixture):
 def test_star_iso_fixtures(small_fixture):
     res = verify_star_iso(small_fixture.group, small_fixture.omega)
     assert res.ok, (small_fixture.name, res.name, res.witness)
+
+
+def test_star_iso_detects_corrupted_twist(monkeypatch, fixtures):
+    corrupt_last_twist(monkeypatch)
+    fx = fixtures["s3_sign"]
+    res = verify_star_iso(fx.group, fx.omega)
+    assert not res.ok and res.name in ("phi-mult", "phi-star")
+    assert res.witness
 
 
 def test_simple_counts():
