@@ -280,7 +280,12 @@ def _cmd_rep(args) -> tuple[list, dict]:
         tw = blocks.twists[args.class_index]
         talg = rep.TwistedGroupAlgebra(group, tw.elements, tw)
         if args.rep:
-            pi = rep.rep_from_json(_load_json(args.rep), list(tw.elements))
+            obj = _load_json(args.rep)
+            try:
+                pi = rep.rep_from_json(obj, list(tw.elements))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"{args.rep}: malformed representation: "
+                                 f"{exc}") from exc
         else:
             pi = rep.regular_representation(talg)
         res = pi.check(talg)

@@ -74,14 +74,6 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
             raise ValueError(f"element {g} is not in the algebra")
 
 
-def _phase_lcm(phases) -> int:
-    n = 1
-    for p in phases:
-        d = p.q.denominator
-        n = n * d // math.gcd(n, d)
-    return n
-
-
 def center_dimension(alg: MonomialStarAlgebra) -> int:
     """Exact dimension of {z : az = za}, over the cyclotomic field.
 
@@ -91,29 +83,17 @@ def center_dimension(alg: MonomialStarAlgebra) -> int:
     labels = list(alg.labels())
     idx = {a: i for i, a in enumerate(labels)}
     m = len(labels)
-    products = {}
-    phases = []
-    for a in labels:
-        for b in labels:
-            hit = alg.mult_basis(a, b)
-            products[(a, b)] = hit
-            if hit is not None:
-                phases.append(hit[0])
-    field_ = CyclotomicField(_phase_lcm(phases))
+    products = alg.products
+    field_ = CyclotomicField(
+        math.lcm(1, *(ph.q.denominator for ph, _ in products.values())))
     zero = field_.zero()
+    # row (g, r): the coefficient on r of g z - z g, for z = sum_t z_t t
     rows = {}
-    for g in labels:
-        for t in labels:
-            for hit, sign in ((products[(g, t)], 1), (products[(t, g)], -1)):
-                if hit is None:
-                    continue
-                ph, r = hit
-                key = (idx[g], idx[r])
-                row = rows.setdefault(key, [zero] * m)
-                val = field_.from_phase(ph)
-                if sign < 0:
-                    val = field_.neg(val)
-                row[idx[t]] = field_.add(row[idx[t]], val)
+    for (left, right), (ph, r) in products.items():
+        val = field_.from_phase(ph)
+        for g, t, v in ((left, right, val), (right, left, field_.neg(val))):
+            row = rows.setdefault((idx[g], idx[r]), [zero] * m)
+            row[idx[t]] = field_.add(row[idx[t]], v)
     unique = {tuple(r) for r in rows.values()}
     unique.discard(tuple([zero] * m))
     return nullspace_dimension(field_, [list(r) for r in unique], m)
@@ -132,19 +112,17 @@ class Representation:
 
     def check(self, alg: MonomialStarAlgebra, tol: float = 1e-9) -> CheckResult:
         """Multiplicativity and *-compatibility to the given tolerance."""
+        products = alg.products
         for b in self.labels:
             for a in self.labels:
-                hit = alg.mult_basis(b, a)
+                hit = products.get((b, a))
                 prod = self.matrices[b] @ self.matrices[a]
-                if hit is None:
-                    target = np.zeros_like(prod)
-                else:
-                    ph, lab = hit
-                    target = ph.as_complex() * self.matrices[lab]
+                target = 0 if hit is None else \
+                    hit[0].as_complex() * self.matrices[hit[1]]
                 if np.max(np.abs(prod - target)) > tol:
                     return CheckResult(False, "rep-mult", (b, a))
         for a in self.labels:
-            ph, lab = alg.star_basis(a)
+            ph, lab = alg.stars[a]
             target = ph.as_complex() * self.matrices[lab]
             if np.max(np.abs(self.matrices[a].conj().T - target)) > tol:
                 return CheckResult(False, "rep-star", (a,))
@@ -159,29 +137,25 @@ def regular_representation(alg: MonomialStarAlgebra) -> Representation:
     labels = list(alg.labels())
     idx = {a: i for i, a in enumerate(labels)}
     n = len(labels)
-    mats = {}
-    for b in labels:
-        M = np.zeros((n, n), dtype=complex)
-        for a in labels:
-            hit = alg.mult_basis(b, a)
-            if hit is not None:
-                ph, lab = hit
-                M[idx[lab], idx[a]] = ph.as_complex()
-        mats[b] = M
+    mats = {b: np.zeros((n, n), dtype=complex) for b in labels}
+    for (b, a), (ph, lab) in alg.products.items():
+        mats[b][idx[lab], idx[a]] = ph.as_complex()
     return Representation(labels=labels, dim=n, matrices=mats)
 
 
-def _right_action_matrix(alg: MonomialStarAlgebra, coeffs: dict,
-                         labels: list, idx: dict) -> np.ndarray:
-    n = len(labels)
-    M = np.zeros((n, n), dtype=complex)
-    for b, c in coeffs.items():
-        for a in labels:
-            hit = alg.mult_basis(a, b)
-            if hit is not None:
-                ph, lab = hit
-                M[idx[lab], idx[a]] += c * ph.as_complex()
-    return M
+def _characters(alg: MonomialStarAlgebra, subspaces: list,
+                idx: dict) -> list[np.ndarray]:
+    """Per subspace range(Q), the character b -> trace(L_b Q Q^H): the
+    sum of ph (Q Q^H)[a, r] over the products (b, a) -> (ph, r)."""
+    products = alg.products
+    left, right, result = np.array(
+        [(idx[b], idx[a], idx[r]) for (b, a), (_, r) in products.items()],
+        dtype=np.intp).reshape(-1, 3).T
+    phase = np.array([ph.as_complex() for ph, _ in products.values()])
+    chars = [np.zeros(len(idx), dtype=complex) for _ in subspaces]
+    for ch, Q in zip(chars, subspaces):
+        np.add.at(ch, left, phase * np.sum(Q[right] * Q[result].conj(), axis=1))
+    return chars
 
 
 @dataclass
@@ -211,9 +185,12 @@ def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
         w: dict = {}
         for a, c in z.items():
             w[a] = w.get(a, 0) + c
-            ph, as_ = alg.star_basis(a)
+            ph, as_ = alg.stars[a]
             w[as_] = w.get(as_, 0) + c.conjugate() * ph.as_complex()
-        W = _right_action_matrix(alg, w, labels, idx)
+        # right multiplication by w
+        W = np.zeros((n, n), dtype=complex)
+        for (a, b), (ph, lab) in alg.products.items():
+            W[idx[lab], idx[a]] += w.get(b, 0) * ph.as_complex()
         if np.max(np.abs(W - W.conj().T)) > 1e-8:
             raise DecompositionError("right action of w is not self-adjoint")
         vals, vecs = np.linalg.eigh(W)
@@ -232,22 +209,7 @@ def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
                 start = i + 1
         clusters.append((start, n))
         subspaces = [vecs[:, a:b] for a, b in clusters]
-        chars = []
-        for Q in subspaces:
-            ch = np.empty(len(labels), dtype=complex)
-            for k, b in enumerate(labels):
-                acc = 0.0 + 0.0j
-                for col in range(Q.shape[1]):
-                    v = Q[:, col]
-                    out = np.zeros(n, dtype=complex)
-                    for a in labels:
-                        hit = alg.mult_basis(b, a)
-                        if hit is not None:
-                            ph, lab = hit
-                            out[idx[lab]] += ph.as_complex() * v[idx[a]]
-                    acc += np.vdot(v, out)
-                ch[k] = acc
-            chars.append(ch)
+        chars = _characters(alg, subspaces, idx)
         groups: list[list[int]] = []
         for i in range(len(subspaces)):
             for grp in groups:
@@ -274,11 +236,6 @@ def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
             continue
         return sorted(blocks, key=lambda b: (b.dimension, b.multiplicity))
     raise DecompositionError(last_error or "decomposition failed")
-
-
-def regular_block_count(alg: MonomialStarAlgebra, seed: int = 0) -> int:
-    """Number of distinct irreducible blocks in the regular representation."""
-    return len(decompose(alg, seed=seed))
 
 
 # -- induction / restriction / support ---------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate
 from typing import Hashable, Optional, Sequence
 
@@ -75,7 +76,14 @@ class MonomialStarAlgebra:
         the product in which ``right`` acts first,
       - ``star_basis(label)``: ``(phase, label)``,
       - ``trace_basis(label)``: truthy exactly on trace-supporting labels,
-      - ``unit_labels()``: labels whose sum is the unit.
+      - ``unit_labels()``: labels whose sum is the unit,
+    and may narrow ``_right_factors(left)``, the labels ``right`` for
+    which ``left . right`` can be nonzero (by default every label).
+
+    Every verifier and builder reads two tables built on first use:
+    ``products``, ``(left, right) -> (phase, label)`` for the nonzero
+    basis products, left-major in label order, and ``stars``.  The
+    verifiers walk these and cover the zero products by counting.
     """
 
     def labels(self) -> Sequence[Hashable]:
@@ -95,6 +103,25 @@ class MonomialStarAlgebra:
 
     def validate_label(self, label) -> None:
         pass
+
+    def _right_factors(self, left) -> Sequence[Hashable]:
+        return self.labels()
+
+    # -- structure tables ---------------------------------------------------
+
+    @cached_property
+    def products(self) -> dict:
+        table = {}
+        for left in self.labels():
+            for right in self._right_factors(left):
+                hit = self.mult_basis(left, right)
+                if hit is not None:
+                    table[(left, right)] = hit
+        return table
+
+    @cached_property
+    def stars(self) -> dict:
+        return {a: self.star_basis(a) for a in self.labels()}
 
     # -- linear layer -----------------------------------------------------
 
@@ -143,9 +170,10 @@ class MonomialStarAlgebra:
 
     def _composable(self) -> dict:
         """Per label a, the labels b with b . a nonzero, in label order."""
-        labels = list(self.labels())
-        return {a: [b for b in labels if self.mult_basis(b, a) is not None]
-                for a in labels}
+        comp: dict = {a: [] for a in self.labels()}
+        for b, a in self.products:
+            comp[a].append(b)
+        return comp
 
     def _triples(self, comp: dict, samples: Optional[int], seed: int):
         """Composable triples (c, b, a): every one in label order when
@@ -184,11 +212,12 @@ class MonomialStarAlgebra:
             detail = f"sampled {samples} of {total}, seed {seed}"
         else:
             samples, detail = None, f"exhaustive {total}"
+        products = self.products
         for c, b, a in self._triples(comp, samples, seed):
-            ph_ba, ba = self.mult_basis(b, a)
-            ph_cb, cb = self.mult_basis(c, b)
-            left = self.mult_basis(cb, a)
-            right = self.mult_basis(c, ba)
+            ph_ba, ba = products[(b, a)]
+            ph_cb, cb = products[(c, b)]
+            left = products.get((cb, a))
+            right = products.get((c, ba))
             if left is None or right is None:
                 if left is not right:
                     return CheckResult(False, "associativity", (c, b, a), detail)
@@ -199,77 +228,77 @@ class MonomialStarAlgebra:
         return CheckResult(True, "associativity", detail=detail)
 
     def check_star_laws(self) -> CheckResult:
-        """star is involutive and anti-multiplicative on the basis."""
-        labels = list(self.labels())
-        for a in labels:
-            ph1, a1 = self.star_basis(a)
-            ph2, a2 = self.star_basis(a1)
+        """star is involutive and anti-multiplicative on the basis.
+
+        (b, a) -> (a*, b*) then permutes the label pairs, so sending the
+        nonzero products to nonzero ones also sends zero ones to zero.
+        """
+        stars, products = self.stars, self.products
+        for a, (ph1, a1) in stars.items():
+            ph2, a2 = stars[a1]
             if a2 != a or (ph1.inv().q + ph2.q) % 1 != 0:
                 # star is conjugate-linear: (ph1 * a1)* = conj(ph1) * a1*
                 return CheckResult(False, "star-involution", (a,))
-        for b in labels:
-            phb, bs = self.star_basis(b)
-            for a in labels:
-                pha, as_ = self.star_basis(a)
-                ba = self.mult_basis(b, a)
-                ab = self.mult_basis(as_, bs)
-                if ba is None or ab is None:
-                    if ba is not ab:
-                        return CheckResult(False, "star-antihom", (b, a))
-                    continue
-                ph_ba, lab_ba = ba
-                ph_star, lab_star = self.star_basis(lab_ba)
-                lhs = (ph_ba.inv().q + ph_star.q) % 1
-                rhs = (pha.q + phb.q + ab[0].q) % 1
-                if lab_star != ab[1] or lhs != rhs:
-                    return CheckResult(False, "star-antihom", (b, a))
-        return CheckResult(True, "star-laws")
+        for (b, a), (ph_ba, lab_ba) in products.items():
+            phb, bs = stars[b]
+            pha, as_ = stars[a]
+            ab = products.get((as_, bs))
+            if ab is None:
+                return CheckResult(False, "star-antihom", (b, a))
+            ph_star, lab_star = stars[lab_ba]
+            lhs = (ph_ba.inv().q + ph_star.q) % 1
+            rhs = (pha.q + phb.q + ab[0].q) % 1
+            if lab_star != ab[1] or lhs != rhs:
+                return CheckResult(False, "star-antihom", (b, a))
+        return CheckResult(True, "star-laws", detail=f"exhaustive {len(products)}")
 
     def check_trace(self) -> CheckResult:
-        """trace(b a) == trace(a b) for all basis pairs, exactly."""
-        labels = list(self.labels())
-        for b in labels:
-            for a in labels:
-                ba = self.mult_basis(b, a)
-                ab = self.mult_basis(a, b)
-                tba = ba is not None and self.trace_basis(ba[1])
-                tab = ab is not None and self.trace_basis(ab[1])
-                if tba != tab:
-                    return CheckResult(False, "trace-symmetry", (b, a))
-                if tba and ba[0].q != ab[0].q:
-                    return CheckResult(False, "trace-symmetry", (b, a))
-        return CheckResult(True, "trace-symmetry")
+        """trace(b a) == trace(a b) for all basis pairs, exactly.
+
+        The swap permutes the pairs, so checking the pairs of nonzero
+        trace covers the others.
+        """
+        products = self.products
+        for (b, a), (ph, lab) in products.items():
+            if not self.trace_basis(lab):
+                continue
+            ab = products.get((a, b))
+            if ab is None or not self.trace_basis(ab[1]) or ab[0].q != ph.q:
+                return CheckResult(False, "trace-symmetry", (b, a))
+        return CheckResult(True, "trace-symmetry",
+                           detail=f"exhaustive {len(products)}")
 
     def check_gram_identity(self) -> CheckResult:
-        """<a, b> = delta_{a,b} over the basis: an orthonormal basis."""
-        labels = list(self.labels())
-        for a in labels:
-            for b in labels:
-                phb, bs = self.star_basis(b)
-                prod = self.mult_basis(bs, a)
-                val = None
-                if prod is not None and self.trace_basis(prod[1]):
-                    val = (phb.q + prod[0].q) % 1
-                if a == b:
-                    if val != 0:
-                        return CheckResult(False, "gram", (a, b))
-                elif val is not None:
-                    return CheckResult(False, "gram", (a, b))
-        return CheckResult(True, "gram")
+        """<a, b> = trace(b* a) = delta_{a,b}: an orthonormal basis.
+
+        Each trace-supported product (b*, a) must have a = b, and each
+        <a, a> must be 1.
+        """
+        stars, products = self.stars, self.products
+        starred: dict = {}
+        for b, (_, bs) in stars.items():
+            starred.setdefault(bs, []).append(b)
+        for (bs, a), (_, lab) in products.items():
+            others = [b for b in starred.get(bs, ()) if b != a]
+            if others and self.trace_basis(lab):
+                return CheckResult(False, "gram", (a, others[0]))
+        for a, (pha, as_) in stars.items():
+            prod = products.get((as_, a))
+            if prod is None or not self.trace_basis(prod[1]) or \
+                    (pha.q + prod[0].q) % 1 != 0:
+                return CheckResult(False, "gram", (a, a))
+        return CheckResult(True, "gram", detail=f"exhaustive {len(products)}")
 
     def check_unit(self) -> CheckResult:
         """The sum of unit labels multiplies as a two-sided identity."""
-        units = list(self.unit_labels())
+        units, products = list(self.unit_labels()), self.products
         for a in self.labels():
-            hits = [self.mult_basis(u, a) for u in units]
-            hits = [h for h in hits if h is not None]
-            if len(hits) != 1 or hits[0][1] != a or not hits[0][0].is_one():
-                return CheckResult(False, "unit-left", (a,))
-            hits = [self.mult_basis(a, u) for u in units]
-            hits = [h for h in hits if h is not None]
-            if len(hits) != 1 or hits[0][1] != a or not hits[0][0].is_one():
-                return CheckResult(False, "unit-right", (a,))
-        return CheckResult(True, "unit")
+            for side, pairs in (("unit-left", [(u, a) for u in units]),
+                                ("unit-right", [(a, u) for u in units])):
+                hits = [products[p] for p in pairs if p in products]
+                if len(hits) != 1 or hits[0][1] != a or not hits[0][0].is_one():
+                    return CheckResult(False, side, (a,))
+        return CheckResult(True, "unit", detail=f"exhaustive {len(self.labels())}")
 
     def check_all(self, exhaustive_limit: int = 0, samples: int = 100000,
                   seed: int = 0) -> list[CheckResult]:

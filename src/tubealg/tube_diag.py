@@ -34,7 +34,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .coho import gamma, phi_class, phi_class_plain_conjugate
 from .grp import ClassData, GroupTable, conjugacy_data
-from .phase import CheckResult, Cocycle2, Cocycle3, Phase, is_normalized, phase_prod
+from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError, Phase,
+                    is_normalized, phase_prod)
 from .rep import TwistedGroupAlgebra, center_dimension
 from .staralg import MonomialStarAlgebra
 
@@ -78,9 +79,11 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         self._by_weight: dict = {}
         for x in self.objects:
             self._by_weight.setdefault(self._weight[x], []).append(x)
-        # (x, s, y) -> label, and label -> (x, s, y, wt(x), wt(y))
+        # (x, s, y) -> label, label -> (x, s, y, wt(x), wt(y)), and
+        # y -> the labels into y: the right factors of a label out of y
         self._label_of: dict = {}
         self._parts: dict = {}
+        self._into: dict = {y: [] for y in self.objects}
         for x in self.objects:
             a = self._weight[x]
             for s in group.elements():
@@ -89,6 +92,7 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                     label = self._pack(x, s, y)
                     self._label_of[(x, s, y)] = label
                     self._parts[label] = (x, s, y, a, b)
+                    self._into[y].append(label)
         self._labels = list(self._label_of.values())
         self._class_data: Optional[ClassData] = None
         self._blocks: dict[str, BlockAlgebra] = {}
@@ -105,6 +109,9 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
 
     def labels(self) -> list:
         return self._labels
+
+    def _right_factors(self, left) -> list:
+        return self._into[self._split(left)[0]]
 
     def mult_basis(self, left, right) -> Optional[tuple[Phase, object]]:
         x, s, y, a, b = self._split(right)
@@ -206,19 +213,23 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                                (blocks.total_dimension(), len(labels)))
         if len({_position(im) for im in images.values()}) != len(labels):
             return CheckResult(False, "phi-bijection", ())
-        for b in labels:
-            for a in labels:
-                prod = self.mult_basis(b, a)
-                block_prod = blocks.mult(images[b], images[a])
-                if prod is None:
-                    if block_prod is not None:
-                        return CheckResult(False, "phi-mult-zero", (b, a))
-                elif not _is_image(block_prod, prod, images):
-                    return CheckResult(False, "phi-mult", (b, a))
-        for a in labels:
-            if not _is_image(blocks.star(images[a]), self.star_basis(a), images):
+        products = self.products
+        for (b, a), prod in products.items():
+            if not _is_image(blocks.mult(images[b], images[a]), prod, images):
+                return CheckResult(False, "phi-mult", (b, a))
+        # phi is a bijection of bases, so the nonzero products map onto
+        # the nonzero block products (units chain) when there are as many
+        if len(products) != sum(len(idx) ** 3 * len(tw.elements) ** 2 for
+                                idx, tw in zip(blocks.index_sets, blocks.twists)):
+            b, a = next((b, a) for b in labels for a in labels
+                        if (b, a) not in products
+                        and blocks.mult(images[b], images[a]) is not None)
+            return CheckResult(False, "phi-mult-zero", (b, a))
+        for a, star in self.stars.items():
+            if not _is_image(blocks.star(images[a]), star, images):
                 return CheckResult(False, "phi-star", (a,))
-        return CheckResult(True, "star-isomorphism")
+        return CheckResult(True, "star-isomorphism",
+                           detail=f"exhaustive {len(products)}")
 
 
 def _position(im: BlockImage) -> tuple:
@@ -242,7 +253,8 @@ class TubeAlgebra(TubeShapedAlgebra):
     def __init__(self, group: GroupTable, omega: Cocycle3):
         omega.ensure_valid()
         if not is_normalized(omega):
-            raise ValueError("tube algebra needs a normalized cocycle")
+            raise CocycleError("tube algebra needs a normalized cocycle; "
+                               "run `tubealg normalize` first")
         super().__init__(group, omega, group.elements(), lambda g: g)
 
     def basis_label(self, g1: int, s: int) -> TubeBasisElement:
@@ -330,11 +342,6 @@ def structure_constants_json(alg: TubeShapedAlgebra) -> list[dict]:
     labels = alg.labels()
     names = [f.name for f in fields(labels[0])]
     wire = {lab: [getattr(lab, n) for n in names] for lab in labels}
-    out = []
-    for left in labels:
-        for right in labels:
-            hit = alg.mult_basis(left, right)
-            if hit is not None:
-                out.append({"left": wire[left], "right": wire[right],
-                            "scalar": str(hit[0]), "result": wire[hit[1]]})
-    return out
+    return [{"left": wire[left], "right": wire[right],
+             "scalar": str(ph), "result": wire[lab]}
+            for (left, right), (ph, lab) in alg.products.items()]

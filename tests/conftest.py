@@ -14,34 +14,11 @@ from tubealg.phase import (Cocycle3, inflate_cocycle, product_type_cocycle,
                            two_factor_cocycle)
 
 
-def _compose(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _perm_elements(degree, gens):
-    """Replicates the breadth-first enumeration used by the group builder."""
-    ident = tuple(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for g in gens:
-            y = _compose(x, tuple(g))
-            if y not in index:
-                index[y] = len(elements)
-                elements.append(y)
-    return elements
-
-
-def _parity(p) -> int:
-    inv = 0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                inv += 1
-    return inv % 2
+def _sign(name: str) -> int:
+    """Parity of a permutation from its cycle name, e.g. ``(0 1)(2 3 4)``."""
+    if name == "e":
+        return 0
+    return sum(len(c.split()) - 1 for c in name[1:-1].split(")(")) % 2
 
 
 def symmetric_group(degree: int) -> tuple[GroupTable, list[int]]:
@@ -49,8 +26,15 @@ def symmetric_group(degree: int) -> tuple[GroupTable, list[int]]:
     gens = [tuple([1, 0] + list(range(2, degree))),
             tuple(list(range(1, degree)) + [0])]
     group = group_from_permutations(degree, gens)
-    signs = [_parity(p) for p in _perm_elements(degree, gens)]
-    return group, signs
+    return group, [_sign(group.name(g)) for g in group.elements()]
+
+
+def dihedral8_sign() -> tuple[GroupTable, Cocycle3]:
+    """Order-8 dihedral group with the sign cocycle inflated from Z/2."""
+    g = group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
+    rotations = set(subgroup_closure(g, [1]))
+    signs = [0 if x in rotations else 1 for x in g.elements()]
+    return g, inflate_cocycle(standard_cyclic_cocycle(2, 1), g, signs)
 
 
 @dataclass

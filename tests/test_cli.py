@@ -6,7 +6,8 @@ import pytest
 
 from tubealg.cli import main
 from tubealg.grp import group_to_json
-from tubealg.phase import cocycle_to_json, standard_cyclic_cocycle, trivial_cocycle
+from tubealg.phase import (Cocycle3, Phase, coboundary2, cocycle_to_json,
+                           standard_cyclic_cocycle, trivial_cocycle)
 
 from conftest import symmetric_group
 
@@ -52,6 +53,16 @@ def files(tmp_path):
         payload = cocycle_to_json(z2)
         payload["values"][-1] = value
         write(f"semion_{name}.json", payload)
+    # the semion times d2(f) with f = 1/4 at (e, e): a cocycle, not normalized
+    f = [Phase.of(1, 4)] + [Phase.of(0)] * 3
+    d2f = coboundary2(z2.group, f)
+    write("semion_unnormalized.json", cocycle_to_json(Cocycle3(
+        z2.group, [w * d for w, d in zip(z2.values, d2f)])))
+    one = [[[1.0, 0.0]]]
+    for name, matrices in (("missing", {"0": one}),
+                           ("shape", {"0": one, "1": [[[1.0, 0.0], [0.0, 0.0]]]}),
+                           ("entry", {"0": one, "1": [[["x", 0.0]]]})):
+        write(f"rep_{name}.json", {"dimension": 1, "matrices": matrices})
     return out
 
 
@@ -234,3 +245,25 @@ def test_rep_decompose_invalid_setup_fails_with_witness(files, capsys):
     check = report["checks"][0]
     assert check["name"] == "setup:H is a subgroup"
     assert check["status"] == "fail" and check["witness"] == [0, 2]
+
+
+@pytest.mark.parametrize("argv", [["tube", "check"], ["tube", "build"],
+                                  ["tube", "simples"], ["rep", "induce"],
+                                  ["rep", "decompose"]])
+def test_non_normalized_cocycle_is_input_error(files, capsys, argv):
+    code, report = run(capsys, argv + ["--group", files["z2.json"], "--cocycle",
+                                       files["semion_unnormalized.json"]])
+    assert code == 2
+    assert report["status"] == "error"
+    assert "tubealg normalize" in report["error"]
+
+
+@pytest.mark.parametrize("rep_file", ["rep_missing.json", "rep_shape.json",
+                                      "rep_entry.json"])
+def test_malformed_representation_is_input_error(files, capsys, rep_file):
+    code, report = run(capsys, ["rep", "induce", "--group", files["z2.json"],
+                                "--cocycle", files["semion.json"],
+                                "--rep", files[rep_file]])
+    assert code == 2
+    assert report["status"] == "error"
+    assert "malformed representation" in report["error"]

@@ -8,12 +8,13 @@ from tubealg.grp import conjugacy_data, cyclic_group
 from tubealg.phase import (Cocycle2, Phase, standard_cyclic_cocycle,
                            trivial_cocycle)
 from tubealg.rep import (Representation,
-                         TwistedGroupAlgebra, center_dimension, decompose,
-                         induce, regular_representation, rep_from_json,
-                         rep_to_json, restrict, support_decompose)
+                         TwistedGroupAlgebra, _characters, center_dimension,
+                         decompose, induce, regular_representation,
+                         rep_from_json, rep_to_json, restrict,
+                         support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count
 
-from conftest import symmetric_group
+from conftest import dihedral8_sign, symmetric_group
 
 ONE = Phase.of(0)
 MINUS = Phase.of(1, 2)
@@ -250,3 +251,41 @@ def test_rep_json_rejects_bad_shape():
     payload["dimension"] = 3
     with pytest.raises(ValueError):
         rep_from_json(payload, list(talg.els))
+
+
+def _characters_per_column(alg, subspaces):
+    """sum over the columns v of Q of <v, L_b v>, one product at a time."""
+    labels = list(alg.labels())
+    idx = {a: i for i, a in enumerate(labels)}
+    n = len(labels)
+    chars = []
+    for Q in subspaces:
+        ch = np.empty(n, dtype=complex)
+        for k, b in enumerate(labels):
+            acc = 0.0 + 0.0j
+            for col in range(Q.shape[1]):
+                v = Q[:, col]
+                out = np.zeros(n, dtype=complex)
+                for a in labels:
+                    hit = alg.mult_basis(b, a)
+                    if hit is not None:
+                        ph, lab = hit
+                        out[idx[lab]] += ph.as_complex() * v[idx[a]]
+                acc += np.vdot(v, out)
+            ch[k] = acc
+        chars.append(ch)
+    return chars
+
+
+def test_characters_match_per_column_oracle():
+    alg = TubeAlgebra(*dihedral8_sign())
+    n = len(alg.labels())
+    idx = {a: i for i, a in enumerate(alg.labels())}
+    rng = np.random.default_rng(4)
+    raw = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    Q, _ = np.linalg.qr(raw)
+    subspaces = [Q[:, :1], Q[:, 1:5], np.eye(n, dtype=complex)[:, 10:13]]
+    got = _characters(alg, subspaces, idx)
+    want = _characters_per_column(alg, subspaces)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) < 1e-9

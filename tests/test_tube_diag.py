@@ -5,14 +5,12 @@ import random
 import pytest
 
 from tubealg.coho import gamma
-from tubealg.grp import group_from_permutations, subgroup_closure
-from tubealg.phase import (Phase, inflate_cocycle, standard_cyclic_cocycle,
-                           trivial_cocycle)
+from tubealg.phase import Phase, standard_cyclic_cocycle, trivial_cocycle
 from tubealg.tube_diag import (TubeAlgebra, TubeBasisElement, simple_count,
                                structure_constants_json, verify_star_iso)
 from tubealg.rep import TwistedGroupAlgebra, decompose
 
-from conftest import corrupt_last_twist, symmetric_group
+from conftest import corrupt_last_twist, dihedral8_sign, symmetric_group
 
 ONE = Phase.of(0)
 
@@ -96,14 +94,6 @@ def test_associativity_sampled_s4(s4_sign_fixture):
     assert res.ok
 
 
-def _dihedral8_sign():
-    """Order-8 dihedral group with the sign cocycle inflated from Z/2."""
-    g = group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
-    rotations = set(subgroup_closure(g, [1]))
-    signs = [0 if x in rotations else 1 for x in g.elements()]
-    return g, inflate_cocycle(standard_cyclic_cocycle(2, 1), g, signs)
-
-
 class _SignFlippedTube(TubeAlgebra):
     """Negates every product whose left factor is the last basis label."""
 
@@ -115,7 +105,7 @@ class _SignFlippedTube(TubeAlgebra):
 
 
 def test_associativity_detail_states_coverage():
-    alg = TubeAlgebra(*_dihedral8_sign())
+    alg = TubeAlgebra(*dihedral8_sign())
     res = alg.check_associativity()
     assert res.ok and res.detail == "exhaustive 4096"
     res = alg.check_associativity(exhaustive_limit=100, samples=500, seed=3)
@@ -125,7 +115,7 @@ def test_associativity_detail_states_coverage():
 def test_associativity_sampling_reaches_late_triples():
     # the broken triples all involve the last label; a sample drawn from
     # a prefix of the triple list never meets them
-    alg = _SignFlippedTube(*_dihedral8_sign())
+    alg = _SignFlippedTube(*dihedral8_sign())
     assert not alg.check_associativity().ok
     res = alg.check_associativity(exhaustive_limit=100, samples=2000, seed=3)
     assert not res.ok and res.name == "associativity"
