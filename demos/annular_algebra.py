@@ -11,7 +11,7 @@ double-coset representative weights.
 """
 
 from tubealg import (AnnularAlgebra, BHSetup, bh_verify_star_iso, double_cosets,
-                     end_xg_algebra, group_from_permutations,
+                     end_xg_algebra, group_from_permutations, phase_str,
                      subgroup_closure, trivial_cocycle, tube_cutdown)
 
 s3 = group_from_permutations(3, [(1, 0, 2), (1, 2, 0)])
@@ -33,13 +33,13 @@ print("boxes e -> e:", len(alg.box_basis(0, 0)),
 right = alg.basis_label(1, 2, 3, 0)
 left = alg.basis_label(right.h2, right.g2, 4, 1)
 phase, label = alg.mult_basis(left, right)
-print(f"product phase {phase}, result A({label.h1},{label.g1},{label.s},"
-      f"{label.h2},{label.g2})")
+print(f"product phase {phase_str(phase, alg.modulus)}, "
+      f"result A({label.h1},{label.g1},{label.s},{label.h2},{label.g2})")
 
 # The block map onto sums of (matrices over the pair sets) tensor
 # (twisted centralizer algebras) is checked under both twist
 # conventions; the report names the ones that pass.
-report = bh_verify_star_iso(setup)
+report = bh_verify_star_iso(alg)
 print("block map passes under:", report.passing)
 
 # Endomorphisms of a single weight form a twisted group algebra on

@@ -11,10 +11,10 @@ representations.
 from .grp import (ClassData, GroupTable, GroupError, centralizer,
                   conjugacy_data, cyclic_group, direct_product,
                   group_from_permutations, group_from_table, subgroup_closure)
-from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError, Phase,
+from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
                     coboundary1, coboundary2, cocycle2_check, cocycle3_check,
-                    inflate_cocycle, is_normalized, normalize3,
-                    product_type_cocycle, standard_cyclic_cocycle,
+                    inflate_cocycle, is_normalized, normalize3, phase_str,
+                    product_type_cocycle, root, standard_cyclic_cocycle,
                     trivial_cocycle, two_factor_cocycle)
 from .coho import (BHSetup, BHSetupError, GammaFamily, gamma,
                    gamma_identity_check, gamma_transport_check, gauge_fix_bh,

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 
 from . import annular_bh, coho, grp, phase, rep, tube_diag
 
@@ -50,10 +49,6 @@ def _load_json(path: str) -> dict:
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, phase.Phase):
-        return str(x)
     if is_dataclass(x) and not isinstance(x, type):
         return _jsonable(asdict(x))
     if isinstance(x, dict):
@@ -173,14 +168,14 @@ def _cmd_gauge_fix(args) -> tuple[list, dict]:
                        "status": "pass" if w is None else "fail"})
     checks.append(_check_dict(
         coho.gl_relations_check(G, setup.H, setup.K, omega_prime)))
-    d2f = phase.coboundary2(G, f)
-    coherent = all(
-        (d2f[i].q + setup.omega.values[i].q - omega_prime.values[i].q) % 1 == 0
-        for i in range(len(d2f)))
+    N = setup.omega.modulus
+    d2f = phase.coboundary2(G, f, N)
+    coherent = not any((d + w - w2) % N for d, w, w2 in zip(
+        d2f, setup.omega.values, omega_prime.values))
     checks.append({"name": "coboundary-relation", "witness": None, "detail": "",
                    "status": "pass" if coherent else "fail"})
     data = {"cocycle": phase.cocycle_to_json(omega_prime),
-            "cochain": phase.table2_to_json(f)}
+            "cochain": phase.table_to_json(f, N)}
     return checks, data
 
 
@@ -201,7 +196,7 @@ def _cmd_tube(args) -> tuple[list, dict]:
         for r in alg.check_all(exhaustive, seed=args.seed):
             checks.append(_check_dict(r))
         if group.order <= args.max_exhaustive:
-            checks.append(_check_dict(tube_diag.verify_star_iso(group, omega)))
+            checks.append(_check_dict(tube_diag.verify_star_iso(alg)))
         else:
             checks.append(_skip("star-isomorphism",
                                 f"group order {group.order} above bound"))
@@ -215,11 +210,10 @@ def _cmd_tube(args) -> tuple[list, dict]:
 def _cmd_bh(args) -> tuple[list, dict]:
     setup = _load_setup(args.bh)
     try:
-        setup.validate()
+        alg = annular_bh.AnnularAlgebra(setup)
     except coho.BHSetupError as exc:
         return _setup_failure(exc)
     checks = [{"name": "setup", "status": "pass", "witness": None, "detail": ""}]
-    alg = annular_bh.AnnularAlgebra(setup)
     data: dict = {"basis_count": len(alg.labels())}
     if args.action == "build":
         data["structure_constants"] = tube_diag.structure_constants_json(alg)
@@ -231,7 +225,7 @@ def _cmd_bh(args) -> tuple[list, dict]:
             checks.append(_check_dict(r))
         for r in annular_bh.box_checks(alg):
             checks.append(_check_dict(r))
-        report = annular_bh.bh_verify_star_iso(setup)
+        report = annular_bh.bh_verify_star_iso(alg)
         for conv, r in report.results.items():
             d = _check_dict(r)
             d["name"] = f"star-isomorphism[{conv}]"

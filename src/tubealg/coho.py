@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grp import GroupTable, centralizer, is_subgroup, subgroup_closure, group_from_json
-from .phase import (CheckResult, Cocycle2, Cocycle3, Phase, cocycle_from_json,
-                    coboundary2, is_normalized, phase_prod,
-                    restrict_trivial_on)
+from .phase import (CheckResult, Cocycle2, Cocycle3, cocycle_from_json,
+                    coboundary2, is_normalized, restrict_trivial_on)
 
 
 class BHSetupError(ValueError):
@@ -50,9 +49,9 @@ def phi_a(group: GroupTable, omega: Cocycle3, a: int) -> Cocycle2:
     """The centralizer 2-cocycle of ``a`` derived from ``omega``."""
     omega.ensure_valid()
     els = centralizer(group, a)
-    values = [phase_prod(omega.bar(a, g, h), omega(g, a, h), omega.bar(g, h, a))
+    values = [omega(g, a, h) - omega(a, g, h) - omega(g, h, a)
               for g in els for h in els]
-    return Cocycle2(group, els, values)
+    return Cocycle2(group, els, values, omega.modulus)
 
 
 def phi_class(group: GroupTable, omega: Cocycle3, class_data, c: int) -> Cocycle2:
@@ -65,9 +64,9 @@ def phi_class(group: GroupTable, omega: Cocycle3, class_data, c: int) -> Cocycle
     gc = class_data.reps[c]
     base = phi_a(group, omega, gc)
     els = base.elements
-    values = [base(group.inverse(t), group.inverse(s)).inv()
+    values = [-base(group.inverse(t), group.inverse(s))
               for s in els for t in els]
-    return Cocycle2(group, els, values)
+    return Cocycle2(group, els, values, base.modulus)
 
 
 def phi_class_plain_conjugate(group: GroupTable, omega: Cocycle3,
@@ -76,12 +75,12 @@ def phi_class_plain_conjugate(group: GroupTable, omega: Cocycle3,
     gc = class_data.reps[c]
     base = phi_a(group, omega, gc)
     els = base.elements
-    values = [base(s, t).inv() for s in els for t in els]
-    return Cocycle2(group, els, values)
+    values = [-base(s, t) for s in els for t in els]
+    return Cocycle2(group, els, values, base.modulus)
 
 
 def gamma(group: GroupTable, omega: Cocycle3, a: int, x: int, y: int,
-          g: int) -> Phase:
+          g: int) -> int:
     """The transport cochain gamma[a, x, y] evaluated at ``g`` in G_a."""
     G = group
     if G.mul(g, a) != G.mul(a, g):
@@ -93,16 +92,9 @@ def gamma(group: GroupTable, omega: Cocycle3, a: int, x: int, y: int,
     xgy_i = G.mul(x, gy_i)       # x g y^-1
     ay_i = G.mul(a, yi)          # a y^-1
     yay_i = G.mul(y, ay_i)       # y a y^-1
-    return phase_prod(
-        omega.bar(x, ax_i, xgy_i),
-        omega.bar(a, xi, xgy_i),
-        omega(a, g, yi),
-        omega.bar(g, a, yi),
-        omega.bar(gy_i, y, ay_i),
-        omega(g, yi, y),
-        omega(x, gy_i, yay_i),
-        omega(xi, x, gy_i),
-    )
+    return (-omega(x, ax_i, xgy_i) - omega(a, xi, xgy_i) + omega(a, g, yi)
+            - omega(g, a, yi) - omega(gy_i, y, ay_i) + omega(g, yi, y)
+            + omega(x, gy_i, yay_i) + omega(xi, x, gy_i)) % omega.modulus
 
 
 @dataclass
@@ -112,11 +104,8 @@ class GammaFamily:
     group: GroupTable
     omega: Cocycle3
 
-    def __call__(self, a: int, x: int, y: int, g: int) -> Phase:
+    def __call__(self, a: int, x: int, y: int, g: int) -> int:
         return gamma(self.group, self.omega, a, x, y, g)
-
-    def bar(self, a: int, x: int, y: int, g: int) -> Phase:
-        return gamma(self.group, self.omega, a, x, y, g).inv()
 
 
 def _gamma_identity_holds(G: GroupTable, omega: Cocycle3, phis: dict,
@@ -127,13 +116,10 @@ def _gamma_identity_holds(G: GroupTable, omega: Cocycle3, phis: dict,
     zaz = G.mul(G.mul(z, a), zi)
     xgy = G.mul(G.mul(x, g), yi)
     yhz = G.mul(G.mul(y, h), zi)
-    lhs = phase_prod(omega.bar(xax, xgy, yhz), omega(xgy, yay, yhz),
-                     omega.bar(xgy, yhz, zaz))
-    rhs = phase_prod(gamma(G, omega, a, x, y, g),
-                     gamma(G, omega, a, y, z, h),
-                     gamma(G, omega, a, x, z, G.mul(g, h)).inv(),
-                     phis[a](g, h))
-    return lhs.q == rhs.q
+    lhs = omega(xgy, yay, yhz) - omega(xax, xgy, yhz) - omega(xgy, yhz, zaz)
+    rhs = (gamma(G, omega, a, x, y, g) + gamma(G, omega, a, y, z, h)
+           - gamma(G, omega, a, x, z, G.mul(g, h)) + phis[a](g, h))
+    return (lhs - rhs) % omega.modulus == 0
 
 
 def gamma_identity_check(group: GroupTable, omega: Cocycle3,
@@ -195,10 +181,9 @@ def gamma_transport_check(group: GroupTable, omega: Cocycle3) -> CheckResult:
                 cg = gamma(G, omega, a, x, x, g)
                 for h in ca:
                     lhs = phis[xax](xgx, G.conjugate(x, h))
-                    rhs = phase_prod(cg, gamma(G, omega, a, x, x, h),
-                                     gamma(G, omega, a, x, x, G.mul(g, h)).inv(),
-                                     phis[a](g, h))
-                    if lhs.q != rhs.q:
+                    rhs = (cg + gamma(G, omega, a, x, x, h)
+                           - gamma(G, omega, a, x, x, G.mul(g, h)) + phis[a](g, h))
+                    if (lhs - rhs) % omega.modulus:
                         return CheckResult(False, "gamma-transport", (a, x, g, h))
     return CheckResult(True, "gamma-transport")
 
@@ -257,10 +242,11 @@ def _check(G: GroupTable, p: tuple[int, int]) -> tuple[int, int]:
     return (G.inverse(p[0]), G.mul(p[0], p[1]))
 
 
-def gauge_fix_bh(setup: BHSetup) -> tuple[Cocycle3, tuple[Phase, ...]]:
+def gauge_fix_bh(setup: BHSetup) -> tuple[Cocycle3, tuple[int, ...]]:
     """Correct the cocycle by a coboundary so the (g, l, l^-1) values die.
 
-    Returns ``(w', f)`` with ``w' = d2(f) * w``.  The 2-cochain ``f`` is
+    Returns ``(w', f)`` with ``w' = d2(f) * w``; ``f`` is a table of
+    phases mod the modulus of ``w``.  The 2-cochain ``f`` is
     1 off two explicit representative sets A and V: A picks one point
     from each orbit of (g1, g2) -> (g1 g2, g2^-1) inside the region
     where g2 lies in H (or K) minus the identity and g1 outside H (or
@@ -325,21 +311,21 @@ def gauge_fix_bh(setup: BHSetup) -> tuple[Cocycle3, tuple[Phase, ...]]:
 
     assert not (A & V), "orbit representative sets must not meet"
 
-    w = setup.omega
-    f = [Phase.of(0)] * (n * n)
+    w, N = setup.omega, setup.omega.modulus
+    f = [0] * (n * n)
     for (g, l) in A:
         li = G.inverse(l)
         val = w(g, l, li)
-        assert val.q == w(G.mul(g, l), li, l).q
+        assert val == w(G.mul(g, l), li, l)
         f[g * n + l] = val
     for (l, g) in V:
         li = G.inverse(l)
         val = w(li, l, g)
-        assert val.q == w(l, li, G.mul(l, g)).q
+        assert val == w(l, li, G.mul(l, g))
         f[l * n + g] = val
 
-    d2f = coboundary2(G, f)
-    omega_prime = Cocycle3(G, [d2f[i] * w.values[i] for i in range(n ** 3)])
+    d2f = coboundary2(G, f, N)
+    omega_prime = Cocycle3(G, [d + v for d, v in zip(d2f, w.values)], N)
     omega_prime.ensure_valid()
     return omega_prime, tuple(f)
 
@@ -353,23 +339,22 @@ def gl_relations_check(group: GroupTable, H: Sequence[int], K: Sequence[int],
     (iii) w(g1, l, g2)   = w(g1 l, l^-1, l g2)^-1
     (iv)  w(l, g1, g2)   = w(l^-1, l g1, g2)^-1
     """
-    G = group
+    G, N = group, omega.modulus
     n = G.order
     ls = sorted(set(H) | set(K))
     for l in ls:
         li = G.inverse(l)
         for g1 in range(n):
-            if not omega(g1, l, li).is_one():
+            if omega(g1, l, li):
                 return CheckResult(False, "gl-i", (g1, l))
-            if not omega(li, l, g1).is_one():
+            if omega(li, l, g1):
                 return CheckResult(False, "gl-i", (l, g1))
             for g2 in range(n):
-                if (omega(g1, g2, l).q + omega(g1, G.mul(g2, l), li).q) % 1 != 0:
+                if (omega(g1, g2, l) + omega(g1, G.mul(g2, l), li)) % N:
                     return CheckResult(False, "gl-ii", (g1, g2, l))
-                if (omega(g1, l, g2).q
-                        + omega(G.mul(g1, l), li, G.mul(l, g2)).q) % 1 != 0:
+                if (omega(g1, l, g2) + omega(G.mul(g1, l), li, G.mul(l, g2))) % N:
                     return CheckResult(False, "gl-iii", (g1, l, g2))
-                if (omega(l, g1, g2).q
-                        + omega(li, G.mul(l, g1), g2).q) % 1 != 0:
+                if (omega(l, g1, g2) + omega(li, G.mul(l, g1), g2)) % N:
                     return CheckResult(False, "gl-iv", (l, g1, g2))
-    return CheckResult(True, "gl-relations")
+    return CheckResult(True, "gl-relations",
+                       detail=f"exhaustive {len(ls) * n * n}")

@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .phase import Phase
-
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
@@ -86,12 +84,6 @@ class CyclotomicField:
         _, r = _poly_divmod(p, self.modulus)
         r += [Fraction(0)] * (self.degree - len(r))
         return tuple(r)
-
-    def from_phase(self, ph: Phase) -> tuple[Fraction, ...]:
-        den = ph.q.denominator
-        if self.n % den != 0:
-            raise ValueError(f"phase {ph} does not live in Q(zeta_{self.n})")
-        return self.zeta_power(ph.q.numerator * (self.n // den))
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))

@@ -89,8 +89,9 @@ def group_from_table(order: int, mult: Sequence[Sequence[int]],
     wrong shape, index 0 is not a two-sided identity, some triple is not
     associative, or some element has no inverse.
     """
-    if order < 1 or order > MAX_GROUP_ORDER:
-        raise GroupError(f"group order {order} out of range 1..{MAX_GROUP_ORDER}")
+    if type(order) is not int or not 1 <= order <= MAX_GROUP_ORDER:
+        raise GroupError(f"group order {order!r} is not an integer "
+                         f"in 1..{MAX_GROUP_ORDER}")
     if len(mult) != order:
         raise GroupError(f"table has {len(mult)} rows, expected {order}")
     rows = []
@@ -99,7 +100,7 @@ def group_from_table(order: int, mult: Sequence[Sequence[int]],
             raise GroupError(f"row {i} has length {len(row)}, expected {order}",
                              witness=(i,))
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < order:
+            if type(v) is not int or not 0 <= v < order:
                 raise GroupError(f"entry mult[{i}][{j}] = {v!r} out of range",
                                  witness=(i, j))
         rows.append(tuple(row))
@@ -149,10 +150,12 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     index 0.  Raises :class:`GroupError` if a generator is not a
     permutation of ``0..degree-1`` or the closure exceeds ``max_order``.
     """
+    if type(degree) is not int:
+        raise GroupError(f"degree {degree!r} is not an integer")
     gens = []
     for k, g in enumerate(generators):
         g = tuple(g)
-        if sorted(g) != list(range(degree)):
+        if any(type(x) is not int for x in g) or sorted(g) != list(range(degree)):
             raise GroupError(f"generator {k} is not a permutation of 0..{degree - 1}",
                              witness=(k,))
         gens.append(g)

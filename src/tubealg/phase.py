@@ -1,10 +1,26 @@
 """Exact circle-group arithmetic and the cochain complex over a finite group.
 
-A :class:`Phase` is a rational number ``q`` reduced mod 1 standing for
-``exp(2*pi*i*q)``.  Restricting circle values to roots of unity keeps
-every comparison exact, which the *-isomorphism verifiers require.
+A phase is an ``int`` k standing for ``exp(2*pi*i*k/N)``, where N is the
+modulus of the cocycle it came from; cocycle tables hold such ints
+reduced into ``range(N)``.  Restricting circle values to roots of unity
+keeps every comparison exact, which the *-isomorphism verifiers
+require: products of phases are sums mod N, inverses are negatives.
 Cocycle tables are stored densely: ``n**3`` entries is small at the
 group orders this library targets.
+
+Every scalar downstream (derived 2-cocycles, the transport cochain,
+structure constants, block-map scalars) is a sum of cocycle values, so:
+
+- A derived table keeps its source cocycle's modulus, unreduced.  Never
+  compare phases taken from tables with different moduli.
+- Only :func:`table_to_json` reduces, dividing the modulus and the
+  values by their gcd, so a file whose modulus and values are scaled by
+  a common factor gives the same output.
+- ``rep.center_dimension`` builds its cyclotomic field on
+  ``N // gcd(N, *phases)``, the conductor of the phases it meets.
+
+:func:`root` and :func:`phase_str` turn a phase into a complex number
+or a ``"num/den"`` string at the numerical and JSON edges.
 
 Coboundary conventions, fixed once and used everywhere:
 
@@ -20,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .grp import GroupTable, cyclic_group, direct_product
@@ -34,54 +49,17 @@ class CocycleError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Phase:
-    """A root of unity, stored as a reduced rational mod 1."""
-
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q) % 1)
-
-    @staticmethod
-    def of(num: int, den: int = 1) -> "Phase":
-        return Phase(Fraction(num, den))
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.q + other.q)
-
-    def inv(self) -> "Phase":
-        return Phase(-self.q)
-
-    def conj(self) -> "Phase":
-        return Phase(-self.q)
-
-    def __pow__(self, k: int) -> "Phase":
-        return Phase(self.q * k)
-
-    def is_one(self) -> bool:
-        return self.q == 0
-
-    def as_complex(self) -> complex:
-        t = 2.0 * math.pi * float(self.q)
-        return complex(math.cos(t), math.sin(t))
-
-    def __str__(self) -> str:
-        return f"{self.q.numerator}/{self.q.denominator}"
-
-    def __repr__(self) -> str:
-        return f"Phase({self.q})"
+def root(k: int, n: int) -> complex:
+    """exp(2 pi i k / n) as a complex number."""
+    t = 2.0 * math.pi * (k % n / n)
+    return complex(math.cos(t), math.sin(t))
 
 
-ONE = Phase(Fraction(0))
-MINUS_ONE = Phase(Fraction(1, 2))
-
-
-def phase_prod(*ps: Phase) -> Phase:
-    q = Fraction(0)
-    for p in ps:
-        q += p.q
-    return Phase(q)
+def phase_str(k: int, n: int) -> str:
+    """k / n mod 1 in lowest terms, as ``"num/den"`` (``"0/1"`` for zero)."""
+    k %= n
+    d = math.gcd(k, n)
+    return f"{k // d}/{n // d}"
 
 
 @dataclass
@@ -98,22 +76,21 @@ class CheckResult:
 
 
 class Cocycle3:
-    """Dense circle-valued table on G^3, meant to satisfy the 3-cocycle law."""
+    """Dense table of phases mod ``modulus`` on G^3, meant to satisfy the
+    3-cocycle law."""
 
-    def __init__(self, group: GroupTable, values: Sequence[Phase]):
+    def __init__(self, group: GroupTable, values: Sequence[int], modulus: int):
         n = group.order
         if len(values) != n ** 3:
             raise CocycleError(f"expected {n ** 3} values, got {len(values)}")
         self.group = group
-        self.values = tuple(values)
+        self.modulus = modulus
+        self.values = tuple(v % modulus for v in values)
         self._checked = False
 
-    def __call__(self, a: int, b: int, c: int) -> Phase:
+    def __call__(self, a: int, b: int, c: int) -> int:
         n = self.group.order
         return self.values[(a * n + b) * n + c]
-
-    def bar(self, a: int, b: int, c: int) -> Phase:
-        return self(a, b, c).inv()
 
     def ensure_valid(self) -> None:
         if not self._checked:
@@ -123,32 +100,31 @@ class Cocycle3:
             self._checked = True
 
     def is_trivial(self) -> bool:
-        return all(v.is_one() for v in self.values)
+        return not any(self.values)
 
 
 class Cocycle2:
-    """Circle-valued table on S x S for a subgroup S (possibly all of G)."""
+    """Table of phases mod ``modulus`` on S x S for a subgroup S (possibly
+    all of G)."""
 
     def __init__(self, group: GroupTable, elements: Sequence[int],
-                 values: Sequence[Phase]):
+                 values: Sequence[int], modulus: int):
         self.group = group
         self.elements = tuple(elements)
         self.pos = {g: i for i, g in enumerate(self.elements)}
         m = len(self.elements)
         if len(values) != m * m:
             raise CocycleError(f"expected {m * m} values, got {len(values)}")
-        self.values = tuple(values)
+        self.modulus = modulus
+        self.values = tuple(v % modulus for v in values)
 
-    def __call__(self, a: int, b: int) -> Phase:
+    def __call__(self, a: int, b: int) -> int:
         return self.values[self.pos[a] * len(self.elements) + self.pos[b]]
-
-    def bar(self, a: int, b: int) -> Phase:
-        return self(a, b).inv()
 
 
 def cocycle3_check(omega: Cocycle3) -> CheckResult:
     """Exhaustive test of the 3-cocycle law; returns the first bad quadruple."""
-    G = omega.group
+    G, N = omega.group, omega.modulus
     n = G.order
     for a in range(n):
         for b in range(n):
@@ -156,12 +132,11 @@ def cocycle3_check(omega: Cocycle3) -> CheckResult:
             for c in range(n):
                 bc = G.mul(b, c)
                 for d in range(n):
-                    lhs = omega(a, b, c).q + omega(a, bc, d).q + omega(b, c, d).q
-                    rhs = omega(ab, c, d).q + omega(a, b, G.mul(c, d)).q
-                    if (lhs - rhs) % 1 != 0:
+                    if (omega(a, b, c) + omega(a, bc, d) + omega(b, c, d)
+                            - omega(ab, c, d) - omega(a, b, G.mul(c, d))) % N:
                         return CheckResult(False, "cocycle3", (a, b, c, d))
     omega._checked = True
-    return CheckResult(True, "cocycle3")
+    return CheckResult(True, "cocycle3", detail=f"exhaustive {n ** 4}")
 
 
 def cocycle2_check(phi: Cocycle2) -> CheckResult:
@@ -172,23 +147,22 @@ def cocycle2_check(phi: Cocycle2) -> CheckResult:
         for b in els:
             ab = G.mul(a, b)
             for c in els:
-                lhs = phi(b, c).q - phi(ab, c).q + phi(a, G.mul(b, c)).q - phi(a, b).q
-                if lhs % 1 != 0:
+                if (phi(b, c) - phi(ab, c) + phi(a, G.mul(b, c))
+                        - phi(a, b)) % phi.modulus:
                     return CheckResult(False, "cocycle2", (a, b, c))
     return CheckResult(True, "cocycle2")
 
 
-def coboundary1(group: GroupTable, c1: Sequence[Phase]) -> tuple[Phase, ...]:
+def coboundary1(group: GroupTable, c1: Sequence[int],
+                modulus: int) -> tuple[int, ...]:
     """d1(c)(g, h) = c(g) c(h) c(gh)^-1, as a dense table on G^2."""
     n = group.order
-    out = []
-    for g in range(n):
-        for h in range(n):
-            out.append(phase_prod(c1[g], c1[h], c1[group.mul(g, h)].inv()))
-    return tuple(out)
+    return tuple((c1[g] + c1[h] - c1[group.mul(g, h)]) % modulus
+                 for g in range(n) for h in range(n))
 
 
-def coboundary2(group: GroupTable, c2: Sequence[Phase]) -> tuple[Phase, ...]:
+def coboundary2(group: GroupTable, c2: Sequence[int],
+                modulus: int) -> tuple[int, ...]:
     """d2(f)(a, b, c) = f(b, c) f(ab, c)^-1 f(a, bc) f(a, b)^-1 on G^3."""
     n = group.order
     out = []
@@ -196,39 +170,33 @@ def coboundary2(group: GroupTable, c2: Sequence[Phase]) -> tuple[Phase, ...]:
         for b in range(n):
             ab = group.mul(a, b)
             for c in range(n):
-                out.append(phase_prod(
-                    c2[b * n + c], c2[ab * n + c].inv(),
-                    c2[a * n + group.mul(b, c)], c2[a * n + b].inv()))
+                out.append((c2[b * n + c] - c2[ab * n + c]
+                            + c2[a * n + group.mul(b, c)] - c2[a * n + b])
+                           % modulus)
     return tuple(out)
 
 
 def is_normalized(omega: Cocycle3) -> bool:
     """True when the value is 1 whenever an argument is the identity."""
     n = omega.group.order
-    for a in range(n):
-        for b in range(n):
-            if not (omega(0, a, b).is_one() and omega(a, 0, b).is_one()
-                    and omega(a, b, 0).is_one()):
-                return False
-    return True
+    return not any(omega(0, a, b) or omega(a, 0, b) or omega(a, b, 0)
+                   for a in range(n) for b in range(n))
 
 
 def normalize3(omega: Cocycle3) -> Cocycle3:
     """Multiply by the canonical coboundary that kills identity arguments."""
     omega.ensure_valid()
-    G = omega.group
+    G, N = omega.group, omega.modulus
     n = G.order
-    f = [phase_prod(omega(a, 0, 0), omega(0, 0, b).inv())
-         for a in range(n) for b in range(n)]
-    d2f = coboundary2(G, f)
-    values = [d2f[i] * omega.values[i] for i in range(n ** 3)]
-    out = Cocycle3(G, values)
+    f = [omega(a, 0, 0) - omega(0, 0, b) for a in range(n) for b in range(n)]
+    d2f = coboundary2(G, f, N)
+    out = Cocycle3(G, [d + v for d, v in zip(d2f, omega.values)], N)
     out.ensure_valid()
     return out
 
 
 def trivial_cocycle(group: GroupTable) -> Cocycle3:
-    return Cocycle3(group, [ONE] * group.order ** 3)
+    return Cocycle3(group, [0] * group.order ** 3, 1)
 
 
 def standard_cyclic_cocycle(n: int, k: int) -> Cocycle3:
@@ -237,9 +205,9 @@ def standard_cyclic_cocycle(n: int, k: int) -> Cocycle3:
     w(a, b, c) = exp(2 pi i * k * a * floor((b + c) / n) / n).
     """
     G = cyclic_group(n)
-    values = [Phase(Fraction(k * a * ((b + c) // n), n))
+    values = [k * a * ((b + c) // n)
               for a in range(n) for b in range(n) for c in range(n)]
-    return Cocycle3(G, values)
+    return Cocycle3(G, values, n)
 
 
 def two_factor_cocycle(m: int, n: int, k: int = 1) -> tuple[GroupTable, Cocycle3]:
@@ -249,13 +217,9 @@ def two_factor_cocycle(m: int, n: int, k: int = 1) -> tuple[GroupTable, Cocycle3
     with element index ``a1*n + a2``.  Returns the group and the cocycle.
     """
     G = direct_product(cyclic_group(m), cyclic_group(n))
-    values = []
-    for a in range(m * n):
-        for b in range(m * n):
-            for c in range(m * n):
-                carry = (b % n + c % n) // n
-                values.append(Phase(Fraction(k * (a // n) * carry, m)))
-    return G, Cocycle3(G, values)
+    values = [k * (a // n) * ((b % n + c % n) // n)
+              for a in range(m * n) for b in range(m * n) for c in range(m * n)]
+    return G, Cocycle3(G, values, m)
 
 
 def product_type_cocycle() -> tuple[GroupTable, Cocycle3]:
@@ -290,7 +254,7 @@ def inflate_cocycle(omega: Cocycle3, group: GroupTable,
     n = group.order
     values = [omega(projection[a], projection[b], projection[c])
               for a in range(n) for b in range(n) for c in range(n)]
-    return Cocycle3(group, values)
+    return Cocycle3(group, values, omega.modulus)
 
 
 def restrict_trivial_on(omega: Cocycle3, elements: Sequence[int]) -> Optional[tuple]:
@@ -298,33 +262,28 @@ def restrict_trivial_on(omega: Cocycle3, elements: Sequence[int]) -> Optional[tu
     for a in elements:
         for b in elements:
             for c in elements:
-                if not omega(a, b, c).is_one():
+                if omega(a, b, c):
                     return (a, b, c)
     return None
 
 
+def table_to_json(values: Sequence[int], modulus: int) -> dict:
+    """Wire form of a phase table, on the least modulus that carries it."""
+    values = [v % modulus for v in values]
+    d = math.gcd(modulus, *values)
+    return {"modulus": modulus // d, "values": [v // d for v in values]}
+
+
 def cocycle_to_json(omega: Cocycle3) -> dict:
-    mod = 1
-    for v in omega.values:
-        mod = mod * v.q.denominator // math.gcd(mod, v.q.denominator)
-    values = [int(v.q * mod) for v in omega.values]
-    return {"modulus": mod, "values": values}
+    return table_to_json(omega.values, omega.modulus)
 
 
 def cocycle_from_json(group: GroupTable, obj: dict) -> Cocycle3:
     mod = obj["modulus"]
     if type(mod) is not int or mod < 1:
         raise CocycleError(f"modulus {mod!r} is not a positive integer")
-    values = []
-    for k in obj["values"]:
+    values = obj["values"]
+    for k in values:
         if type(k) is not int:
             raise CocycleError(f"cocycle value {k!r} is not an integer")
-        values.append(Phase(Fraction(k, mod)))
-    return Cocycle3(group, values)
-
-
-def table2_to_json(values: Sequence[Phase]) -> dict:
-    mod = 1
-    for v in values:
-        mod = mod * v.q.denominator // math.gcd(mod, v.q.denominator)
-    return {"modulus": mod, "values": [int(v.q * mod) for v in values]}
+    return Cocycle3(group, values, mod)

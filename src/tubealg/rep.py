@@ -22,7 +22,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicField, nullspace_dimension
 from .grp import GroupTable
-from .phase import CheckResult, Cocycle2, cocycle2_check
+from .phase import CheckResult, Cocycle2, cocycle2_check, root
 from .staralg import MonomialStarAlgebra
 
 
@@ -42,10 +42,10 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
         self.group = group
         self.els = tuple(elements)
         self.twist = twist
+        self.modulus = twist.modulus
         if set(self.els) != set(twist.elements):
             raise ValueError("twist table does not match the element list")
-        self.normalized = all(twist(0, g).is_one() and twist(g, 0).is_one()
-                              for g in self.els)
+        self.normalized = not any(twist(0, g) or twist(g, 0) for g in self.els)
 
     @property
     def dimension(self) -> int:
@@ -59,7 +59,7 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
 
     def star_basis(self, g: int):
         gi = self.group.inverse(g)
-        return self.twist(gi, g).inv(), gi
+        return -self.twist(gi, g) % self.modulus, gi
 
     def trace_basis(self, g: int) -> bool:
         return g == 0
@@ -84,13 +84,14 @@ def center_dimension(alg: MonomialStarAlgebra) -> int:
     idx = {a: i for i, a in enumerate(labels)}
     m = len(labels)
     products = alg.products
-    field_ = CyclotomicField(
-        math.lcm(1, *(ph.q.denominator for ph, _ in products.values())))
+    # the phases k / N live in Q(zeta_(N / d)) for d = gcd(N, every k)
+    d = math.gcd(alg.modulus, *(ph for ph, _ in products.values()))
+    field_ = CyclotomicField(alg.modulus // d)
     zero = field_.zero()
     # row (g, r): the coefficient on r of g z - z g, for z = sum_t z_t t
     rows = {}
     for (left, right), (ph, r) in products.items():
-        val = field_.from_phase(ph)
+        val = field_.zeta_power(ph // d)
         for g, t, v in ((left, right, val), (right, left, field_.neg(val))):
             row = rows.setdefault((idx[g], idx[r]), [zero] * m)
             row[idx[t]] = field_.add(row[idx[t]], v)
@@ -112,18 +113,18 @@ class Representation:
 
     def check(self, alg: MonomialStarAlgebra, tol: float = 1e-9) -> CheckResult:
         """Multiplicativity and *-compatibility to the given tolerance."""
-        products = alg.products
+        products, N = alg.products, alg.modulus
         for b in self.labels:
             for a in self.labels:
                 hit = products.get((b, a))
                 prod = self.matrices[b] @ self.matrices[a]
                 target = 0 if hit is None else \
-                    hit[0].as_complex() * self.matrices[hit[1]]
+                    root(hit[0], N) * self.matrices[hit[1]]
                 if np.max(np.abs(prod - target)) > tol:
                     return CheckResult(False, "rep-mult", (b, a))
         for a in self.labels:
             ph, lab = alg.stars[a]
-            target = ph.as_complex() * self.matrices[lab]
+            target = root(ph, N) * self.matrices[lab]
             if np.max(np.abs(self.matrices[a].conj().T - target)) > tol:
                 return CheckResult(False, "rep-star", (a,))
         return CheckResult(True, "representation")
@@ -139,7 +140,7 @@ def regular_representation(alg: MonomialStarAlgebra) -> Representation:
     n = len(labels)
     mats = {b: np.zeros((n, n), dtype=complex) for b in labels}
     for (b, a), (ph, lab) in alg.products.items():
-        mats[b][idx[lab], idx[a]] = ph.as_complex()
+        mats[b][idx[lab], idx[a]] = root(ph, alg.modulus)
     return Representation(labels=labels, dim=n, matrices=mats)
 
 
@@ -151,7 +152,7 @@ def _characters(alg: MonomialStarAlgebra, subspaces: list,
     left, right, result = np.array(
         [(idx[b], idx[a], idx[r]) for (b, a), (_, r) in products.items()],
         dtype=np.intp).reshape(-1, 3).T
-    phase = np.array([ph.as_complex() for ph, _ in products.values()])
+    phase = np.array([root(ph, alg.modulus) for ph, _ in products.values()])
     chars = [np.zeros(len(idx), dtype=complex) for _ in subspaces]
     for ch, Q in zip(chars, subspaces):
         np.add.at(ch, left, phase * np.sum(Q[right] * Q[result].conj(), axis=1))
@@ -186,11 +187,11 @@ def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
         for a, c in z.items():
             w[a] = w.get(a, 0) + c
             ph, as_ = alg.stars[a]
-            w[as_] = w.get(as_, 0) + c.conjugate() * ph.as_complex()
+            w[as_] = w.get(as_, 0) + c.conjugate() * root(ph, alg.modulus)
         # right multiplication by w
         W = np.zeros((n, n), dtype=complex)
         for (a, b), (ph, lab) in alg.products.items():
-            W[idx[lab], idx[a]] += w.get(b, 0) * ph.as_complex()
+            W[idx[lab], idx[a]] += w.get(b, 0) * root(ph, alg.modulus)
         if np.max(np.abs(W - W.conj().T)) > 1e-8:
             raise DecompositionError("right action of w is not self-adjoint")
         vals, vecs = np.linalg.eigh(W)
@@ -260,7 +261,7 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
         if im.class_index == class_index:
             r, c = pos[im.row], pos[im.col]
             M[r * d:(r + 1) * d, c * d:(c + 1) * d] = \
-                im.scalar.as_complex() * pi.matrices[im.element]
+                root(im.scalar, context.modulus) * pi.matrices[im.element]
         mats[label] = M
     return Representation(labels=list(context.labels()), dim=n, matrices=mats)
 
@@ -291,7 +292,7 @@ def restrict(context, class_index: int, Pi: Representation) -> Representation:
     mats = {}
     for v in tw.elements:
         scalar, label = context.phi_iso_inverse(class_index, pivot, pivot, v)
-        mats[v] = scalar.as_complex() * (Q.conj().T @ Pi.matrices[label] @ Q)
+        mats[v] = root(scalar, context.modulus) * (Q.conj().T @ Pi.matrices[label] @ Q)
     return Representation(labels=list(tw.elements), dim=Q.shape[1], matrices=mats)
 
 

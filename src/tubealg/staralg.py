@@ -11,7 +11,8 @@ and the linear-element layer live here.
 
 Coefficients of linear elements are ordinary complex numbers unless the
 caller supplies exact field elements; structure constants themselves
-are always exact phases.
+are always exact phases: ints mod the algebra's ``modulus`` (see
+:mod:`tubealg.phase`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Hashable, Optional, Sequence
 
-from .phase import CheckResult, Phase
+from .phase import CheckResult, root
 
 
 class Element:
@@ -71,6 +72,8 @@ class MonomialStarAlgebra:
     """Base for *-algebras whose basis multiplies monomially.
 
     Subclasses provide:
+      - ``modulus``: N; every phase below is an int k in range(N)
+        standing for exp(2 pi i k / N),
       - ``labels()``: the ordered basis,
       - ``mult_basis(left, right)``: ``None`` or ``(phase, label)`` for
         the product in which ``right`` acts first,
@@ -86,13 +89,15 @@ class MonomialStarAlgebra:
     verifiers walk these and cover the zero products by counting.
     """
 
+    modulus: int
+
     def labels(self) -> Sequence[Hashable]:
         raise NotImplementedError
 
-    def mult_basis(self, left, right) -> Optional[tuple[Phase, Hashable]]:
+    def mult_basis(self, left, right) -> Optional[tuple[int, Hashable]]:
         raise NotImplementedError
 
-    def star_basis(self, label) -> tuple[Phase, Hashable]:
+    def star_basis(self, label) -> tuple[int, Hashable]:
         raise NotImplementedError
 
     def trace_basis(self, label) -> bool:
@@ -144,14 +149,14 @@ class MonomialStarAlgebra:
                 if hit is None:
                     continue
                 ph, k = hit
-                out[k] = out.get(k, 0) + cl * cr * ph.as_complex()
+                out[k] = out.get(k, 0) + cl * cr * root(ph, self.modulus)
         return Element(self, out)
 
     def star_element(self, x: Element) -> Element:
         out: dict = {}
         for k, c in x.coeffs.items():
             ph, ks = self.star_basis(k)
-            out[ks] = out.get(ks, 0) + _conj(c) * ph.as_complex()
+            out[ks] = out.get(ks, 0) + _conj(c) * root(ph, self.modulus)
         return Element(self, out)
 
     def trace_element(self, x: Element):
@@ -212,7 +217,7 @@ class MonomialStarAlgebra:
             detail = f"sampled {samples} of {total}, seed {seed}"
         else:
             samples, detail = None, f"exhaustive {total}"
-        products = self.products
+        products, N = self.products, self.modulus
         for c, b, a in self._triples(comp, samples, seed):
             ph_ba, ba = products[(b, a)]
             ph_cb, cb = products[(c, b)]
@@ -222,8 +227,7 @@ class MonomialStarAlgebra:
                 if left is not right:
                     return CheckResult(False, "associativity", (c, b, a), detail)
                 continue
-            if left[1] != right[1] or \
-                    (ph_cb.q + left[0].q) % 1 != (ph_ba.q + right[0].q) % 1:
+            if left[1] != right[1] or (ph_cb + left[0] - ph_ba - right[0]) % N:
                 return CheckResult(False, "associativity", (c, b, a), detail)
         return CheckResult(True, "associativity", detail=detail)
 
@@ -233,10 +237,10 @@ class MonomialStarAlgebra:
         (b, a) -> (a*, b*) then permutes the label pairs, so sending the
         nonzero products to nonzero ones also sends zero ones to zero.
         """
-        stars, products = self.stars, self.products
+        stars, products, N = self.stars, self.products, self.modulus
         for a, (ph1, a1) in stars.items():
             ph2, a2 = stars[a1]
-            if a2 != a or (ph1.inv().q + ph2.q) % 1 != 0:
+            if a2 != a or ph1 != ph2:
                 # star is conjugate-linear: (ph1 * a1)* = conj(ph1) * a1*
                 return CheckResult(False, "star-involution", (a,))
         for (b, a), (ph_ba, lab_ba) in products.items():
@@ -246,9 +250,7 @@ class MonomialStarAlgebra:
             if ab is None:
                 return CheckResult(False, "star-antihom", (b, a))
             ph_star, lab_star = stars[lab_ba]
-            lhs = (ph_ba.inv().q + ph_star.q) % 1
-            rhs = (pha.q + phb.q + ab[0].q) % 1
-            if lab_star != ab[1] or lhs != rhs:
+            if lab_star != ab[1] or (ph_star - ph_ba - pha - phb - ab[0]) % N:
                 return CheckResult(False, "star-antihom", (b, a))
         return CheckResult(True, "star-laws", detail=f"exhaustive {len(products)}")
 
@@ -263,7 +265,7 @@ class MonomialStarAlgebra:
             if not self.trace_basis(lab):
                 continue
             ab = products.get((a, b))
-            if ab is None or not self.trace_basis(ab[1]) or ab[0].q != ph.q:
+            if ab is None or not self.trace_basis(ab[1]) or ab[0] != ph:
                 return CheckResult(False, "trace-symmetry", (b, a))
         return CheckResult(True, "trace-symmetry",
                            detail=f"exhaustive {len(products)}")
@@ -285,7 +287,7 @@ class MonomialStarAlgebra:
         for a, (pha, as_) in stars.items():
             prod = products.get((as_, a))
             if prod is None or not self.trace_basis(prod[1]) or \
-                    (pha.q + prod[0].q) % 1 != 0:
+                    (pha + prod[0]) % self.modulus:
                 return CheckResult(False, "gram", (a, a))
         return CheckResult(True, "gram", detail=f"exhaustive {len(products)}")
 
@@ -296,7 +298,7 @@ class MonomialStarAlgebra:
             for side, pairs in (("unit-left", [(u, a) for u in units]),
                                 ("unit-right", [(a, u) for u in units])):
                 hits = [products[p] for p in pairs if p in products]
-                if len(hits) != 1 or hits[0][1] != a or not hits[0][0].is_one():
+                if len(hits) != 1 or hits[0][1] != a or hits[0][0]:
                     return CheckResult(False, side, (a,))
         return CheckResult(True, "unit", detail=f"exhaustive {len(self.labels())}")
 

@@ -34,8 +34,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .coho import gamma, phi_class, phi_class_plain_conjugate
 from .grp import ClassData, GroupTable, conjugacy_data
-from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError, Phase,
-                    is_normalized, phase_prod)
+from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
+                    is_normalized, phase_str)
 from .rep import TwistedGroupAlgebra, center_dimension
 from .staralg import MonomialStarAlgebra
 
@@ -51,10 +51,11 @@ class TubeBasisElement:
 
 @dataclass(frozen=True)
 class BlockImage:
-    """scalar * E[row, col] tensor [element], inside one class block."""
+    """scalar * E[row, col] tensor [element], inside one class block; the
+    scalar is a phase mod the cocycle's modulus."""
 
     class_index: int
-    scalar: Phase
+    scalar: int
     row: object
     col: object
     element: int
@@ -74,6 +75,7 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                  objects: Sequence, weight: Callable):
         self.group = group
         self.omega = omega
+        self.modulus = omega.modulus
         self.objects = tuple(objects)
         self._weight = {x: weight(x) for x in self.objects}
         self._by_weight: dict = {}
@@ -113,19 +115,19 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     def _right_factors(self, left) -> list:
         return self._into[self._split(left)[0]]
 
-    def mult_basis(self, left, right) -> Optional[tuple[Phase, object]]:
+    def mult_basis(self, left, right) -> Optional[tuple[int, object]]:
         x, s, y, a, b = self._split(right)
         y2, t, z, _, c = self._split(left)
         if y != y2:
             return None
         w = self.omega
-        scalar = phase_prod(w(a, s, t), w.bar(s, b, t), w(s, t, c))
+        scalar = (w(a, s, t) - w(s, b, t) + w(s, t, c)) % self.modulus
         return scalar, self._label_of[(x, self.group.mul(s, t), z)]
 
-    def star_basis(self, label) -> tuple[Phase, object]:
+    def star_basis(self, label) -> tuple[int, object]:
         x, s, y, a, b = self._split(label)
         w, si = self.omega, self.group.inverse(s)
-        scalar = phase_prod(w.bar(a, s, si), w(s, b, si), w.bar(s, si, a))
+        scalar = (w(s, b, si) - w(a, s, si) - w(s, si, a)) % self.modulus
         return scalar, self._label_of[(y, si, x)]
 
     def trace_basis(self, label) -> bool:
@@ -178,10 +180,10 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         u = G.mul(G.inverse(wa), G.mul(s, wb))
         gc = cd.reps[c]
         assert G.mul(u, gc) == G.mul(gc, u), "transported middle must centralize"
-        scalar = gamma(G, self.omega, gc, wa, wb, u).inv()
+        scalar = -gamma(G, self.omega, gc, wa, wb, u) % self.modulus
         return BlockImage(c, scalar, row=y, col=x, element=G.inverse(u))
 
-    def phi_iso_inverse(self, c: int, row, col, element: int) -> tuple[Phase, object]:
+    def phi_iso_inverse(self, c: int, row, col, element: int) -> tuple[int, object]:
         """Preimage of E[row, col] tensor [element] as scalar * basis label."""
         G, cd = self.group, self.class_data
         wa = cd.transport[self._weight[col]]
@@ -213,9 +215,9 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                                (blocks.total_dimension(), len(labels)))
         if len({_position(im) for im in images.values()}) != len(labels):
             return CheckResult(False, "phi-bijection", ())
-        products = self.products
+        products, N = self.products, self.modulus
         for (b, a), prod in products.items():
-            if not _is_image(blocks.mult(images[b], images[a]), prod, images):
+            if not _is_image(blocks.mult(images[b], images[a]), prod, images, N):
                 return CheckResult(False, "phi-mult", (b, a))
         # phi is a bijection of bases, so the nonzero products map onto
         # the nonzero block products (units chain) when there are as many
@@ -226,7 +228,7 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                         and blocks.mult(images[b], images[a]) is not None)
             return CheckResult(False, "phi-mult-zero", (b, a))
         for a, star in self.stars.items():
-            if not _is_image(blocks.star(images[a]), star, images):
+            if not _is_image(blocks.star(images[a]), star, images, N):
                 return CheckResult(False, "phi-star", (a,))
         return CheckResult(True, "star-isomorphism",
                            detail=f"exhaustive {len(products)}")
@@ -236,13 +238,13 @@ def _position(im: BlockImage) -> tuple:
     return (im.class_index, im.row, im.col, im.element)
 
 
-def _is_image(got: Optional[BlockImage], hit: tuple[Phase, object],
-              images: dict) -> bool:
+def _is_image(got: Optional[BlockImage], hit: tuple[int, object],
+              images: dict, modulus: int) -> bool:
     """Whether ``got`` is the image of ``phase * label`` for ``hit``."""
     ph, label = hit
     want = images[label]
     return got is not None and _position(got) == _position(want) \
-        and got.scalar.q == (ph.q + want.scalar.q) % 1
+        and got.scalar == (ph + want.scalar) % modulus
 
 
 class TubeAlgebra(TubeShapedAlgebra):
@@ -278,14 +280,14 @@ class BlockAlgebra:
         if x.class_index != y.class_index or x.col != y.row:
             return None
         tw = self.twists[x.class_index]
-        scalar = phase_prod(x.scalar, y.scalar, tw(x.element, y.element))
+        scalar = (x.scalar + y.scalar + tw(x.element, y.element)) % tw.modulus
         return BlockImage(x.class_index, scalar, x.row, y.col,
                           self.group.mul(x.element, y.element))
 
     def star(self, x: BlockImage) -> BlockImage:
         tw = self.twists[x.class_index]
         vi = self.group.inverse(x.element)
-        scalar = phase_prod(x.scalar.inv(), tw(vi, x.element).inv())
+        scalar = -(x.scalar + tw(vi, x.element)) % tw.modulus
         return BlockImage(x.class_index, scalar, x.col, x.row, vi)
 
     def basis_labels(self) -> Iterator[tuple[int, object, object, int]]:
@@ -300,9 +302,9 @@ class BlockAlgebra:
                    for idx, tw in zip(self.index_sets, self.twists))
 
 
-def verify_star_iso(group: GroupTable, omega: Cocycle3) -> CheckResult:
-    """Exhaustively check the block map of the tube algebra of (G, omega)."""
-    return TubeAlgebra(group, omega).check_block_map()
+def verify_star_iso(alg: TubeAlgebra) -> CheckResult:
+    """Exhaustively check the block map of a tube algebra."""
+    return alg.check_block_map()
 
 
 @dataclass
@@ -343,5 +345,5 @@ def structure_constants_json(alg: TubeShapedAlgebra) -> list[dict]:
     names = [f.name for f in fields(labels[0])]
     wire = {lab: [getattr(lab, n) for n in names] for lab in labels}
     return [{"left": wire[left], "right": wire[right],
-             "scalar": str(ph), "result": wire[lab]}
+             "scalar": phase_str(ph, alg.modulus), "result": wire[lab]}
             for (left, right), (ph, lab) in alg.products.items()]

@@ -133,10 +133,11 @@ def corrupt_last_twist(monkeypatch) -> None:
     """Flip the sign of one value of the last class's block twist.
 
     Every block algebra is built through ``tube_diag.phi_class``, so
-    this reaches the tube and the annular block maps alike.
+    this reaches the tube and the annular block maps alike.  The twist's
+    modulus must be even, so that -1 is one of its phases.
     """
     from tubealg import tube_diag
-    from tubealg.phase import Cocycle2, Phase
+    from tubealg.phase import Cocycle2
 
     original = tube_diag.phi_class
 
@@ -144,8 +145,9 @@ def corrupt_last_twist(monkeypatch) -> None:
         tw = original(group, omega, class_data, c)
         if c != class_data.num_classes() - 1:
             return tw
+        assert tw.modulus % 2 == 0
         values = list(tw.values)
-        values[-1] = values[-1] * Phase.of(1, 2)
-        return Cocycle2(group, tw.elements, values)
+        values[-1] += tw.modulus // 2
+        return Cocycle2(group, tw.elements, values, tw.modulus)
 
     monkeypatch.setattr(tube_diag, "phi_class", corrupted)

@@ -6,10 +6,11 @@ import pytest
 
 from tubealg.cli import main
 from tubealg.grp import group_to_json
-from tubealg.phase import (Cocycle3, Phase, coboundary2, cocycle_to_json,
+from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
                            standard_cyclic_cocycle, trivial_cocycle)
+from tubealg.tube_diag import TubeShapedAlgebra
 
-from conftest import symmetric_group
+from conftest import bh_setup_v4, dihedral8_sign, symmetric_group
 
 
 @pytest.fixture
@@ -54,10 +55,23 @@ def files(tmp_path):
         payload["values"][-1] = value
         write(f"semion_{name}.json", payload)
     # the semion times d2(f) with f = 1/4 at (e, e): a cocycle, not normalized
-    f = [Phase.of(1, 4)] + [Phase.of(0)] * 3
-    d2f = coboundary2(z2.group, f)
+    f = [1, 0, 0, 0]
+    d2f = coboundary2(z2.group, f, 4)
     write("semion_unnormalized.json", cocycle_to_json(Cocycle3(
-        z2.group, [w * d for w, d in zip(z2.values, d2f)])))
+        z2.group, [2 * w + d for w, d in zip(z2.values, d2f)], 4)))
+    d8, d8_sign = dihedral8_sign()
+    write("d8.json", group_to_json(d8))
+    write("d8_sign.json", cocycle_to_json(d8_sign))
+    # JSON booleans where the loader wants integers; each would pass as
+    # an int (true == 1), so each is a group of order 1 or 2
+    write("bool_entry.json", {"type": "table", "order": 2,
+                              "mult": [[0, True], [True, 0]]})
+    write("bool_order.json", {"type": "table", "order": True, "mult": [[0]]})
+    write("bool_degree.json", {"type": "perm", "degree": True,
+                               "generators": [[0]]})
+    write("bool_generator.json", {"type": "perm", "degree": 2,
+                                  "generators": [[True, False]]})
+    write("z1_trivial.json", {"modulus": 1, "values": [0]})
     one = [[[1.0, 0.0]]]
     for name, matrices in (("missing", {"0": one}),
                            ("shape", {"0": one, "1": [[[1.0, 0.0], [0.0, 0.0]]]}),
@@ -267,3 +281,105 @@ def test_malformed_representation_is_input_error(files, capsys, rep_file):
     assert code == 2
     assert report["status"] == "error"
     assert "malformed representation" in report["error"]
+
+
+# -- JSON booleans are not integers ---------------------------------------------
+
+
+@pytest.mark.parametrize("group, witness", [("bool_entry.json", [0, 1]),
+                                            ("bool_order.json", None),
+                                            ("bool_degree.json", None),
+                                            ("bool_generator.json", [0])])
+def test_boolean_group_data_fails_verify_group(files, capsys, group, witness):
+    code, report = run(capsys, ["verify-group", "--group", files[group]])
+    assert code == 1
+    check = report["checks"][0]
+    assert check["name"] == "group-table" and check["status"] == "fail"
+    assert check["witness"] == witness
+
+
+@pytest.mark.parametrize("group, cocycle", [
+    ("bool_entry.json", "semion.json"), ("bool_order.json", "z1_trivial.json"),
+    ("bool_degree.json", "z1_trivial.json"),
+    ("bool_generator.json", "semion.json")])
+def test_boolean_group_data_is_input_error(files, capsys, group, cocycle):
+    code, report = run(capsys, ["tube", "check", "--group", files[group],
+                                "--cocycle", files[cocycle]])
+    assert code == 2
+    assert report["status"] == "error"
+
+
+# -- one product table per run ---------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["tube", "check", "--group", "d8.json", "--cocycle", "d8_sign.json"], 512),
+    (["bh", "check", "--bh", "bh_s3.json"], 1728)])
+def test_check_builds_the_product_table_once(files, capsys, monkeypatch,
+                                             argv, calls):
+    # D8: 8^3 composable pairs; the S3 annular algebra: 144 labels times
+    # the 12 labels into each source object
+    counted = []
+    original = TubeShapedAlgebra.mult_basis
+
+    def counting(self, left, right):
+        counted.append(1)
+        return original(self, left, right)
+
+    monkeypatch.setattr(TubeShapedAlgebra, "mult_basis", counting)
+    code, report = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 0
+    assert len(counted) == calls
+
+
+# -- a cocycle's modulus is data, not meaning ------------------------------------
+
+
+def _scaled(payload: dict, k: int) -> dict:
+    return {"modulus": k * payload["modulus"],
+            "values": [k * v for v in payload["values"]]}
+
+
+def _report_without_timing_and_inputs(capsys, argv) -> str:
+    code, report = run(capsys, argv)
+    report.pop("timing")
+    report.pop("inputs")  # the file hashes differ by construction
+    return f"{code} " + json.dumps(report, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("argv", [["tube", "check"], ["tube", "build"],
+                                  ["tube", "simples"], ["rep", "decompose"],
+                                  ["rep", "induce", "--class-index", "1"],
+                                  ["normalize"]])
+def test_scaled_cocycle_modulus_gives_the_same_tube_report(tmp_path, capsys,
+                                                           monkeypatch, argv):
+    group, omega = dihedral8_sign()
+    payload = cocycle_to_json(omega)
+    reports = []
+    for name, cocycle in (("plain", payload), ("scaled", _scaled(payload, 3))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "group.json").write_text(
+            json.dumps(group_to_json(group)))
+        (tmp_path / name / "cocycle.json").write_text(json.dumps(cocycle))
+        monkeypatch.chdir(tmp_path / name)
+        reports.append(_report_without_timing_and_inputs(
+            capsys, argv + ["--group", "group.json", "--cocycle", "cocycle.json"]))
+    assert reports[0].startswith("0 ")
+    assert reports[0] == reports[1]
+
+
+def test_scaled_cocycle_modulus_gives_the_same_gauge_fix_report(tmp_path, capsys,
+                                                                monkeypatch):
+    setup = bh_setup_v4()
+    payload = cocycle_to_json(setup.omega)
+    reports = []
+    for name, cocycle in (("plain", payload), ("scaled", _scaled(payload, 3))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "setup.json").write_text(json.dumps({
+            "group": group_to_json(setup.group), "H": list(setup.H),
+            "K": list(setup.K), "cocycle": cocycle}))
+        monkeypatch.chdir(tmp_path / name)
+        reports.append(_report_without_timing_and_inputs(
+            capsys, ["gauge-fix", "--bh", "setup.json"]))
+    assert reports[0].startswith("0 ")
+    assert reports[0] == reports[1]

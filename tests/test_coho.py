@@ -6,19 +6,17 @@ from tubealg.coho import (BHSetup, BHSetupError, GammaFamily, gamma,
                           gamma_identity_check, gamma_transport_check,
                           gauge_fix_bh, gl_relations_check, phi_a, phi_class)
 from tubealg.grp import conjugacy_data, cyclic_group, subgroup_closure
-from tubealg.phase import (Phase, coboundary2, cocycle2_check, cocycle3_check,
+from tubealg.phase import (coboundary2, cocycle2_check, cocycle3_check,
                            inflate_cocycle, is_normalized,
                            restrict_trivial_on, standard_cyclic_cocycle,
                            trivial_cocycle)
 
 from conftest import bh_setup_s3, bh_setup_v4, symmetric_group
 
-ONE = Phase.of(0)
-
 
 def phi_a_oracle(group, omega, a, g, h):
     """Direct three-factor evaluation, independent of the library path."""
-    return (omega(a, g, h).inv() * omega(g, a, h) * omega(g, h, a).inv())
+    return (-omega(a, g, h) + omega(g, a, h) - omega(g, h, a)) % omega.modulus
 
 
 def test_phi_a_trivial(small_fixture):
@@ -26,20 +24,20 @@ def test_phi_a_trivial(small_fixture):
     omega = trivial_cocycle(g)
     for a in g.elements():
         phi = phi_a(g, omega, a)
-        assert all(phi(x, y) == ONE for x in phi.elements for y in phi.elements)
+        assert all(phi(x, y) == 0 for x in phi.elements for y in phi.elements)
 
 
 def test_phi_a_semion():
     omega = standard_cyclic_cocycle(2, 1)
     phi = phi_a(omega.group, omega, 1)
-    assert phi(1, 1) == Phase.of(1, 2)
+    assert (phi.modulus, phi(1, 1)) == (2, 1)
     assert phi(1, 1) == phi_a_oracle(omega.group, omega, 1, 1, 1)
 
 
 def test_phi_a_z4():
     omega = standard_cyclic_cocycle(4, 1)
     phi = phi_a(omega.group, omega, 1)
-    assert phi(3, 3) == Phase.of(3, 4)
+    assert (phi.modulus, phi(3, 3)) == (4, 3)
     assert phi(3, 3) == phi_a_oracle(omega.group, omega, 1, 3, 3)
 
 
@@ -55,7 +53,7 @@ def test_phi_class_trivial():
     cd = conjugacy_data(g)
     for c in range(cd.num_classes()):
         phi = phi_class(g, omega, cd, c)
-        assert all(phi(x, y) == ONE for x in phi.elements for y in phi.elements)
+        assert all(phi(x, y) == 0 for x in phi.elements for y in phi.elements)
 
 
 def test_phi_class_semion():
@@ -63,8 +61,8 @@ def test_phi_class_semion():
     cd = conjugacy_data(omega.group)
     phi = phi_class(omega.group, omega, cd, 1)
     # conj(phi_1(1^-1, 1^-1)) with inverses trivial in Z/2
-    assert phi(1, 1) == phi_a_oracle(omega.group, omega, 1, 1, 1).inv()
-    assert phi(1, 1) == Phase.of(1, 2)
+    assert phi(1, 1) == -phi_a_oracle(omega.group, omega, 1, 1, 1) % 2
+    assert (phi.modulus, phi(1, 1)) == (2, 1)
 
 
 def test_phi_class_abelian_full_domain():
@@ -90,15 +88,15 @@ def gamma_oracle(group, omega, a, x, y, g):
     """Re-derivation of the eight factors, spelled out one by one."""
     G = group
     xi, yi = G.inverse(x), G.inverse(y)
-    f1 = omega(x, G.mul(a, xi), G.mul3(x, g, yi)).inv()
-    f2 = omega(a, xi, G.mul3(x, g, yi)).inv()
+    f1 = -omega(x, G.mul(a, xi), G.mul3(x, g, yi))
+    f2 = -omega(a, xi, G.mul3(x, g, yi))
     f3 = omega(a, g, yi)
-    f4 = omega(g, a, yi).inv()
-    f5 = omega(G.mul(g, yi), y, G.mul(a, yi)).inv()
+    f4 = -omega(g, a, yi)
+    f5 = -omega(G.mul(g, yi), y, G.mul(a, yi))
     f6 = omega(g, yi, y)
     f7 = omega(x, G.mul(g, yi), G.mul3(y, a, yi))
     f8 = omega(xi, x, G.mul(g, yi))
-    return f1 * f2 * f3 * f4 * f5 * f6 * f7 * f8
+    return (f1 + f2 + f3 + f4 + f5 + f6 + f7 + f8) % omega.modulus
 
 
 def test_gamma_trivial_cocycle():
@@ -106,14 +104,14 @@ def test_gamma_trivial_cocycle():
     omega = trivial_cocycle(g)
     for a in g.elements():
         for x in g.elements():
-            assert gamma(g, omega, a, x, 0, a) == ONE
+            assert gamma(g, omega, a, x, 0, a) == 0
 
 
 def test_gamma_diagonal_at_identity(small_fixture):
     g, omega = small_fixture.group, small_fixture.omega
     for a in g.elements():
         for x in g.elements():
-            assert gamma(g, omega, a, x, x, 0) == ONE
+            assert gamma(g, omega, a, x, x, 0) == 0
 
 
 def test_gamma_semion_against_oracle():
@@ -138,7 +136,9 @@ def test_gamma_family():
     omega = standard_cyclic_cocycle(2, 1)
     fam = GammaFamily(omega.group, omega)
     assert fam(1, 0, 0, 1) == gamma(omega.group, omega, 1, 0, 0, 1)
-    assert fam.bar(1, 0, 0, 1) == fam(1, 0, 0, 1).inv()
+    # values are phases reduced mod the cocycle's modulus
+    assert {fam(1, x, y, g) for x in range(2) for y in range(2)
+            for g in range(2)} <= set(range(omega.modulus))
 
 
 def test_gamma_identity_exhaustive(small_fixture):
@@ -175,7 +175,7 @@ def test_setup_rejects_inflated_sign():
     assert "restricts trivially to H" in exc.value.invariant
     # the witness is a flip cubed: the inflated value there is -1
     w = exc.value.witness
-    assert omega(*w) == Phase.of(1, 2)
+    assert (omega.modulus, omega(*w)) == (2, 1)
 
 
 def test_setup_rejects_non_subgroup():
@@ -198,7 +198,7 @@ def test_gauge_fix_trivial_cocycle():
     setup = bh_setup_s3()
     omega_prime, f = gauge_fix_bh(setup)
     assert omega_prime.is_trivial()
-    assert all(v == ONE for v in f)
+    assert all(v == 0 for v in f)
 
 
 def test_gauge_fix_product_type():
@@ -210,9 +210,11 @@ def test_gauge_fix_product_type():
     assert restrict_trivial_on(omega_prime, setup.H) is None
     assert restrict_trivial_on(omega_prime, setup.K) is None
     assert gl_relations_check(G, setup.H, setup.K, omega_prime).ok
-    d2f = coboundary2(G, f)
+    N = setup.omega.modulus
+    d2f = coboundary2(G, f, N)
+    assert omega_prime.modulus == N == 2
     for i in range(len(d2f)):
-        assert omega_prime.values[i] == d2f[i] * setup.omega.values[i]
+        assert omega_prime.values[i] == (d2f[i] + setup.omega.values[i]) % N
 
 
 def test_gauge_fix_z2z4():
@@ -232,13 +234,17 @@ def test_gauge_fix_idempotent_in_effect():
     omega_prime, _ = gauge_fix_bh(setup)
     again = BHSetup(setup.group, setup.H, setup.K, omega_prime)
     omega2, f2 = gauge_fix_bh(again)
-    assert all(v == ONE for v in f2)
+    assert all(v == 0 for v in f2)
     assert omega2.values == omega_prime.values
 
 
 def test_gl_relations_trivial():
     setup = bh_setup_s3()
-    assert gl_relations_check(setup.group, setup.H, setup.K, setup.omega).ok
+    res = gl_relations_check(setup.group, setup.H, setup.K, setup.omega)
+    assert res.ok
+    # (l, g1, g2) for the 4 elements l of H or K
+    assert len(set(setup.H) | set(setup.K)) == 4
+    assert res.detail == f"exhaustive {4 * 6 * 6}"
 
 
 def test_gl_relations_fail_before_fixing():

@@ -2,13 +2,12 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubealg.cyclotomic import (CyclotomicField, cyclotomic_polynomial,
                                 nullspace_dimension)
-from tubealg.phase import Phase
+from tubealg.phase import root
 
 
 def test_small_cyclotomic_polynomials():
@@ -40,17 +39,11 @@ def test_inverse_of_one_plus_i():
     assert abs(k.as_complex(inv) - (0.5 - 0.5j)) < 1e-12
 
 
-def test_from_phase_matches_complex():
+def test_zeta_power_matches_root():
     k = CyclotomicField(12)
     for num, den in [(1, 2), (1, 3), (5, 6), (1, 4), (7, 12)]:
-        ph = Phase.of(num, den)
-        assert abs(k.as_complex(k.from_phase(ph)) - ph.as_complex()) < 1e-12
-
-
-def test_from_phase_rejects_wrong_denominator():
-    k = CyclotomicField(4)
-    with pytest.raises(ValueError):
-        k.from_phase(Phase.of(1, 3))
+        zeta = k.zeta_power(num * (12 // den))
+        assert abs(k.as_complex(zeta) - root(num, den)) < 1e-12
 
 
 def test_conjugation():

@@ -1,29 +1,34 @@
 """Exact circle arithmetic, the cochain complex, and the cocycle fixtures."""
 
+import ast
+import math
+import pathlib
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tubealg
 from tubealg.grp import cyclic_group
-from tubealg.phase import (CocycleError, Cocycle2, Cocycle3, Phase,
+from tubealg.phase import (CocycleError, Cocycle2, Cocycle3,
                            coboundary1, coboundary2, cocycle2_check,
                            cocycle3_check, cocycle_from_json, cocycle_to_json,
                            inflate_cocycle, is_normalized, normalize3,
-                           product_type_cocycle, standard_cyclic_cocycle,
+                           phase_str, product_type_cocycle, root,
+                           standard_cyclic_cocycle, table_to_json,
                            trivial_cocycle)
 
 from conftest import symmetric_group
-
-ONE = Phase.of(0)
 
 
 def law_holds(omega, quad) -> bool:
     """Independent statement of the 3-cocycle law at one quadruple."""
     G = omega.group
     a, b, c, d = quad
-    lhs = omega(a, b, c).q + omega(a, G.mul(b, c), d).q + omega(b, c, d).q
-    rhs = omega(G.mul(a, b), c, d).q + omega(a, b, G.mul(c, d)).q
-    return (lhs - rhs) % 1 == 0
+    lhs = omega(a, b, c) + omega(a, G.mul(b, c), d) + omega(b, c, d)
+    rhs = omega(G.mul(a, b), c, d) + omega(a, b, G.mul(c, d))
+    return (lhs - rhs) % omega.modulus == 0
 
 
 def brute_force_cocycle3(omega) -> bool:
@@ -33,27 +38,69 @@ def brute_force_cocycle3(omega) -> bool:
                for c in G.elements() for d in G.elements())
 
 
-fractions_mod_one = st.fractions(min_value=0, max_value=1,
-                                 max_denominator=24).map(lambda q: q % 1)
+# every rational mod 1 with denominator at most 24, as an int mod L
+L = math.lcm(*range(1, 25))
+phases = st.fractions(min_value=0, max_value=1,
+                      max_denominator=24).map(lambda q: int(q % 1 * L))
 
 
 def test_phase_examples():
-    assert Phase.of(1, 2) * Phase.of(1, 2) == ONE
-    assert Phase.of(1, 3).inv() == Phase.of(2, 3)
-    assert Phase.of(1, 4) ** 3 == Phase.of(3, 4)
+    assert phase_str(1 + 1, 2) == "0/1"
+    assert -1 % 3 == 2 and phase_str(-1, 3) == "2/3"
+    assert phase_str(3 * 1, 4) == "3/4"
+    assert phase_str(18, 24) == "3/4" and phase_str(0, 7) == "0/1"
 
 
-@given(a=fractions_mod_one, b=fractions_mod_one, c=fractions_mod_one)
+@given(a=phases, b=phases, c=phases)
 def test_phase_group_laws(a, b, c):
-    pa, pb, pc = Phase(a), Phase(b), Phase(c)
-    assert (pa * pb) * pc == pa * (pb * pc)
-    assert pa * pa.inv() == ONE
-    assert pa * ONE == pa
+    # ints mod L, read through phase_str and root, add like the circle group
+    assert L == 5354228880
+    for k in (a, b, c, a + b + c, -a):
+        assert Fraction(phase_str(k, L)) == Fraction(k, L) % 1
+    assert abs(root(a + b + c, L) - root(a, L) * root(b, L) * root(c, L)) < 1e-9
+    assert phase_str(a - a, L) == "0/1"
+    assert abs(root(-a, L) - root(a, L).conjugate()) < 1e-12
 
 
 def test_phase_complex():
-    assert abs(Phase.of(1, 2).as_complex() + 1) < 1e-12
-    assert abs(Phase.of(1, 4).as_complex() - 1j) < 1e-12
+    assert abs(root(1, 2) + 1) < 1e-12
+    assert abs(root(1, 4) - 1j) < 1e-12
+    # exactly the rational-mod-1 formula, whatever the modulus
+    for k, n in ((1, 3), (5, 12), (-1, 7), (9, 6), (0, 5)):
+        t = 2.0 * math.pi * float(Fraction(k, n) % 1)
+        assert root(k, n) == complex(math.cos(t), math.sin(t))
+        assert root(3 * k, 3 * n) == root(k, n)
+
+
+def test_one_phase_representation_in_src():
+    """Phases are ints mod N everywhere: no module but ``cyclotomic``
+    imports ``fractions``, names ``Fraction`` or ``Phase``, or reads ``.q``."""
+    offenders = []
+    for path in sorted(pathlib.Path(tubealg.__file__).parent.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import)
+                    and any(a.name.split(".")[0] == "fractions" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                    or isinstance(node, ast.Name) and node.id in ("Fraction", "Phase")
+                    or isinstance(node, ast.Attribute) and node.attr == "q"):
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
+def test_table_to_json_examples():
+    assert table_to_json([0, 3, 6, 9], 12) == {"modulus": 4, "values": [0, 1, 2, 3]}
+    assert table_to_json([0, 0], 6) == {"modulus": 1, "values": [0, 0]}
+    assert table_to_json([-2, 2], 8) == {"modulus": 4, "values": [3, 1]}
+
+
+@given(st.lists(phases, min_size=1, max_size=6))
+def test_table_to_json_is_lcm_of_reduced_denominators(values):
+    qs = [Fraction(v, L) for v in values]
+    mod = math.lcm(*(q.denominator for q in qs))
+    assert table_to_json(values, L) == {
+        "modulus": mod, "values": [int(q * mod) for q in qs]}
 
 
 def test_cocycle3_trivial_passes(small_fixture):
@@ -62,21 +109,22 @@ def test_cocycle3_trivial_passes(small_fixture):
 
 def test_semion_passes():
     omega = standard_cyclic_cocycle(2, 1)
-    assert cocycle3_check(omega).ok
+    res = cocycle3_check(omega)
+    assert res.ok and res.detail == "exhaustive 16"
     assert brute_force_cocycle3(omega)
     # only the all-ones entry is nontrivial
     for a in range(2):
         for b in range(2):
             for c in range(2):
-                expected = Phase.of(1, 2) if (a, b, c) == (1, 1, 1) else ONE
-                assert omega(a, b, c) == expected
+                expected = 1 if (a, b, c) == (1, 1, 1) else 0
+                assert (omega.modulus, omega(a, b, c)) == (2, expected)
 
 
 def test_perturbed_z2_fails_with_witness():
     z2 = cyclic_group(2)
-    values = [ONE] * 8
-    values[(1 * 2 + 1) * 2 + 0] = Phase.of(1, 2)  # only w(1,1,0) = -1
-    omega = Cocycle3(z2, values)
+    values = [0] * 8
+    values[(1 * 2 + 1) * 2 + 0] = 1  # only w(1,1,0) = -1
+    omega = Cocycle3(z2, values, 2)
     res = cocycle3_check(omega)
     assert not res.ok
     assert not law_holds(omega, res.witness)
@@ -84,19 +132,19 @@ def test_perturbed_z2_fails_with_witness():
 
 def test_cocycle2_trivial():
     z2 = cyclic_group(2)
-    phi = Cocycle2(z2, (0, 1), [ONE] * 4)
+    phi = Cocycle2(z2, (0, 1), [0] * 4, 1)
     assert cocycle2_check(phi).ok
 
 
 def test_cocycle2_twisted_z2():
     z2 = cyclic_group(2)
-    phi = Cocycle2(z2, (0, 1), [ONE, ONE, ONE, Phase.of(1, 2)])
+    phi = Cocycle2(z2, (0, 1), [0, 0, 0, 1], 2)
     assert cocycle2_check(phi).ok
 
 
 def test_cocycle2_broken_normalization():
     z2 = cyclic_group(2)
-    phi = Cocycle2(z2, (0, 1), [ONE, ONE, Phase.of(1, 2), ONE])  # phi(1,0) = -1
+    phi = Cocycle2(z2, (0, 1), [0, 0, 1, 0], 2)  # phi(1,0) = -1
     res = cocycle2_check(phi)
     assert not res.ok
     assert 0 in res.witness
@@ -104,33 +152,33 @@ def test_cocycle2_broken_normalization():
 
 def test_coboundary_trivial_inputs():
     g = cyclic_group(3)
-    assert all(v == ONE for v in coboundary1(g, [ONE] * 3))
-    assert all(v == ONE for v in coboundary2(g, [ONE] * 9))
+    assert coboundary1(g, [0] * 3, 1) == (0,) * 9
+    assert coboundary2(g, [0] * 9, 1) == (0,) * 27
 
 
 def test_coboundary1_z2_example():
     z2 = cyclic_group(2)
-    gamma = [ONE, Phase.of(1, 4)]  # gamma(1) = i
-    d1 = coboundary1(z2, gamma)
+    gamma = [0, 1]  # gamma(1) = i, mod 4
+    d1 = coboundary1(z2, gamma, 4)
     # gamma(1)^2 / gamma(0) = -1
-    assert d1[1 * 2 + 1] == Phase.of(1, 2)
+    assert d1[1 * 2 + 1] == 2
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_d2_of_d1_is_trivial(data):
     g = cyclic_group(4)
-    c1 = [Phase(data.draw(fractions_mod_one)) for _ in range(4)]
-    d2d1 = coboundary2(g, coboundary1(g, c1))
-    assert all(v == ONE for v in d2d1)
+    c1 = [data.draw(phases) for _ in range(4)]
+    d2d1 = coboundary2(g, coboundary1(g, c1, L), L)
+    assert all(v == 0 for v in d2d1)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_d2_always_a_cocycle(data):
     g, _ = symmetric_group(3)
-    c2 = [Phase(data.draw(fractions_mod_one)) for _ in range(36)]
-    omega = Cocycle3(g, coboundary2(g, c2))
+    c2 = [data.draw(phases) for _ in range(36)]
+    omega = Cocycle3(g, coboundary2(g, c2, L), L)
     assert cocycle3_check(omega).ok
 
 
@@ -148,9 +196,9 @@ def test_normalize_trivial():
 def _denormalized_fixture():
     omega = standard_cyclic_cocycle(2, 1)
     g = omega.group
-    c2 = [ONE, Phase.of(1, 4), Phase.of(1, 3), Phase.of(1, 2)]
-    d2 = coboundary2(g, c2)
-    return Cocycle3(g, [d2[i] * omega.values[i] for i in range(8)])
+    c2 = [0, 3, 4, 6]  # 0, 1/4, 1/3 and 1/2, mod 12
+    d2 = coboundary2(g, c2, 12)
+    return Cocycle3(g, [d2[i] + 6 * omega.values[i] for i in range(8)], 12)
 
 
 def test_normalize_general():
@@ -162,27 +210,28 @@ def test_normalize_general():
     assert cocycle3_check(out).ok
     # the correction is exactly the coboundary of the stated cochain
     g = omega.group
-    f = [omega(a, 0, 0) * omega(0, 0, b).inv()
+    f = [omega(a, 0, 0) - omega(0, 0, b)
          for a in range(2) for b in range(2)]
-    d2f = coboundary2(g, f)
+    d2f = coboundary2(g, f, 12)
+    assert out.modulus == 12
     for i in range(8):
-        assert out.values[i] == d2f[i] * omega.values[i]
+        assert out.values[i] == (d2f[i] + omega.values[i]) % 12
 
 
 def test_normalize_rejects_invalid():
     z2 = cyclic_group(2)
-    values = [ONE] * 8
-    values[(1 * 2 + 1) * 2 + 0] = Phase.of(1, 2)
+    values = [0] * 8
+    values[(1 * 2 + 1) * 2 + 0] = 1
     with pytest.raises(CocycleError):
-        normalize3(Cocycle3(z2, values))
+        normalize3(Cocycle3(z2, values, 2))
 
 
 def test_is_normalized_detects():
     assert is_normalized(standard_cyclic_cocycle(2, 1))
     z2 = cyclic_group(2)
-    values = [ONE] * 8
-    values[(0 * 2 + 1) * 2 + 1] = Phase.of(1, 2)  # w(e,1,1) != 1
-    assert not is_normalized(Cocycle3(z2, values))
+    values = [0] * 8
+    values[(0 * 2 + 1) * 2 + 1] = 1  # w(e,1,1) != 1
+    assert not is_normalized(Cocycle3(z2, values, 2))
 
 
 def test_standard_cyclic_trivial_parameter():
@@ -207,7 +256,7 @@ def test_two_factor_family():
             for a in sub:
                 for b in sub:
                     for c in sub:
-                        assert omega(a, b, c) == ONE
+                        assert omega(a, b, c) == 0
 
 
 def test_product_type():
@@ -218,7 +267,7 @@ def test_product_type():
         for a in sub:
             for b in sub:
                 for c in sub:
-                    assert omega(a, b, c) == ONE
+                    assert omega(a, b, c) == 0
     assert not omega.is_trivial()
 
 
@@ -247,7 +296,8 @@ def test_inflate_rejects_non_homomorphism():
 def test_cocycle_json_roundtrip(small_fixture):
     payload = cocycle_to_json(small_fixture.omega)
     back = cocycle_from_json(small_fixture.group, payload)
-    assert back.values == small_fixture.omega.values
+    omega = small_fixture.omega
+    assert (back.modulus, back.values) == (omega.modulus, omega.values)
 
 
 def test_cocycle_json_modulus():

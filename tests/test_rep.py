@@ -5,8 +5,7 @@ import pytest
 
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data, cyclic_group
-from tubealg.phase import (Cocycle2, Phase, standard_cyclic_cocycle,
-                           trivial_cocycle)
+from tubealg.phase import Cocycle2, root, standard_cyclic_cocycle, trivial_cocycle
 from tubealg.rep import (Representation,
                          TwistedGroupAlgebra, _characters, center_dimension,
                          decompose, induce, regular_representation,
@@ -16,35 +15,32 @@ from tubealg.tube_diag import TubeAlgebra, simple_count
 
 from conftest import dihedral8_sign, symmetric_group
 
-ONE = Phase.of(0)
-MINUS = Phase.of(1, 2)
-
 
 def _z2_twisted():
     z2 = cyclic_group(2)
-    phi = Cocycle2(z2, (0, 1), [ONE, ONE, ONE, MINUS])
+    phi = Cocycle2(z2, (0, 1), [0, 0, 0, 1], 2)
     return TwistedGroupAlgebra(z2, (0, 1), phi)
 
 
 def test_untwisted_is_group_algebra():
     z3 = cyclic_group(3)
-    phi = Cocycle2(z3, (0, 1, 2), [ONE] * 9)
+    phi = Cocycle2(z3, (0, 1, 2), [0] * 9, 1)
     alg = TwistedGroupAlgebra(z3, (0, 1, 2), phi)
     for g in range(3):
         for h in range(3):
             ph, lab = alg.mult_basis(g, h)
-            assert ph == ONE and lab == (g + h) % 3
+            assert ph == 0 and lab == (g + h) % 3
 
 
 def test_twisted_z2_square_rule():
     alg = _z2_twisted()
     ph, lab = alg.mult_basis(1, 1)
-    assert ph == MINUS and lab == 0
+    assert (alg.modulus, ph) == (2, 1) and lab == 0
 
 
 def test_non_cocycle_rejected_with_witness():
     z2 = cyclic_group(2)
-    bad = Cocycle2(z2, (0, 1), [ONE, ONE, MINUS, ONE])
+    bad = Cocycle2(z2, (0, 1), [0, 0, 1, 0], 2)
     with pytest.raises(ValueError) as exc:
         TwistedGroupAlgebra(z2, (0, 1), bad)
     assert "triple" in str(exc.value)
@@ -52,13 +48,31 @@ def test_non_cocycle_rejected_with_witness():
 
 def test_center_dimensions():
     z2 = cyclic_group(2)
-    plain = TwistedGroupAlgebra(z2, (0, 1), Cocycle2(z2, (0, 1), [ONE] * 4))
+    plain = TwistedGroupAlgebra(z2, (0, 1), Cocycle2(z2, (0, 1), [0] * 4, 1))
     assert center_dimension(plain) == 2
     assert center_dimension(_z2_twisted()) == 2
     s3, _ = symmetric_group(3)
     cd = conjugacy_data(s3)
     phi = phi_class(s3, trivial_cocycle(s3), cd, 0)
     assert center_dimension(TwistedGroupAlgebra(s3, phi.elements, phi)) == 3
+
+
+def test_center_dimension_field_is_the_reduced_conductor(monkeypatch):
+    # phases k / N live in Q(zeta_(N / gcd(N, every k))), whatever N is
+    import tubealg.rep as rep_module
+    seen = []
+
+    class Recording(rep_module.CyclotomicField):
+        def __init__(self, n):
+            seen.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(rep_module, "CyclotomicField", Recording)
+    z2 = cyclic_group(2)
+    for modulus in (2, 6, 12):
+        phi = Cocycle2(z2, (0, 1), [0, 0, 0, modulus // 2], modulus)
+        assert center_dimension(TwistedGroupAlgebra(z2, (0, 1), phi)) == 2
+    assert seen == [2, 2, 2]
 
 
 def test_decompose_twisted_z2_blocks():
@@ -72,7 +86,7 @@ def test_decompose_twisted_z2_blocks():
 
 def test_decompose_one_dimensional_algebra():
     z1 = cyclic_group(1)
-    alg = TwistedGroupAlgebra(z1, (0,), Cocycle2(z1, (0,), [ONE]))
+    alg = TwistedGroupAlgebra(z1, (0,), Cocycle2(z1, (0,), [0], 1))
     blocks = decompose(alg)
     assert [(b.dimension, b.multiplicity) for b in blocks] == [(1, 1)]
 
@@ -270,7 +284,7 @@ def _characters_per_column(alg, subspaces):
                     hit = alg.mult_basis(b, a)
                     if hit is not None:
                         ph, lab = hit
-                        out[idx[lab]] += ph.as_complex() * v[idx[a]]
+                        out[idx[lab]] += root(ph, alg.modulus) * v[idx[a]]
                 acc += np.vdot(v, out)
             ch[k] = acc
         chars.append(ch)

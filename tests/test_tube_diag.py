@@ -5,14 +5,12 @@ import random
 import pytest
 
 from tubealg.coho import gamma
-from tubealg.phase import Phase, standard_cyclic_cocycle, trivial_cocycle
+from tubealg.phase import standard_cyclic_cocycle, trivial_cocycle
 from tubealg.tube_diag import (TubeAlgebra, TubeBasisElement, simple_count,
                                structure_constants_json, verify_star_iso)
 from tubealg.rep import TwistedGroupAlgebra, decompose
 
 from conftest import corrupt_last_twist, dihedral8_sign, symmetric_group
-
-ONE = Phase.of(0)
 
 
 def mult_oracle(omega, right, left):
@@ -20,14 +18,14 @@ def mult_oracle(omega, right, left):
     G = omega.group
     g1, s = right.g1, right.s
     g2, t, g3 = left.g1, left.s, left.g2
-    return omega(g1, s, t) * omega(s, g2, t).inv() * omega(s, t, g3)
+    return (omega(g1, s, t) - omega(s, g2, t) + omega(s, t, g3)) % omega.modulus
 
 
 def star_oracle(omega, a):
     G = omega.group
     si = G.inverse(a.s)
-    return omega(a.g1, a.s, si).inv() * omega(a.s, a.g2, si) * \
-        omega(a.s, si, a.g1).inv()
+    return (-omega(a.g1, a.s, si) + omega(a.s, a.g2, si)
+            - omega(a.s, si, a.g1)) % omega.modulus
 
 
 @pytest.fixture
@@ -43,14 +41,14 @@ def test_mult_trivial_cocycle_is_label_composition():
         for t in g.elements():
             left = alg.basis_label(right.g2, t)
             ph, lab = alg.mult_basis(left, right)
-            assert ph == ONE
+            assert ph == 0
             assert lab == TubeBasisElement(right.g1, g.mul(right.s, t), left.g2)
 
 
 def test_mult_semion_square(semion_algebra):
     a = TubeBasisElement(1, 1, 1)
     ph, lab = semion_algebra.mult_basis(a, a)
-    assert ph == Phase.of(1, 2)
+    assert (semion_algebra.modulus, ph) == (2, 1)
     assert lab == TubeBasisElement(1, 0, 1)
     assert ph == mult_oracle(semion_algebra.omega, a, a)
 
@@ -71,12 +69,12 @@ def test_star_diagonal_identity_fixed(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     for g in small_fixture.group.elements():
         ph, lab = alg.star_basis(TubeBasisElement(g, 0, g))
-        assert ph == ONE and lab == TubeBasisElement(g, 0, g)
+        assert ph == 0 and lab == TubeBasisElement(g, 0, g)
 
 
 def test_star_semion(semion_algebra):
     ph, lab = semion_algebra.star_basis(TubeBasisElement(1, 1, 1))
-    assert ph == Phase.of(1, 2)
+    assert (semion_algebra.modulus, ph) == (2, 1)
     assert lab == TubeBasisElement(1, 1, 1)
     assert ph == star_oracle(semion_algebra.omega, TubeBasisElement(1, 1, 1))
 
@@ -100,7 +98,7 @@ class _SignFlippedTube(TubeAlgebra):
     def mult_basis(self, left, right):
         hit = super().mult_basis(left, right)
         if hit is not None and left == self.labels()[-1]:
-            return hit[0] * Phase.of(1, 2), hit[1]
+            return (hit[0] + self.modulus // 2) % self.modulus, hit[1]
         return hit
 
 
@@ -162,14 +160,14 @@ def test_phi_iso_class_representative_unit(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     for c, gc in enumerate(alg.class_data.reps):
         im = alg.phi_iso(TubeBasisElement(gc, 0, gc))
-        assert im.class_index == c and im.scalar == ONE
+        assert im.class_index == c and im.scalar == 0
         assert im.row == gc and im.col == gc and im.element == 0
 
 
 def test_phi_iso_trivial_cocycle_scalars():
     g, _ = symmetric_group(3)
     alg = TubeAlgebra(g, trivial_cocycle(g))
-    assert all(alg.phi_iso(a).scalar == ONE for a in alg.labels())
+    assert all(alg.phi_iso(a).scalar == 0 for a in alg.labels())
 
 
 def test_phi_iso_semion_scalar_is_transport_value(semion_algebra):
@@ -179,7 +177,7 @@ def test_phi_iso_semion_scalar_is_transport_value(semion_algebra):
     cd = alg.class_data
     w1, w2 = cd.transport[1], cd.transport[1]
     u = alg.group.mul(alg.group.inverse(w1), alg.group.mul(1, w2))
-    assert im.scalar == gamma(alg.group, alg.omega, cd.reps[1], w1, w2, u).inv()
+    assert im.scalar == -gamma(alg.group, alg.omega, cd.reps[1], w1, w2, u) % 2
     assert (im.row, im.col, im.element) == (1, 1, 1)
 
 
@@ -190,24 +188,24 @@ def test_phi_iso_roundtrip(small_fixture):
         ph, back = alg.phi_iso_inverse(im.class_index, im.row, im.col,
                                        im.element)
         assert back == a
-        assert ph * im.scalar == ONE
+        assert (ph + im.scalar) % alg.modulus == 0
     blocks = alg.block_algebra()
     for (c, row, col, v) in blocks.basis_labels():
         ph, label = alg.phi_iso_inverse(c, row, col, v)
         im = alg.phi_iso(label)
         assert (im.class_index, im.row, im.col, im.element) == (c, row, col, v)
-        assert im.scalar == ph.inv()
+        assert im.scalar == -ph % alg.modulus
 
 
 def test_star_iso_fixtures(small_fixture):
-    res = verify_star_iso(small_fixture.group, small_fixture.omega)
+    res = verify_star_iso(TubeAlgebra(small_fixture.group, small_fixture.omega))
     assert res.ok, (small_fixture.name, res.name, res.witness)
 
 
 def test_star_iso_detects_corrupted_twist(monkeypatch, fixtures):
     corrupt_last_twist(monkeypatch)
     fx = fixtures["s3_sign"]
-    res = verify_star_iso(fx.group, fx.omega)
+    res = verify_star_iso(TubeAlgebra(fx.group, fx.omega))
     assert not res.ok and res.name in ("phi-mult", "phi-star")
     assert res.witness
 
