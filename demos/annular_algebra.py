@@ -50,7 +50,7 @@ for g in (0, 2):
 
 # Cutting down to one weight per double coset keeps every irreducible:
 # the corner's exact center dimension equals the full count.
-cut = tube_cutdown(setup)
+cut = tube_cutdown(alg)
 print("cut-down weights:", cut.weights)
 print("corner dimensions:", cut.corner_dims)
 print("simple count, full vs cut-down:",

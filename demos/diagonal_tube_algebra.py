@@ -54,7 +54,7 @@ print(f"a(1,1,1) maps to e^(2 pi i {phase_str(im.scalar, N)}) "
       f"[{im.element}] in class {im.class_index}")
 
 # Counting irreducible representations class by class (exact centers).
-counts = simple_count(G, omega)
+counts = simple_count(alg)
 print("irreducibles per class:", counts.per_class, "total:", counts.total)
 
 # For comparison: the untwisted count for the same group is 16 as well,
@@ -62,4 +62,4 @@ print("irreducibles per class:", counts.per_class, "total:", counts.total)
 # trivial cocycle (count 4) from the nontrivial one (count 4 with all
 # blocks one-dimensional but a different twisted center).
 z2 = standard_cyclic_cocycle(2, 1)
-print("Z/2 twisted:", simple_count(z2.group, z2).per_class)
+print("Z/2 twisted:", simple_count(TubeAlgebra(z2.group, z2)).per_class)

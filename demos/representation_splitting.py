@@ -22,7 +22,7 @@ G = omega.group
 alg = TubeAlgebra(G, omega)
 
 # Exact counts, class by class.
-counts = simple_count(G, omega)
+counts = simple_count(alg)
 print("center dimensions per class:", counts.per_class, "total:", counts.total)
 
 # The same number from the other side: split the left regular

@@ -263,7 +263,7 @@ class CutdownReport:
     counts_agree: bool
 
 
-def tube_cutdown(setup: BHSetup, seed: int = 0) -> CutdownReport:
+def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     """Corner description of the annular algebra on double-coset weights.
 
     The unit of each weight corner is the image of the identity
@@ -274,9 +274,8 @@ def tube_cutdown(setup: BHSetup, seed: int = 0) -> CutdownReport:
     simple weight objects), and the simple count of the corner algebra,
     computed exactly and compared against the full algebra's count.
     """
-    annular = AnnularAlgebra(setup)
-    cut = CutdownAlgebra(annular)
-    G = annular.group
+    setup, G = alg.setup, alg.group
+    cut = CutdownAlgebra(alg)
     corner_dims = {}
     for d1 in cut.weights:
         for d2 in cut.weights:
@@ -296,7 +295,7 @@ def tube_cutdown(setup: BHSetup, seed: int = 0) -> CutdownReport:
             blocks=[(b.dimension, b.multiplicity) for b in blocks],
             minimal_projections=nmin))
         total_simple_objects += nmin
-    full = block_simple_count(annular.block_algebra("op-inverse"))
+    full = block_simple_count(alg.block_algebra("op-inverse"))
     cut_count = center_dimension(cut)
     return CutdownReport(
         weights=cut.weights,

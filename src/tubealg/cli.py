@@ -73,6 +73,18 @@ def _check_dict(res) -> dict:
             "witness": _jsonable(res.witness), "detail": res.detail}
 
 
+def _exhaustive(name: str, ok: bool, count: int, witness=None) -> dict:
+    """A check that visits all ``count`` cases unless it stops at a witness."""
+    return _check_dict(phase.CheckResult(ok, name, witness,
+                                         f"exhaustive {count}" if ok else ""))
+
+
+def _normalized(omega: phase.Cocycle3) -> dict:
+    n = omega.group.order  # n^3 - (n - 1)^3 entries have an identity argument
+    return _exhaustive("normalized", phase.is_normalized(omega),
+                       n ** 3 - (n - 1) ** 3)
+
+
 def _skip(name: str, why: str) -> dict:
     return {"name": name, "status": "skip", "witness": None, "detail": why}
 
@@ -133,8 +145,7 @@ def _cmd_verify_cocycle(args) -> tuple[list, dict]:
     res = phase.cocycle3_check(omega)
     checks = [_check_dict(res)]
     if res.ok:
-        checks.append({"name": "normalized", "witness": None, "detail": "",
-                       "status": "pass" if phase.is_normalized(omega) else "fail"})
+        checks.append(_normalized(omega))
     return checks, {}
 
 
@@ -146,9 +157,7 @@ def _cmd_normalize(args) -> tuple[list, dict]:
         return [_check_dict(res)], {}
     out = phase.normalize3(omega)
     checks = [_check_dict(res),
-              _check_dict(phase.cocycle3_check(out)),
-              {"name": "normalized", "witness": None, "detail": "",
-               "status": "pass" if phase.is_normalized(out) else "fail"}]
+              _check_dict(phase.cocycle3_check(out)), _normalized(out)]
     return checks, {"cocycle": phase.cocycle_to_json(out)}
 
 
@@ -159,21 +168,18 @@ def _cmd_gauge_fix(args) -> tuple[list, dict]:
     except coho.BHSetupError as exc:
         return _setup_failure(exc)
     G = setup.group
-    checks = [_check_dict(phase.cocycle3_check(omega_prime))]
-    checks.append({"name": "normalized", "witness": None, "detail": "",
-                   "status": "pass" if phase.is_normalized(omega_prime) else "fail"})
+    checks = [_check_dict(phase.cocycle3_check(omega_prime)),
+              _normalized(omega_prime)]
     for name, sub in (("restriction-H", setup.H), ("restriction-K", setup.K)):
         w = phase.restrict_trivial_on(omega_prime, sub)
-        checks.append({"name": name, "witness": _jsonable(w), "detail": "",
-                       "status": "pass" if w is None else "fail"})
+        checks.append(_exhaustive(name, w is None, len(sub) ** 3, w))
     checks.append(_check_dict(
         coho.gl_relations_check(G, setup.H, setup.K, omega_prime)))
     N = setup.omega.modulus
     d2f = phase.coboundary2(G, f, N)
     coherent = not any((d + w - w2) % N for d, w, w2 in zip(
         d2f, setup.omega.values, omega_prime.values))
-    checks.append({"name": "coboundary-relation", "witness": None, "detail": "",
-                   "status": "pass" if coherent else "fail"})
+    checks.append(_exhaustive("coboundary-relation", coherent, len(d2f)))
     data = {"cocycle": phase.cocycle_to_json(omega_prime),
             "cochain": phase.table_to_json(f, N)}
     return checks, data
@@ -201,7 +207,7 @@ def _cmd_tube(args) -> tuple[list, dict]:
             checks.append(_skip("star-isomorphism",
                                 f"group order {group.order} above bound"))
     elif args.action == "simples":
-        counts = tube_diag.simple_count(group, omega)
+        counts = tube_diag.simple_count(alg)
         data["per_class"] = {str(k): v for k, v in counts.per_class.items()}
         data["total"] = counts.total
     return checks, data
@@ -236,26 +242,29 @@ def _cmd_bh(args) -> tuple[list, dict]:
                        "status": "pass" if report.ok else "fail"})
         data["passing_conventions"] = report.passing
         bad = []
-        for g in setup.group.elements():
+        weights = setup.group.elements()
+        for g in weights:
             try:
                 annular_bh.end_xg_algebra(setup, g)
             except ValueError:
                 bad.append(g)
-        checks.append({"name": "weight-endomorphism-twists", "detail": "",
+        checks.append({"name": "weight-endomorphism-twists",
+                       "detail": f"exhaustive {len(weights)} weights",
                        "witness": _jsonable(tuple(bad)) if bad else None,
                        "status": "pass" if not bad else "fail"})
     elif args.action == "simples":
-        report = annular_bh.tube_cutdown(setup, seed=args.seed)
-        data["per_class"] = {str(k): v
-                             for k, v in report.simple_count_full.per_class.items()}
-        data["total"] = report.simple_count_full.total
+        report = annular_bh.tube_cutdown(alg, seed=args.seed)
+        full = report.simple_count_full
+        data["per_class"] = {str(k): v for k, v in full.per_class.items()}
+        data["total"] = full.total
         data["cutdown_total"] = report.simple_count_cutdown
         data["cutdown_weights"] = list(report.weights)
         data["corner_dims"] = {_key(k): v for k, v in report.corner_dims.items()}
         data["simple_objects"] = report.simple_objects
         checks.append({"name": "cutdown-count-agreement", "witness": None,
-                       "detail": "", "status":
-                       "pass" if report.counts_agree else "fail"})
+                       "detail": f"full {full.total}, cut-down "
+                                 f"{report.simple_count_cutdown}",
+                       "status": "pass" if report.counts_agree else "fail"})
     return checks, data
 
 

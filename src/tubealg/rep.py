@@ -9,6 +9,10 @@ blocks by diagonalizing a random self-adjoint element of the commutant
 right multiplications, so no solver is needed), plus the induction /
 restriction / support machinery that moves representations between a
 block algebra and the full tube or annular algebra.
+
+The exact half (:class:`TwistedGroupAlgebra`, :func:`center_dimension`)
+is numpy-free; numpy is imported only inside the numerical functions, so
+exact work (building, checking, counting simples) never loads it.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .cyclotomic import CyclotomicField, nullspace_dimension
 from .grp import GroupTable
 from .phase import CheckResult, Cocycle2, cocycle2_check, root
 from .staralg import MonomialStarAlgebra
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DecompositionError(RuntimeError):
@@ -108,11 +113,9 @@ class Representation:
     dim: int
     matrices: dict
 
-    def matrix(self, label) -> np.ndarray:
-        return self.matrices[label]
-
     def check(self, alg: MonomialStarAlgebra, tol: float = 1e-9) -> CheckResult:
         """Multiplicativity and *-compatibility to the given tolerance."""
+        import numpy as np
         products, N = alg.products, alg.modulus
         for b in self.labels:
             for a in self.labels:
@@ -129,12 +132,10 @@ class Representation:
                 return CheckResult(False, "rep-star", (a,))
         return CheckResult(True, "representation")
 
-    def character(self) -> np.ndarray:
-        return np.array([np.trace(self.matrices[a]) for a in self.labels])
-
 
 def regular_representation(alg: MonomialStarAlgebra) -> Representation:
     """Left multiplication on the algebra in its orthonormal basis."""
+    import numpy as np
     labels = list(alg.labels())
     idx = {a: i for i, a in enumerate(labels)}
     n = len(labels)
@@ -148,6 +149,7 @@ def _characters(alg: MonomialStarAlgebra, subspaces: list,
                 idx: dict) -> list[np.ndarray]:
     """Per subspace range(Q), the character b -> trace(L_b Q Q^H): the
     sum of ph (Q Q^H)[a, r] over the products (b, a) -> (ph, r)."""
+    import numpy as np
     products = alg.products
     left, right, result = np.array(
         [(idx[b], idx[a], idx[r]) for (b, a), (_, r) in products.items()],
@@ -176,6 +178,7 @@ def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
     classes by their characters.  Ambiguous eigenvalue gaps trigger a
     retry with a fresh seeded element.
     """
+    import numpy as np
     labels = list(alg.labels())
     idx = {a: i for i, a in enumerate(labels)}
     n = len(labels)
@@ -249,6 +252,7 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
     (block index set of the class) tensor (the space of ``pi``).
     Basis labels of other classes act as zero.
     """
+    import numpy as np
     blocks = context.block_algebra()
     index_set = blocks.index_sets[class_index]
     pos = {x: i for i, x in enumerate(index_set)}
@@ -267,6 +271,7 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
 
 
 def _range_basis(P: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    import numpy as np
     if P.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
     diag = np.diag(P)
@@ -311,6 +316,7 @@ def support_decompose(context, Pi: Representation,
     of its corner projection; the pieces are verified to be mutually
     orthogonal and to fill the space.
     """
+    import numpy as np
     blocks = context.block_algebra()
     dim = Pi.dim
     subspaces = {}
@@ -372,6 +378,7 @@ def rep_to_json(rep: Representation) -> dict:
 
 
 def rep_from_json(obj: dict, labels: list) -> Representation:
+    import numpy as np
     d = int(obj["dimension"])
     raw = obj["matrices"]
     mats = {}

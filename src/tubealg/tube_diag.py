@@ -313,14 +313,13 @@ class SimpleCount:
     total: int
 
 
-def simple_count(group: GroupTable, omega: Cocycle3) -> SimpleCount:
+def simple_count(alg: TubeAlgebra) -> SimpleCount:
     """Number of irreducible representations, summed over class blocks.
 
     Counts the exact center dimension of each twisted centralizer
     algebra; for the regular-representation cross-check see
     :func:`tubealg.rep.decompose`.
     """
-    alg = TubeAlgebra(group, omega)
     return block_simple_count(alg.block_algebra())
 
 

@@ -122,9 +122,9 @@ def test_criterion_06_simple_counts():
         (z3, trivial_cocycle(z3), 9),
     ]
     for group, omega, expected in cases:
-        counts = simple_count(group, omega)
-        assert counts.total == expected
         alg = TubeAlgebra(group, omega)
+        counts = simple_count(alg)
+        assert counts.total == expected
         blocks = decompose(alg, seed=0, tol=1e-9)
         assert len(blocks) == expected
     sem_alg = TubeAlgebra(semion.group, semion)
@@ -219,7 +219,7 @@ def test_criterion_11_cutdown_consistency():
     s3, _ = symmetric_group(3)
     trivial_H = BHSetup(s3, (0,), tuple(range(6)), trivial_cocycle(s3))
     assert compare_cutdown_diagonal(trivial_H).ok
-    report = tube_cutdown(bh_setup_s3(), seed=0)
+    report = tube_cutdown(AnnularAlgebra(bh_setup_s3()), seed=0)
     assert report.counts_agree
     assert report.simple_count_full.total == 8 == report.simple_count_cutdown
     _report(11, True, "trivial-H corner equals the tube algebra; counts 8 == 8")

@@ -266,7 +266,7 @@ def test_z2z4_fixture_full_battery():
         assert res.ok, (res.name, res.witness)
     for res in box_checks(alg):
         assert res.ok, (res.name, res.witness)
-    report = tube_cutdown(setup)
+    report = tube_cutdown(alg)
     assert report.counts_agree and report.simple_count_full.total == 64
 
 
@@ -326,14 +326,14 @@ def test_double_cosets_s3():
 
 
 def test_cutdown_trivial_group():
-    report = tube_cutdown(bh_setup_z1())
+    report = tube_cutdown(AnnularAlgebra(bh_setup_z1()))
     assert report.weights == (0,)
     assert report.corner_dims == {(0, 0): 1}
     assert report.simple_count_cutdown == 1 == report.simple_count_full.total
 
 
 def test_cutdown_s3_counts_match():
-    report = tube_cutdown(bh_setup_s3())
+    report = tube_cutdown(AnnularAlgebra(bh_setup_s3()))
     assert report.weights == (0, 2)
     assert report.counts_agree
     assert report.simple_count_full.total == 8
@@ -350,7 +350,7 @@ def test_cutdown_s3_counts_match():
 
 
 def test_cutdown_simple_objects_s3():
-    report = tube_cutdown(bh_setup_s3())
+    report = tube_cutdown(AnnularAlgebra(bh_setup_s3()))
     # identity weight carries the full H-algebra, the 4-element coset a line
     assert [e.minimal_projections for e in report.end_data] == [2, 1]
     assert report.simple_objects == 3

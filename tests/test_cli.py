@@ -1,14 +1,21 @@
 """Command-line surface: exit codes, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tubealg.annular_bh import AnnularAlgebra
 from tubealg.cli import main
+from tubealg.coho import BHSetup
 from tubealg.grp import group_to_json
 from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
-                           standard_cyclic_cocycle, trivial_cocycle)
-from tubealg.tube_diag import TubeShapedAlgebra
+                           standard_cyclic_cocycle, trivial_cocycle,
+                           two_factor_cocycle)
+from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
 from conftest import bh_setup_v4, dihedral8_sign, symmetric_group
 
@@ -62,6 +69,9 @@ def files(tmp_path):
     d8, d8_sign = dihedral8_sign()
     write("d8.json", group_to_json(d8))
     write("d8_sign.json", cocycle_to_json(d8_sign))
+    z3z3, pairing = two_factor_cocycle(3, 3, 1)
+    write("z3z3.json", group_to_json(z3z3))
+    write("z3z3_pairing.json", cocycle_to_json(pairing))
     # JSON booleans where the loader wants integers; each would pass as
     # an int (true == 1), so each is a group of order 1 or 2
     write("bool_entry.json", {"type": "table", "order": 2,
@@ -383,3 +393,89 @@ def test_scaled_cocycle_modulus_gives_the_same_gauge_fix_report(tmp_path, capsys
             capsys, ["gauge-fix", "--bh", "setup.json"]))
     assert reports[0].startswith("0 ")
     assert reports[0] == reports[1]
+
+
+# -- one algebra per simple count --------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, methods", [
+    (["tube", "simples", "--group", "z3z3.json", "--cocycle",
+      "z3z3_pairing.json"], [(TubeAlgebra, "__init__")]),
+    (["bh", "simples", "--bh", "bh_s3.json"],
+     [(AnnularAlgebra, "__init__"), (BHSetup, "validate")])],
+    ids=["tube", "bh"])
+def test_simples_build_the_algebra_once(files, capsys, monkeypatch, argv,
+                                        methods):
+    counted = {}
+    for owner, attr in methods:
+        def counting(self, *args, _key=(owner, attr),
+                     _original=getattr(owner, attr), **kwargs):
+            counted[_key] = counted.get(_key, 0) + 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
+    code, report = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 0
+    assert counted == {m: 1 for m in methods}
+
+
+# -- coverage of the CLI's own checks ----------------------------------------------
+
+
+@pytest.mark.parametrize("argv, name, status, detail", [
+    # S3 (order 6) with H of order 2 and K of order 3
+    (["gauge-fix", "--bh", "bh_s3.json"], "normalized", "pass",
+     "exhaustive 91"),  # 6^3 - 5^3 entries with an identity argument
+    (["gauge-fix", "--bh", "bh_s3.json"], "restriction-H", "pass",
+     "exhaustive 8"),
+    (["gauge-fix", "--bh", "bh_s3.json"], "restriction-K", "pass",
+     "exhaustive 27"),
+    (["gauge-fix", "--bh", "bh_s3.json"], "coboundary-relation", "pass",
+     "exhaustive 216"),
+    (["bh", "check", "--bh", "bh_s3.json"], "weight-endomorphism-twists",
+     "pass", "exhaustive 6 weights"),
+    (["bh", "simples", "--bh", "bh_s3.json"], "cutdown-count-agreement",
+     "pass", "full 8, cut-down 8"),
+    (["verify-cocycle", "--group", "z2.json", "--cocycle", "semion.json"],
+     "normalized", "pass", "exhaustive 7"),
+    (["normalize", "--group", "z2.json", "--cocycle", "semion.json"],
+     "normalized", "pass", "exhaustive 7"),
+    # a failing check stops at its first bad entry, so claims no coverage
+    (["verify-cocycle", "--group", "z2.json", "--cocycle",
+      "semion_unnormalized.json"], "normalized", "fail", "")])
+def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
+                                          detail):
+    code, report = run(capsys, [files.get(a, a) for a in argv])
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert (check["status"], check["detail"]) == (status, detail)
+
+
+# -- numpy only where a subcommand splits numerically ------------------------------
+
+
+_CHILD = """
+import json, sys
+import tubealg, tubealg.cli
+runs = [[None, None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    runs.append([argv, tubealg.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(runs), file=sys.stderr)
+"""
+
+
+def test_exact_subcommands_never_import_numpy(files):
+    group = ["--group", files["z2.json"], "--cocycle", files["semion.json"]]
+    exact = [["tube", "check"] + group, ["tube", "build"] + group,
+             ["tube", "simples"] + group,
+             ["gauge-fix", "--bh", files["bh_s3.json"]],
+             ["bh", "check", "--bh", files["bh_s3.json"]],
+             ["bh", "build", "--bh", files["bh_s3.json"]]]
+    numerical = ["rep", "decompose"] + group
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(exact + [numerical])],
+        env=env, cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stderr.splitlines()[-1])
+    assert runs == ([[None, None, False]] + [[a, 0, False] for a in exact]
+                    + [[numerical, 0, True]])

@@ -113,8 +113,8 @@ def test_block_dimension_sum_rule(small_fixture):
 
 def test_center_count_matches_regular_decomposition(small_fixture):
     # two independent computations of the number of irreducibles
-    counts = simple_count(small_fixture.group, small_fixture.omega)
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
+    counts = simple_count(alg)
     blocks = decompose(alg, seed=6)
     assert counts.total == len(blocks)
 

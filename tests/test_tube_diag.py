@@ -212,20 +212,20 @@ def test_star_iso_detects_corrupted_twist(monkeypatch, fixtures):
 
 def test_simple_counts():
     s3, _ = symmetric_group(3)
-    assert simple_count(s3, trivial_cocycle(s3)).total == 8
+    assert simple_count(TubeAlgebra(s3, trivial_cocycle(s3))).total == 8
     sem = standard_cyclic_cocycle(2, 1)
-    counts = simple_count(sem.group, sem)
+    counts = simple_count(TubeAlgebra(sem.group, sem))
     assert counts.total == 4
     assert counts.per_class == {0: 2, 1: 2}
     from tubealg.grp import cyclic_group
     z3 = cyclic_group(3)
-    assert simple_count(z3, trivial_cocycle(z3)).total == 9
+    assert simple_count(TubeAlgebra(z3, trivial_cocycle(z3))).total == 9
 
 
 def test_simple_count_trivial_group():
     from tubealg.grp import cyclic_group
     z1 = cyclic_group(1)
-    assert simple_count(z1, trivial_cocycle(z1)).total == 1
+    assert simple_count(TubeAlgebra(z1, trivial_cocycle(z1))).total == 1
 
 
 def test_semion_blocks_all_one_dimensional():
