@@ -16,9 +16,9 @@ from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
                     inflate_cocycle, is_normalized, normalize3, phase_str,
                     product_type_cocycle, root, standard_cyclic_cocycle,
                     trivial_cocycle, two_factor_cocycle)
-from .coho import (BHSetup, BHSetupError, GammaFamily, gamma,
-                   gamma_identity_check, gamma_transport_check, gauge_fix_bh,
-                   gl_relations_check, phi_a, phi_class)
+from .coho import (BHSetup, BHSetupError, gamma, gamma_identity_check,
+                   gamma_transport_check, gauge_fix_bh, gl_relations_check,
+                   phi_a, phi_class)
 from .tube_diag import (BlockAlgebra, BlockImage, SimpleCount, TubeAlgebra,
                         TubeBasisElement, TubeShapedAlgebra, simple_count,
                         verify_star_iso)

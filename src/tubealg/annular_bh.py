@@ -22,7 +22,7 @@ splittings index the simple weight objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .coho import BHSetup
 from .grp import GroupTable
@@ -235,12 +235,10 @@ def double_cosets(group: GroupTable, H: Sequence[int]) -> list[tuple[int, ...]]:
 class CutdownAlgebra(AnnularAlgebra):
     """The annular algebra on the objects (h, d), d a representative weight."""
 
-    def __init__(self, annular: AnnularAlgebra,
-                 weights: Optional[Sequence[int]] = None):
+    def __init__(self, annular: AnnularAlgebra):
         self.annular = annular
-        if weights is None:
-            weights = [c[0] for c in double_cosets(annular.group, annular.H)]
-        self.weights = tuple(sorted(weights))
+        self.weights = tuple(
+            sorted(c[0] for c in double_cosets(annular.group, annular.H)))
         self._build(annular.setup, self.weights)
 
 

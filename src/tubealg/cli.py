@@ -219,7 +219,10 @@ def _cmd_bh(args) -> tuple[list, dict]:
         alg = annular_bh.AnnularAlgebra(setup)
     except coho.BHSetupError as exc:
         return _setup_failure(exc)
-    checks = [{"name": "setup", "status": "pass", "witness": None, "detail": ""}]
+    h, k = len(setup.H), len(setup.K)
+    checks = [{"name": "setup", "status": "pass", "witness": None,
+               "detail": f"order {setup.group.order}, |H| {h}, |K| {k}, "
+                         f"restrictions exhaustive {h ** 3} + {k ** 3}"}]
     data: dict = {"basis_count": len(alg.labels())}
     if args.action == "build":
         data["structure_constants"] = tube_diag.structure_constants_json(alg)

@@ -97,17 +97,6 @@ def gamma(group: GroupTable, omega: Cocycle3, a: int, x: int, y: int,
             + omega(x, gy_i, yay_i) + omega(xi, x, gy_i)) % omega.modulus
 
 
-@dataclass
-class GammaFamily:
-    """Evaluator for the transport cochains of a fixed (group, cocycle) pair."""
-
-    group: GroupTable
-    omega: Cocycle3
-
-    def __call__(self, a: int, x: int, y: int, g: int) -> int:
-        return gamma(self.group, self.omega, a, x, y, g)
-
-
 def _gamma_identity_holds(G: GroupTable, omega: Cocycle3, phis: dict,
                           a: int, x: int, y: int, z: int, g: int, h: int) -> bool:
     xi, yi, zi = G.inverse(x), G.inverse(y), G.inverse(z)

@@ -1,189 +1,58 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact kernels of systems whose rows have at most two root-of-unity entries.
 
-Elements are polynomials in zeta_N with rational coefficients, reduced
-modulo the N-th cyclotomic polynomial.  This is just enough field
-theory to solve linear systems whose entries are sums of roots of
-unity: the center computations need exact kernels, and floating point
-cannot certify a dimension.
+The center equations of a twisted groupoid algebra have this shape: each
+row says ``zeta^a z_c = zeta^b z_d`` or ``zeta^a z_c = 0`` for a primitive
+N-th root of unity zeta.  The two-term rows tie unknowns together with
+phases mod N, so every connected component of the relation graph has its
+unknowns fixed by one free value up to known phases.  The component keeps
+that value unless a one-term row forces one of its unknowns to zero, or
+a cycle's phases do not sum to 0 mod N, which forces
+``(1 - zeta^w) z = 0`` with ``zeta^w != 1``.  The kernel dimension is the
+number of surviving components, computed with ints mod N only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
+
+Term = tuple[int, int]  # (column c, phase a): the entry zeta^a on column c
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def nullspace_dimension(rows: Iterable[Sequence[Term]], ncols: int,
+                        modulus: int) -> int:
+    """Kernel dimension of rows ``((c, a),)`` and ``((c, a), (d, b))``.
 
+    The first reads ``zeta^a z_c = 0``, the second
+    ``zeta^a z_c - zeta^b z_d = 0``, with zeta = exp(2 pi i / modulus).
+    """
+    parent = list(range(ncols))
+    shift = [0] * ncols    # z_c = zeta^shift[c] z_parent[c]
+    killed = [False] * ncols
 
-def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num = list(num)
-    den = _poly_trim(list(den))
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    while len(_poly_trim(list(num))) >= len(den):
-        num = _poly_trim(list(num))
-        shift = len(num) - len(den)
-        c = num[-1] / den[-1]
-        q[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] -= c * d
-    return _poly_trim(q), _poly_trim(num)
+    def find(c: int) -> tuple[int, int]:
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        acc = 0
+        for x in reversed(path):
+            acc = (acc + shift[x]) % modulus
+            parent[x], shift[x] = c, acc
+        return c, shift[path[0]] if path else 0
 
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (low degree first) of the n-th cyclotomic polynomial."""
-    # x^n - 1 divided by the cyclotomic polynomials of all proper divisors
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert not r
-            num = q
-    return tuple(num)
-
-
-class CyclotomicField:
-    """Q(zeta_N) with dense-coefficient elements."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.modulus = list(cyclotomic_polynomial(n))
-        self.degree = len(self.modulus) - 1
-        # reduction table for zeta^k, k < 2 * degree
-        powers = []
-        for k in range(2 * self.degree):
-            p = [Fraction(0)] * k + [Fraction(1)]
-            _, r = _poly_divmod(p, self.modulus)
-            r += [Fraction(0)] * (self.degree - len(r))
-            powers.append(tuple(r))
-        self._powers = powers
-
-    def zero(self) -> tuple[Fraction, ...]:
-        return tuple([Fraction(0)] * self.degree)
-
-    def one(self) -> tuple[Fraction, ...]:
-        return self.from_rational(Fraction(1))
-
-    def from_rational(self, c: Fraction) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.degree
-        if self.degree:
-            out[0] = Fraction(c)
-        return tuple(out)
-
-    def zeta_power(self, k: int) -> tuple[Fraction, ...]:
-        k %= self.n
-        if k < 2 * self.degree:
-            return self._powers[k]
-        # fall back to explicit reduction for large k relative to degree
-        p = [Fraction(0)] * k + [Fraction(1)]
-        _, r = _poly_divmod(p, self.modulus)
-        r += [Fraction(0)] * (self.degree - len(r))
-        return tuple(r)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        d = self.degree
-        conv = [Fraction(0)] * (2 * d - 1 if d else 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                conv[i + j] += x * y
-        out = [Fraction(0)] * d
-        for k, c in enumerate(conv):
-            if c == 0:
-                continue
-            red = self._powers[k]
-            for i in range(d):
-                out[i] += c * red[i]
-        return tuple(out)
-
-    def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
-
-    def inv(self, a):
-        """Inverse via the extended Euclidean algorithm in Q[x]."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("cyclotomic zero has no inverse")
-        # gcd(a, modulus) is a nonzero constant: the modulus is irreducible
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = [Fraction(0)] * (len(q) + len(s1))
-            for i, x in enumerate(q):
-                for j, y in enumerate(s1):
-                    qs1[i + j] += x * y
-            news = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, x in enumerate(s0):
-                news[i] += x
-            for i, x in enumerate(qs1):
-                news[i] -= x
-            r0, r1 = r1, _poly_trim(r)
-            s0, s1 = s1, _poly_trim(news)
-        if not r1:
-            raise ZeroDivisionError("element not invertible mod cyclotomic")
-        c = r1[0]
-        out = [x / c for x in s1]
-        # reduce, in case the Bezout coefficient exceeds the degree
-        _, red = _poly_divmod(out, self.modulus)
-        red += [Fraction(0)] * (self.degree - len(red))
-        return tuple(red)
-
-    def conj(self, a):
-        """Complex conjugation: zeta -> zeta^(N-1)."""
-        out = self.zero()
-        for k, c in enumerate(a):
-            if c == 0:
-                continue
-            term = tuple(c * v for v in self.zeta_power((self.n - 1) * k))
-            out = self.add(out, term)
-        return out
-
-    def as_complex(self, a) -> complex:
-        import cmath
-        z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(complex(c) * z ** k for k, c in enumerate(a))
-
-
-def nullspace_dimension(field: CyclotomicField, rows: list[list], ncols: int) -> int:
-    """Exact kernel dimension of the matrix with the given rows."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while col < ncols and rank < nrows:
-        pivot = None
-        for r in range(rank, nrows):
-            if not field.is_zero(mat[r][col]):
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
+    for row in rows:
+        (c, a), *rest = row
+        rc, pc = find(c)
+        if not rest:
+            killed[rc] = True
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-        for r in range(nrows):
-            if r != rank and not field.is_zero(mat[r][col]):
-                c = mat[r][col]
-                mat[r] = [field.sub(x, field.mul(c, y))
-                          for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return ncols - rank
+        (d, b), = rest
+        rd, pd = find(d)
+        # zeta^(a + pc) z_rc = zeta^(b + pd) z_rd
+        w = (b + pd - a - pc) % modulus
+        if rc == rd:
+            killed[rc] = killed[rc] or w != 0
+        else:
+            parent[rc], shift[rc] = rd, w
+            killed[rd] = killed[rd] or killed[rc]
+    return sum(1 for c in range(ncols) if parent[c] == c and not killed[c])

@@ -16,8 +16,8 @@ structure constants, block-map scalars) is a sum of cocycle values, so:
 - Only :func:`table_to_json` reduces, dividing the modulus and the
   values by their gcd, so a file whose modulus and values are scaled by
   a common factor gives the same output.
-- ``rep.center_dimension`` builds its cyclotomic field on
-  ``N // gcd(N, *phases)``, the conductor of the phases it meets.
+- ``rep.center_dimension`` compares phases mod the algebra's own N, so
+  scaling N and every phase by a common factor leaves it unchanged.
 
 :func:`root` and :func:`phase_str` turn a phase into a complex number
 or a ``"num/den"`` string at the numerical and JSON edges.

@@ -1,12 +1,13 @@
 """Twisted group algebras, exact centers, and representation machinery.
 
-Two kinds of computation live here.  Exact: the center dimension of any
-algebra with monomial structure constants, solved over the cyclotomic
-field generated by its phases — this is how irreducible representations
-are counted.  Numerical: splitting a representation into irreducible
-blocks by diagonalizing a random self-adjoint element of the commutant
-(for the left regular representation the commutant is spanned by the
-right multiplications, so no solver is needed), plus the induction /
+Two kinds of computation live here.  Exact: the center dimension of a
+twisted groupoid algebra (tube, annular, cut-down, twisted group), the
+number of phase-consistent orbits of its center equations counted with
+ints mod N — this is how irreducible representations are counted.
+Numerical: splitting a representation into irreducible blocks by
+diagonalizing a random self-adjoint element of the commutant (for the
+left regular representation the commutant is spanned by the right
+multiplications, so no solver is needed), plus the induction /
 restriction / support machinery that moves representations between a
 block algebra and the full tube or annular algebra.
 
@@ -17,12 +18,11 @@ exact work (building, checking, counting simples) never loads it.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .cyclotomic import CyclotomicField, nullspace_dimension
+from .cyclotomic import nullspace_dimension
 from .grp import GroupTable
 from .phase import CheckResult, Cocycle2, cocycle2_check, root
 from .staralg import MonomialStarAlgebra
@@ -80,29 +80,30 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
 
 
 def center_dimension(alg: MonomialStarAlgebra) -> int:
-    """Exact dimension of {z : az = za}, over the cyclotomic field.
+    """Exact dimension of {z : az = za}: the phase-consistent orbits.
 
-    For a semisimple algebra this equals the number of irreducible
+    Row (g, r) of the equations is the coefficient on r of g z - z g,
+    for z = sum_t z_t t.  In a twisted groupoid algebra each side of a
+    row has at most one term, so the kernel is an orbit count with
+    phases mod N (:func:`tubealg.cyclotomic.nullspace_dimension`).  For
+    a semisimple algebra this equals the number of irreducible
     representations.
     """
     labels = list(alg.labels())
     idx = {a: i for i, a in enumerate(labels)}
     m = len(labels)
-    products = alg.products
-    # the phases k / N live in Q(zeta_(N / d)) for d = gcd(N, every k)
-    d = math.gcd(alg.modulus, *(ph for ph, _ in products.values()))
-    field_ = CyclotomicField(alg.modulus // d)
-    zero = field_.zero()
-    # row (g, r): the coefficient on r of g z - z g, for z = sum_t z_t t
-    rows = {}
-    for (left, right), (ph, r) in products.items():
-        val = field_.zeta_power(ph // d)
-        for g, t, v in ((left, right, val), (right, left, field_.neg(val))):
-            row = rows.setdefault((idx[g], idx[r]), [zero] * m)
-            row[idx[t]] = field_.add(row[idx[t]], v)
-    unique = {tuple(r) for r in rows.values()}
-    unique.discard(tuple([zero] * m))
-    return nullspace_dimension(field_, [list(r) for r in unique], m)
+    rows: dict = {}   # g * m + r -> [term of g z, term of z g]
+    for (left, right), (ph, r) in alg.products.items():
+        i, j, k = idx[left], idx[right], idx[r]
+        for g, side, t in ((i, 0, j), (j, 1, i)):
+            row = rows.setdefault(g * m + k, [None, None])
+            if row[side] is not None:
+                raise ValueError(f"center row {(labels[g], r)} has two terms "
+                                 "on one side: not a twisted groupoid algebra")
+            row[side] = (t, ph)
+    return nullspace_dimension(
+        [[term for term in row if term is not None] for row in rows.values()],
+        m, alg.modulus)
 
 
 @dataclass

@@ -441,7 +441,10 @@ def test_simples_build_the_algebra_once(files, capsys, monkeypatch, argv,
      "normalized", "pass", "exhaustive 7"),
     # a failing check stops at its first bad entry, so claims no coverage
     (["verify-cocycle", "--group", "z2.json", "--cocycle",
-      "semion_unnormalized.json"], "normalized", "fail", "")])
+      "semion_unnormalized.json"], "normalized", "fail", ""),
+    *((["bh", action, "--bh", "bh_s3.json"], "setup", "pass",
+       "order 6, |H| 2, |K| 3, restrictions exhaustive 8 + 27")
+      for action in ("check", "simples", "build"))])
 def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
                                           detail):
     code, report = run(capsys, [files.get(a, a) for a in argv])

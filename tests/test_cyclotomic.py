@@ -1,13 +1,14 @@
-"""Exact cyclotomic field arithmetic."""
+"""Exact cyclotomic field arithmetic of the test oracle."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubealg.cyclotomic import (CyclotomicField, cyclotomic_polynomial,
-                                nullspace_dimension)
 from tubealg.phase import root
+
+from cyclotomic_oracle import (CyclotomicField, cyclotomic_polynomial,
+                               nullspace_dimension)
 
 
 def test_small_cyclotomic_polynomials():

@@ -73,12 +73,10 @@ def test_phase_complex():
 
 
 def test_one_phase_representation_in_src():
-    """Phases are ints mod N everywhere: no module but ``cyclotomic``
-    imports ``fractions``, names ``Fraction`` or ``Phase``, or reads ``.q``."""
+    """Phases are ints mod N everywhere: no module imports ``fractions``,
+    names ``Fraction`` or ``Phase``, or reads ``.q``."""
     offenders = []
     for path in sorted(pathlib.Path(tubealg.__file__).parent.glob("*.py")):
-        if path.name == "cyclotomic.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Import)
                     and any(a.name.split(".")[0] == "fractions" for a in node.names)

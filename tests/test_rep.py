@@ -5,7 +5,8 @@ import pytest
 
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data, cyclic_group
-from tubealg.phase import Cocycle2, root, standard_cyclic_cocycle, trivial_cocycle
+from tubealg.phase import (Cocycle2, Cocycle3, root, standard_cyclic_cocycle,
+                           trivial_cocycle)
 from tubealg.rep import (Representation,
                          TwistedGroupAlgebra, _characters, center_dimension,
                          decompose, induce, regular_representation,
@@ -57,22 +58,24 @@ def test_center_dimensions():
     assert center_dimension(TwistedGroupAlgebra(s3, phi.elements, phi)) == 3
 
 
-def test_center_dimension_field_is_the_reduced_conductor(monkeypatch):
-    # phases k / N live in Q(zeta_(N / gcd(N, every k))), whatever N is
-    import tubealg.rep as rep_module
-    seen = []
+def test_center_dimension_is_invariant_under_modulus_scaling():
+    # zeta_N^k and zeta_3N^3k are the same root of unity
+    def scaled(tw):
+        return Cocycle2(tw.group, tw.elements, [3 * v for v in tw.values],
+                        3 * tw.modulus)
 
-    class Recording(rep_module.CyclotomicField):
-        def __init__(self, n):
-            seen.append(n)
-            super().__init__(n)
-
-    monkeypatch.setattr(rep_module, "CyclotomicField", Recording)
     z2 = cyclic_group(2)
     for modulus in (2, 6, 12):
         phi = Cocycle2(z2, (0, 1), [0, 0, 0, modulus // 2], modulus)
-        assert center_dimension(TwistedGroupAlgebra(z2, (0, 1), phi)) == 2
-    assert seen == [2, 2, 2]
+        assert center_dimension(TwistedGroupAlgebra(z2, (0, 1), scaled(phi))) \
+            == center_dimension(TwistedGroupAlgebra(z2, (0, 1), phi)) == 2
+    G, omega = dihedral8_sign()
+    omega3 = Cocycle3(G, [3 * v for v in omega.values], 3 * omega.modulus)
+    assert center_dimension(TubeAlgebra(G, omega3)) \
+        == center_dimension(TubeAlgebra(G, omega)) == 22
+    for tw in TubeAlgebra(G, omega).block_algebra().twists:
+        assert center_dimension(TwistedGroupAlgebra(G, tw.elements, scaled(tw))) \
+            == center_dimension(TwistedGroupAlgebra(G, tw.elements, tw))
 
 
 def test_decompose_twisted_z2_blocks():
