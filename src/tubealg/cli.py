@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 
 from . import annular_bh, coho, grp, phase, rep, tube_diag
 
@@ -48,29 +47,10 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _jsonable(x):
-    if is_dataclass(x) and not isinstance(x, type):
-        return _jsonable(asdict(x))
-    if isinstance(x, dict):
-        return {_key(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, set):
-        return [_jsonable(v) for v in sorted(x, key=str)]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    return x
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return ",".join(str(v) for v in k)
-    return str(k)
-
-
-def _check_dict(res) -> dict:
-    return {"name": res.name, "status": "pass" if res.ok else "fail",
-            "witness": _jsonable(res.witness), "detail": res.detail}
+def _check_dict(res: phase.CheckResult, not_ok: str = "fail") -> dict:
+    """A report entry: ``pass``, else ``not_ok`` (``fail``, ``info``, ``skip``)."""
+    return {"name": res.name, "status": "pass" if res.ok else not_ok,
+            "witness": res.witness, "detail": res.detail}
 
 
 def _exhaustive(name: str, ok: bool, count: int, witness=None) -> dict:
@@ -86,7 +66,7 @@ def _normalized(omega: phase.Cocycle3) -> dict:
 
 
 def _skip(name: str, why: str) -> dict:
-    return {"name": name, "status": "skip", "witness": None, "detail": why}
+    return _check_dict(phase.CheckResult(False, name, detail=why), "skip")
 
 
 def _load_group(path: str) -> grp.GroupTable:
@@ -118,8 +98,8 @@ def _load_setup(path: str) -> coho.BHSetup:
 
 
 def _setup_failure(exc: coho.BHSetupError) -> tuple[list, dict]:
-    return ([{"name": f"setup:{exc.invariant}", "status": "fail",
-              "witness": _jsonable(exc.witness), "detail": str(exc)}], {})
+    return [_check_dict(phase.CheckResult(False, f"setup:{exc.invariant}",
+                                          exc.witness, str(exc)))], {}
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -130,12 +110,12 @@ def _cmd_verify_group(args) -> tuple[list, dict]:
     try:
         group = grp.group_from_json(obj)
     except grp.GroupError as exc:
-        return ([{"name": "group-table", "status": "fail",
-                  "witness": _jsonable(exc.witness), "detail": str(exc)}], {})
+        return [_check_dict(phase.CheckResult(False, "group-table",
+                                              exc.witness, str(exc)))], {}
     except (KeyError, TypeError) as exc:
         raise InputError(f"{args.group}: malformed group payload: {exc}") from exc
-    return ([{"name": "group-table", "status": "pass", "witness": None,
-              "detail": f"order {group.order}"}],
+    return ([_check_dict(phase.CheckResult(True, "group-table",
+                                           detail=f"order {group.order}"))],
             {"order": group.order})
 
 
@@ -220,9 +200,9 @@ def _cmd_bh(args) -> tuple[list, dict]:
     except coho.BHSetupError as exc:
         return _setup_failure(exc)
     h, k = len(setup.H), len(setup.K)
-    checks = [{"name": "setup", "status": "pass", "witness": None,
-               "detail": f"order {setup.group.order}, |H| {h}, |K| {k}, "
-                         f"restrictions exhaustive {h ** 3} + {k ** 3}"}]
+    checks = [_check_dict(phase.CheckResult(
+        True, "setup", detail=f"order {setup.group.order}, |H| {h}, |K| {k}, "
+                              f"restrictions exhaustive {h ** 3} + {k ** 3}"))]
     data: dict = {"basis_count": len(alg.labels())}
     if args.action == "build":
         data["structure_constants"] = tube_diag.structure_constants_json(alg)
@@ -236,25 +216,22 @@ def _cmd_bh(args) -> tuple[list, dict]:
             checks.append(_check_dict(r))
         report = annular_bh.bh_verify_star_iso(alg)
         for conv, r in report.results.items():
-            d = _check_dict(r)
-            d["name"] = f"star-isomorphism[{conv}]"
-            d["status"] = "pass" if r.ok else "info"
-            checks.append(d)
-        checks.append({"name": "star-isomorphism", "witness": None,
-                       "detail": f"passing conventions: {report.passing}",
-                       "status": "pass" if report.ok else "fail"})
+            checks.append(_check_dict(phase.CheckResult(
+                r.ok, f"star-isomorphism[{conv}]", r.witness, r.detail), "info"))
+        checks.append(_check_dict(phase.CheckResult(
+            report.ok, "star-isomorphism",
+            detail=f"passing conventions: {report.passing}")))
         data["passing_conventions"] = report.passing
-        bad = []
+        bad, triples = [], 0
         weights = setup.group.elements()
         for g in weights:
-            try:
-                annular_bh.end_xg_algebra(setup, g)
-            except ValueError:
+            tw = annular_bh.end_xg_algebra(setup, g)
+            triples += len(tw.elements) ** 3
+            if not phase.cocycle2_check(tw).ok:
                 bad.append(g)
-        checks.append({"name": "weight-endomorphism-twists",
-                       "detail": f"exhaustive {len(weights)} weights",
-                       "witness": _jsonable(tuple(bad)) if bad else None,
-                       "status": "pass" if not bad else "fail"})
+        checks.append(_check_dict(phase.CheckResult(
+            not bad, "weight-endomorphism-twists", tuple(bad) or None,
+            f"exhaustive {len(weights)} weights, {triples} triples")))
     elif args.action == "simples":
         report = annular_bh.tube_cutdown(alg, seed=args.seed)
         full = report.simple_count_full
@@ -262,12 +239,13 @@ def _cmd_bh(args) -> tuple[list, dict]:
         data["total"] = full.total
         data["cutdown_total"] = report.simple_count_cutdown
         data["cutdown_weights"] = list(report.weights)
-        data["corner_dims"] = {_key(k): v for k, v in report.corner_dims.items()}
+        data["corner_dims"] = {rep.label_key(k): v
+                               for k, v in report.corner_dims.items()}
         data["simple_objects"] = report.simple_objects
-        checks.append({"name": "cutdown-count-agreement", "witness": None,
-                       "detail": f"full {full.total}, cut-down "
-                                 f"{report.simple_count_cutdown}",
-                       "status": "pass" if report.counts_agree else "fail"})
+        checks.append(_check_dict(phase.CheckResult(
+            report.counts_agree, "cutdown-count-agreement",
+            detail=f"full {full.total}, cut-down "
+                   f"{report.simple_count_cutdown}")))
     return checks, data
 
 
@@ -314,8 +292,8 @@ def _cmd_rep(args) -> tuple[list, dict]:
         data = {"blocks": [{"dimension": b.dimension,
                             "multiplicity": b.multiplicity} for b in blocks],
                 "distinct": len(blocks)}
-        return ([{"name": "decompose", "status": "pass", "witness": None,
-                  "detail": f"{len(blocks)} distinct blocks"}], data)
+        return ([_check_dict(phase.CheckResult(
+            True, "decompose", detail=f"{len(blocks)} distinct blocks"))], data)
     raise InputError(f"unknown rep action {args.action}")
 
 
@@ -409,7 +387,7 @@ def main(argv=None) -> int:
                 raise InputError(f"input file not found: {f}")
         checks, data = args.handler(args)
         report["checks"] = checks
-        report["data"] = _jsonable(data)
+        report["data"] = data
         failed = [c for c in checks if c["status"] == "fail"]
         if failed:
             report["status"] = "fail"
@@ -427,7 +405,7 @@ def main(argv=None) -> int:
     except (grp.GroupError, phase.CocycleError) as exc:
         report["status"] = "error"
         report["error"] = str(exc)
-        report["witness"] = _jsonable(getattr(exc, "witness", None))
+        report["witness"] = getattr(exc, "witness", None)
         code = 2
         _log(f"input error: {exc}")
     report["timing"] = {"seconds": round(time.monotonic() - t0, 6)}

@@ -264,40 +264,29 @@ def gauge_fix_bh(setup: BHSetup) -> tuple[Cocycle3, tuple[int, ...]]:
         # (K\H) x (H\K) together with (H\K) x (K\H)
         return (in_AH(p) and in_VK(p)) or (in_AK(p) and in_VH(p))
 
-    A: set[tuple[int, int]] = set()
-    seen: set[tuple[int, int]] = set()
-    for g1 in range(n):
-        for g2 in range(n):
-            p = (g1, g2)
-            if p in seen or not (in_AH(p) or in_AK(p)):
-                continue
-            q = _hat(G, p)
-            seen.add(p)
-            seen.add(q)
-            if in_overlap(p):
-                A.add(q)
-            elif in_overlap(q):
-                A.add(p)
-            else:
-                A.add(min(p, q))
+    def representatives(in_region, move) -> set[tuple[int, int]]:
+        """One pair from each orbit of the involution ``move`` meeting
+        the region, pushed off the overlap when the orbit touches it."""
+        reps: set[tuple[int, int]] = set()
+        seen: set[tuple[int, int]] = set()
+        for g1 in range(n):
+            for g2 in range(n):
+                p = (g1, g2)
+                if p in seen or not in_region(p):
+                    continue
+                q = move(G, p)
+                seen.add(p)
+                seen.add(q)
+                if in_overlap(p):
+                    reps.add(q)
+                elif in_overlap(q):
+                    reps.add(p)
+                else:
+                    reps.add(min(p, q))
+        return reps
 
-    V: set[tuple[int, int]] = set()
-    seen = set()
-    for g1 in range(n):
-        for g2 in range(n):
-            p = (g1, g2)
-            if p in seen or not (in_VH(p) or in_VK(p)):
-                continue
-            q = _check(G, p)
-            seen.add(p)
-            seen.add(q)
-            if in_overlap(p):
-                V.add(q)
-            elif in_overlap(q):
-                V.add(p)
-            else:
-                V.add(min(p, q))
-
+    A = representatives(lambda p: in_AH(p) or in_AK(p), _hat)
+    V = representatives(lambda p: in_VH(p) or in_VK(p), _check)
     assert not (A & V), "orbit representative sets must not meet"
 
     w, N = setup.omega, setup.omega.modulus

@@ -305,6 +305,9 @@ def group_from_json(obj: dict) -> GroupTable:
     Accepts ``{"type": "table", "order": n, "mult": [[...]], "names": [...]}``
     or ``{"type": "perm", "degree": d, "generators": [[...]]}``.
     """
+    if not isinstance(obj, dict):
+        raise TypeError(f"group payload must be an object, not "
+                        f"{type(obj).__name__}")
     kind = obj.get("type", "table")
     if kind == "table":
         return group_from_table(obj["order"], obj["mult"], names=obj.get("names"))

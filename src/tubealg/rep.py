@@ -352,29 +352,19 @@ def support_decompose(context, Pi: Representation,
 # -- wire format --------------------------------------------------------------
 
 
-def _label_key(label) -> str:
+def label_key(label) -> str:
+    """The wire key of a label: ``"g1,s,g2"`` for a tuple, else ``str``."""
     if isinstance(label, tuple):
         return ",".join(str(x) for x in label)
-    if hasattr(label, "__dataclass_fields__"):
-        vals = [getattr(label, f) for f in label.__dataclass_fields__]
-        return ",".join(str(x) for x in _flatten(vals))
     return str(label)
-
-
-def _flatten(vals):
-    for v in vals:
-        if isinstance(v, tuple):
-            yield from v
-        else:
-            yield v
 
 
 def rep_to_json(rep: Representation) -> dict:
     mats = {}
     for label in rep.labels:
         M = rep.matrices[label]
-        mats[_label_key(label)] = [[[float(z.real), float(z.imag)] for z in row]
-                                   for row in M]
+        mats[label_key(label)] = [[[float(z.real), float(z.imag)] for z in row]
+                                  for row in M]
     return {"dimension": rep.dim, "matrices": mats}
 
 
@@ -384,7 +374,7 @@ def rep_from_json(obj: dict, labels: list) -> Representation:
     raw = obj["matrices"]
     mats = {}
     for label in labels:
-        key = _label_key(label)
+        key = label_key(label)
         if key not in raw:
             raise KeyError(f"missing matrix for label {key}")
         M = np.array([[complex(re, im) for re, im in row] for row in raw[key]])

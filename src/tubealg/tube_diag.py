@@ -29,8 +29,8 @@ on the tube algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .coho import gamma, phi_class, phi_class_plain_conjugate
 from .grp import ClassData, GroupTable, conjugacy_data
@@ -40,8 +40,7 @@ from .rep import TwistedGroupAlgebra, center_dimension
 from .staralg import MonomialStarAlgebra
 
 
-@dataclass(frozen=True)
-class TubeBasisElement:
+class TubeBasisElement(NamedTuple):
     """Label a(g1, s, g2); the constraint g1 s = s g2 is kept redundant."""
 
     g1: int
@@ -340,9 +339,6 @@ def structure_constants_json(alg: TubeShapedAlgebra) -> list[dict]:
     A label is written as the list of its fields: ``[g1, s, g2]`` for
     the tube algebra, ``[h1, g1, s, h2, g2]`` for the annular one.
     """
-    labels = alg.labels()
-    names = [f.name for f in fields(labels[0])]
-    wire = {lab: [getattr(lab, n) for n in names] for lab in labels}
-    return [{"left": wire[left], "right": wire[right],
-             "scalar": phase_str(ph, alg.modulus), "result": wire[lab]}
+    return [{"left": list(left), "right": list(right),
+             "scalar": phase_str(ph, alg.modulus), "result": list(lab)}
             for (left, right), (ph, lab) in alg.products.items()]

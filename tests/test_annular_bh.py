@@ -9,6 +9,7 @@ from tubealg.annular_bh import (ABasisElement, AnnularAlgebra, BoxMorphism,
 from tubealg.coho import BHSetup
 from tubealg.grp import subgroup_closure
 from tubealg.phase import cocycle2_check, standard_cyclic_cocycle, trivial_cocycle
+from tubealg.tube_diag import TubeAlgebra, TubeBasisElement
 
 from conftest import (bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
                       corrupt_last_twist, symmetric_group)
@@ -18,6 +19,28 @@ from conftest import (bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
 def annular(request):
     setup = {"s3": bh_setup_s3, "v4": bh_setup_v4, "z1": bh_setup_z1}[request.param]()
     return AnnularAlgebra(setup)
+
+
+# -- labels --------------------------------------------------------------------
+
+
+def test_labels_are_plain_tuples(annular):
+    G = annular.group
+    boxes = [b for g1 in G.elements() for g2 in G.elements()
+             for b in annular.box_basis(g1, g2)]
+    for labels in (TubeAlgebra(G, annular.omega).labels(), annular.labels(),
+                   CutdownAlgebra(annular).labels(), boxes):
+        assert labels
+        for label in labels:
+            assert isinstance(label, tuple)
+            assert label == tuple(label) and hash(label) == hash(tuple(label))
+
+
+def test_label_fields():
+    assert TubeBasisElement._fields == ("g1", "s", "g2")
+    assert ABasisElement._fields == ("h1", "g1", "s", "h2", "g2")
+    assert BoxMorphism._fields == ("h1", "g1", "g2", "h2")
+    assert repr(TubeBasisElement(1, 2, 3)) == "TubeBasisElement(g1=1, s=2, g2=3)"
 
 
 # -- box calculus --------------------------------------------------------------

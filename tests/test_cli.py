@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tubealg.annular_bh import AnnularAlgebra
+from tubealg import phase
 from tubealg.cli import main
 from tubealg.coho import BHSetup
 from tubealg.grp import group_to_json
@@ -17,7 +18,8 @@ from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
                            two_factor_cocycle)
 from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
-from conftest import bh_setup_v4, dihedral8_sign, symmetric_group
+from conftest import (bh_setup_v4, corrupt_last_twist, dihedral8_sign,
+                      symmetric_group)
 
 
 @pytest.fixture
@@ -256,6 +258,19 @@ def test_subgroup_element_out_of_range_is_input_error(files, capsys, argv):
     assert report["status"] == "error" and "H lists" in report["error"]
 
 
+@pytest.mark.parametrize("payload", [5, [1, 2]], ids=["int", "list"])
+@pytest.mark.parametrize("argv", [["bh", "check"], ["gauge-fix"],
+                                  ["rep", "decompose"]])
+def test_non_object_group_in_setup_is_input_error(tmp_path, capsys, argv,
+                                                  payload):
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps({"group": payload, "H": [0], "K": [0],
+                                 "cocycle": {"modulus": 1, "values": [0]}}))
+    code, report = run(capsys, argv + ["--bh", str(setup)])
+    assert code == 2
+    assert report["status"] == "error" and "group payload" in report["error"]
+
+
 def test_rep_decompose_without_input_is_input_error(files, capsys):
     code, report = run(capsys, ["rep", "decompose"])
     assert code == 2
@@ -340,6 +355,48 @@ def test_check_builds_the_product_table_once(files, capsys, monkeypatch,
     code, report = run(capsys, [files.get(a, a) for a in argv])
     assert code == 0
     assert len(counted) == calls
+
+
+def test_bh_simples_checks_each_twist_once(files, capsys, monkeypatch):
+    # S3 with H a transposition: 3 class twists and the endomorphism
+    # twists of the 2 double-coset weights, each checked once
+    checked = []
+    original = phase.cocycle2_check
+
+    def counting(tw):
+        checked.append(tw)
+        return original(tw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tubealg") and hasattr(module, "cocycle2_check"):
+            monkeypatch.setattr(module, "cocycle2_check", counting)
+    code, report = run(capsys, ["bh", "simples", "--bh", files["bh_s3.json"]])
+    assert code == 0
+    assert len(checked) == 5
+    assert len({id(tw) for tw in checked}) == len(checked)
+
+
+# -- labels on the wire -------------------------------------------------------------
+
+
+def test_failing_witness_holds_dump_labels(files, capsys, monkeypatch):
+    tube = ["--group", files["d8.json"], "--cocycle", files["d8_sign.json"]]
+    code, built = run(capsys, ["tube", "build"] + tube)
+    assert code == 0
+    labels = {tuple(entry[side])
+              for entry in built["data"]["structure_constants"]
+              for side in ("left", "right", "result")}
+    corrupt_last_twist(monkeypatch)
+    code, report = run(capsys, ["tube", "check"] + tube)
+    assert code == 1
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["phi-mult"]
+    witness = failed[0]["witness"]
+    assert len(witness) == 2
+    for label in witness:
+        assert isinstance(label, list) and len(label) == 3
+        assert all(type(x) is int for x in label)
+        assert tuple(label) in labels
 
 
 # -- a cocycle's modulus is data, not meaning ------------------------------------
@@ -432,7 +489,7 @@ def test_simples_build_the_algebra_once(files, capsys, monkeypatch, argv,
     (["gauge-fix", "--bh", "bh_s3.json"], "coboundary-relation", "pass",
      "exhaustive 216"),
     (["bh", "check", "--bh", "bh_s3.json"], "weight-endomorphism-twists",
-     "pass", "exhaustive 6 weights"),
+     "pass", "exhaustive 6 weights, 20 triples"),  # 2 x 2^3 + 4 x 1^3
     (["bh", "simples", "--bh", "bh_s3.json"], "cutdown-count-agreement",
      "pass", "full 8, cut-down 8"),
     (["verify-cocycle", "--group", "z2.json", "--cocycle", "semion.json"],
