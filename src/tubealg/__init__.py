@@ -29,6 +29,7 @@ from .annular_bh import (ABasisElement, AnnularAlgebra, BoxMorphism,
 from .rep import (Representation, TwistedGroupAlgebra, center_dimension,
                   decompose, induce, regular_representation, restrict,
                   support_decompose)
+from .splitting import projective_dimensions
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,18 +16,21 @@ pushes to the unit of its corner, so the cut-down is the same algebra
 on the objects ``(h, d)`` with ``d`` a representative weight;
 endomorphism algebras of single weights are the twisted algebras
 produced by :func:`end_xg_algebra`, and their minimal idempotent
-splittings index the simple weight objects.
+splittings index the simple weight objects.  Those splittings are
+exact: :func:`tubealg.splitting.projective_dimensions` reads the block
+dimensions of each twisted algebra over a prime field, so nothing here
+loads numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .coho import BHSetup
 from .grp import GroupTable
 from .phase import CheckResult, Cocycle2
-from .rep import center_dimension, decompose, TwistedGroupAlgebra
+from .rep import TwistedGroupAlgebra, center_dimension
+from .splitting import projective_dimensions
 from .tube_diag import SimpleCount, TubeAlgebra, TubeBasisElement, \
     TubeShapedAlgebra, block_simple_count
 
@@ -165,8 +168,7 @@ def box_checks(alg: AnnularAlgebra) -> list[CheckResult]:
     return out
 
 
-@dataclass
-class BHIsoReport:
+class BHIsoReport(NamedTuple):
     results: dict
     passing: list[str]
     basis_count: int
@@ -240,16 +242,16 @@ class CutdownAlgebra(AnnularAlgebra):
         self._build(annular.setup, self.weights)
 
 
-@dataclass
-class EndSplitting:
+class EndSplitting(NamedTuple):
+    """A weight's endomorphism algebra: (dimension, multiplicity) blocks."""
+
     weight: int
     subgroup: tuple[int, ...]
     blocks: list
     minimal_projections: int
 
 
-@dataclass
-class CutdownReport:
+class CutdownReport(NamedTuple):
     weights: tuple[int, ...]
     corner_dims: dict
     end_data: list[EndSplitting]
@@ -269,6 +271,13 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     splitting of each weight endomorphism algebra (these index the
     simple weight objects), and the simple count of the corner algebra,
     computed exactly and compared against the full algebra's count.
+
+    Each splitting comes from the exact projective-irreducible
+    dimensions d of the weight's twisted algebra
+    (:func:`tubealg.splitting.projective_dimensions`): its blocks are the
+    regular-representation pairs (d, d) and its minimal projections
+    number sum d.  ``seed`` only picks the central elements tried; the
+    result does not depend on it.
     """
     setup, G = alg.setup, alg.group
     cut = CutdownAlgebra(alg)
@@ -281,14 +290,13 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     total_simple_objects = 0
     for g in cut.weights:
         tw = end_xg_algebra(setup, g)
-        talg = TwistedGroupAlgebra(G, tw.elements, tw)
-        blocks = decompose(talg, seed=seed)
+        dims = projective_dimensions(TwistedGroupAlgebra(G, tw.elements, tw),
+                                     seed=seed)
         # the identity of a sum of matrix blocks splits into dim-many
         # minimal projections per block
-        nmin = sum(b.dimension for b in blocks)
+        nmin = sum(dims)
         end_data.append(EndSplitting(
-            weight=g, subgroup=tw.elements,
-            blocks=[(b.dimension, b.multiplicity) for b in blocks],
+            weight=g, subgroup=tw.elements, blocks=[(d, d) for d in dims],
             minimal_projections=nmin))
         total_simple_objects += nmin
     full = block_simple_count(alg.block_algebra("op-inverse"))

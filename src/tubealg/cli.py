@@ -292,8 +292,10 @@ def _cmd_rep(args) -> tuple[list, dict]:
         data = {"blocks": [{"dimension": b.dimension,
                             "multiplicity": b.multiplicity} for b in blocks],
                 "distinct": len(blocks)}
-        return ([_check_dict(phase.CheckResult(
-            True, "decompose", detail=f"{len(blocks)} distinct blocks"))], data)
+        detail = (f"{len(blocks)} distinct blocks, attempt {len(blocks.seeds)}"
+                  f" of {rep.MAX_ATTEMPTS}, seeds {json.dumps(blocks.seeds)}")
+        return ([_check_dict(phase.CheckResult(True, "decompose",
+                                               detail=detail))], data)
     raise InputError(f"unknown rep action {args.action}")
 
 

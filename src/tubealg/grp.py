@@ -12,8 +12,7 @@ index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 MAX_GROUP_ORDER = 10000
 
@@ -26,14 +25,33 @@ class GroupError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
 class GroupTable:
-    """A finite group: multiplication table, inverses, optional names."""
+    """A finite group: multiplication table, inverses, optional names.
 
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    names: Optional[tuple[str, ...]] = None
+    A plain class, not a named tuple: ``len`` is the group order.
+    """
+
+    __slots__ = ("order", "mult", "inv", "names")
+
+    def __init__(self, order: int, mult: tuple[tuple[int, ...], ...],
+                 inv: tuple[int, ...], names: Optional[tuple[str, ...]] = None):
+        self.order = order
+        self.mult = mult
+        self.inv = inv
+        self.names = names
+
+    def _fields(self) -> tuple:
+        return self.order, self.mult, self.inv, self.names
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GroupTable and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "GroupTable(order={!r}, mult={!r}, inv={!r}, names={!r})".format(
+            *self._fields())
 
     @property
     def identity(self) -> int:
@@ -62,8 +80,7 @@ class GroupTable:
         return self.names[g] if self.names is not None else str(g)
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(NamedTuple):
     """Conjugacy structure with fixed representatives and transports.
 
     ``reps[c]`` is the minimal element of class ``c``; ``transport[g]``

@@ -35,8 +35,7 @@ With these, multiplying a 3-cocycle ``w`` by ``d2(f)`` for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .grp import GroupTable, cyclic_group, direct_product
 
@@ -62,8 +61,7 @@ def phase_str(k: int, n: int) -> str:
     return f"{k // d}/{n // d}"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of an exhaustive or sampled verification."""
 
     ok: bool

@@ -9,7 +9,8 @@ diagonalizing a random self-adjoint element of the commutant (for the
 left regular representation the commutant is spanned by the right
 multiplications, so no solver is needed), plus the induction /
 restriction / support machinery that moves representations between a
-block algebra and the full tube or annular algebra.
+block algebra and the full tube or annular algebra.  The exact block
+dimensions of a twisted group algebra are in :mod:`tubealg.splitting`.
 
 The exact half (:class:`TwistedGroupAlgebra`, :func:`center_dimension`)
 is numpy-free; numpy is imported only inside the numerical functions, so
@@ -19,8 +20,7 @@ exact work (building, checking, counting simples) never loads it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cyclotomic import nullspace_dimension
 from .grp import GroupTable
@@ -31,8 +31,27 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+MAX_ATTEMPTS = 5
+
+
 class DecompositionError(RuntimeError):
-    pass
+    """A splitting failed; ``seeds`` names the seeded attempts it tried."""
+
+    def __init__(self, message: str, seeds: Sequence[str] = ()):
+        super().__init__(message)
+        self.seeds = list(seeds)
+
+
+class Seeded(list):
+    """A splitting's result, with ``seeds``: the seeded attempts it took.
+
+    Attempt ``i`` draws from ``random.Random(f"{seed}:{i}")``; the last
+    seed listed is the one that succeeded.
+    """
+
+    def __init__(self, items, seeds: Sequence[str]):
+        super().__init__(items)
+        self.seeds = list(seeds)
 
 
 class TwistedGroupAlgebra(MonomialStarAlgebra):
@@ -106,8 +125,7 @@ def center_dimension(alg: MonomialStarAlgebra) -> int:
         m, alg.modulus)
 
 
-@dataclass
-class Representation:
+class Representation(NamedTuple):
     """Matrices for each basis label of some monomial star algebra."""
 
     labels: list
@@ -162,30 +180,32 @@ def _characters(alg: MonomialStarAlgebra, subspaces: list,
     return chars
 
 
-@dataclass
-class IrreducibleBlock:
+class IrreducibleBlock(NamedTuple):
     dimension: int
     multiplicity: int
     character: tuple
 
 
 def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
-              max_retries: int = 5) -> list[IrreducibleBlock]:
+              max_retries: int = MAX_ATTEMPTS) -> Seeded:
     """Split the regular representation into irreducible blocks.
 
     A random self-adjoint element of the commutant (a right
     multiplication) is diagonalized; eigenvalue clusters cut the space
     into invariant subspaces, which are then grouped into equivalence
     classes by their characters.  Ambiguous eigenvalue gaps trigger a
-    retry with a fresh seeded element.
+    retry with a fresh seeded element; the result's ``seeds`` lists the
+    attempts, as does the :class:`DecompositionError` when all fail.
     """
     import numpy as np
     labels = list(alg.labels())
     idx = {a: i for i, a in enumerate(labels)}
     n = len(labels)
     last_error = None
+    seeds = []
     for attempt in range(max_retries):
-        rng = random.Random(f"{seed}:{attempt}")
+        seeds.append(f"{seed}:{attempt}")
+        rng = random.Random(seeds[-1])
         z = {a: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for a in labels}
         w: dict = {}
         for a, c in z.items():
@@ -239,8 +259,10 @@ def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
         if sum(b.dimension * b.multiplicity for b in blocks) != n:
             last_error = f"block dimensions do not add up at attempt {attempt}"
             continue
-        return sorted(blocks, key=lambda b: (b.dimension, b.multiplicity))
-    raise DecompositionError(last_error or "decomposition failed")
+        return Seeded(sorted(blocks, key=lambda b: (b.dimension, b.multiplicity)),
+                      seeds)
+    raise DecompositionError(
+        f"{last_error or 'decomposition failed'}; seeds tried {seeds}", seeds)
 
 
 # -- induction / restriction / support ---------------------------------------
@@ -302,8 +324,7 @@ def restrict(context, class_index: int, Pi: Representation) -> Representation:
     return Representation(labels=list(tw.elements), dim=Q.shape[1], matrices=mats)
 
 
-@dataclass
-class SupportDecomposition:
+class SupportDecomposition(NamedTuple):
     subspaces: dict
     dims: dict
     total: int

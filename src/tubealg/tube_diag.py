@@ -29,7 +29,6 @@ on the tube algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .coho import gamma, phi_class, phi_class_plain_conjugate
@@ -48,8 +47,7 @@ class TubeBasisElement(NamedTuple):
     g2: int
 
 
-@dataclass(frozen=True)
-class BlockImage:
+class BlockImage(NamedTuple):
     """scalar * E[row, col] tensor [element], inside one class block; the
     scalar is a phase mod the cocycle's modulus."""
 
@@ -306,8 +304,7 @@ def verify_star_iso(alg: TubeAlgebra) -> CheckResult:
     return alg.check_block_map()
 
 
-@dataclass
-class SimpleCount:
+class SimpleCount(NamedTuple):
     per_class: dict
     total: int
 

@@ -151,3 +151,23 @@ def corrupt_last_twist(monkeypatch) -> None:
         return Cocycle2(group, tw.elements, values, tw.modulus)
 
     monkeypatch.setattr(tube_diag, "phi_class", corrupted)
+
+
+def force_ambiguous_eigh(monkeypatch, times: int) -> None:
+    """Make the first ``times`` eigendecompositions show a gap inside
+    ``rep.decompose``'s ambiguity band (between tol and 1000 tol, scaled),
+    so that it retries with its next seed."""
+    import numpy as np
+
+    real = np.linalg.eigh
+    calls = []
+
+    def eigh(W):
+        vals, vecs = real(W)
+        calls.append(W)
+        if len(calls) <= times:
+            vals = vals.copy()
+            vals[0] = vals[1] - 1e-7 * max(1.0, float(vals[-1] - vals[0]))
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)

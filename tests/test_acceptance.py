@@ -17,7 +17,7 @@ from tubealg.annular_bh import (AnnularAlgebra, box_checks,
 from tubealg.coho import (BHSetup, gamma, gamma_identity_check,
                           gamma_transport_check, gauge_fix_bh,
                           gl_relations_check, phi_a)
-from tubealg.grp import cyclic_group
+from tubealg.grp import centralizer, cyclic_group
 from tubealg.phase import (Cocycle3, coboundary2, cocycle2_check,
                            cocycle3_check, inflate_cocycle, is_normalized,
                            product_type_cocycle, restrict_trivial_on,
@@ -78,7 +78,10 @@ def test_criterion_03_transport_identity(s4_sign_fixture):
     for name in SMALL_NAMES:
         fx = _FIXTURES[name]
         res = gamma_identity_check(fx.group, fx.omega)
-        assert res.ok and res.detail == "exhaustive", (name, res.witness)
+        tuples = fx.group.order ** 3 * sum(
+            len(centralizer(fx.group, a)) ** 2 for a in fx.group.elements())
+        assert res.ok and res.detail == f"exhaustive {tuples}", \
+            (name, res.witness)
         for a in fx.group.elements():
             for x in fx.group.elements():
                 assert gamma(fx.group, fx.omega, a, x, x, 0) == 0

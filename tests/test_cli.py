@@ -19,7 +19,7 @@ from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
 from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
 from conftest import (bh_setup_v4, corrupt_last_twist, dihedral8_sign,
-                      symmetric_group)
+                      force_ambiguous_eigh, symmetric_group)
 
 
 @pytest.fixture
@@ -501,7 +501,9 @@ def test_simples_build_the_algebra_once(files, capsys, monkeypatch, argv,
       "semion_unnormalized.json"], "normalized", "fail", ""),
     *((["bh", action, "--bh", "bh_s3.json"], "setup", "pass",
        "order 6, |H| 2, |K| 3, restrictions exhaustive 8 + 27")
-      for action in ("check", "simples", "build"))])
+      for action in ("check", "simples", "build")),
+    (["rep", "decompose", "--group", "z2.json", "--cocycle", "semion.json"],
+     "decompose", "pass", '4 distinct blocks, attempt 1 of 5, seeds ["0:0"]')])
 def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
                                           detail):
     code, report = run(capsys, [files.get(a, a) for a in argv])
@@ -509,33 +511,78 @@ def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
     assert (check["status"], check["detail"]) == (status, detail)
 
 
+def test_decompose_reports_its_retries(files, capsys, monkeypatch):
+    force_ambiguous_eigh(monkeypatch, 1)
+    code, report = run(capsys, ["rep", "decompose", "--group", files["z2.json"],
+                                "--cocycle", files["semion.json"],
+                                "--seed", "7"])
+    assert code == 0 and report["data"]["distinct"] == 4
+    assert report["checks"][0]["detail"] == \
+        '4 distinct blocks, attempt 2 of 5, seeds ["7:0", "7:1"]'
+
+
 # -- numpy only where a subcommand splits numerically ------------------------------
 
 
 _CHILD = """
 import json, sys
-import tubealg, tubealg.cli
-runs = [[None, None, "numpy" in sys.modules]]
+watch = json.loads(sys.argv[2])
+
+
+def loaded():
+    return sorted(m for m in watch if m in sys.modules)
+
+
+runs = [["start", loaded()]]
+import tubealg
+runs.append(["import tubealg", loaded()])
+import tubealg.cli
+runs.append(["import tubealg.cli", loaded()])
 for argv in json.loads(sys.argv[1]):
-    runs.append([argv, tubealg.cli.main(argv), "numpy" in sys.modules])
+    runs.append([argv, tubealg.cli.main(argv), loaded()])
 print(json.dumps(runs), file=sys.stderr)
 """
 
 
-def test_exact_subcommands_never_import_numpy(files):
-    group = ["--group", files["z2.json"], "--cocycle", files["semion.json"]]
-    exact = [["tube", "check"] + group, ["tube", "build"] + group,
-             ["tube", "simples"] + group,
-             ["gauge-fix", "--bh", files["bh_s3.json"]],
-             ["bh", "check", "--bh", files["bh_s3.json"]],
-             ["bh", "build", "--bh", files["bh_s3.json"]]]
-    numerical = ["rep", "decompose"] + group
+def _child_runs(argvs: list, watch: list) -> list:
+    """In a fresh interpreter: which of ``watch`` are loaded after start,
+    ``import tubealg``, ``import tubealg.cli`` and each CLI run."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(exact + [numerical])],
+        [sys.executable, "-c", _CHILD, json.dumps(argvs), json.dumps(watch)],
         env=env, cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stderr.splitlines()[-1])
-    assert runs == ([[None, None, False]] + [[a, 0, False] for a in exact]
-                    + [[numerical, 0, True]])
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def _exact_argvs(files) -> list:
+    group = ["--group", files["z2.json"], "--cocycle", files["semion.json"]]
+    bh = ["--bh", files["bh_s3.json"]]
+    return [["verify-group", "--group", files["z2.json"]],
+            ["verify-cocycle"] + group, ["normalize"] + group,
+            ["tube", "check"] + group, ["tube", "build"] + group,
+            ["tube", "simples"] + group, ["gauge-fix"] + bh,
+            ["bh", "check"] + bh, ["bh", "build"] + bh,
+            ["bh", "simples"] + bh]
+
+
+_PREAMBLE = ["start", "import tubealg", "import tubealg.cli"]
+
+
+def test_exact_subcommands_never_import_numpy(files):
+    exact = _exact_argvs(files)
+    numerical = ["rep", "decompose", "--group", files["z2.json"],
+                 "--cocycle", files["semion.json"]]
+    runs = _child_runs(exact + [numerical], ["numpy"])
+    assert runs == ([[step, []] for step in _PREAMBLE]
+                    + [[a, 0, []] for a in exact]
+                    + [[numerical, 0, ["numpy"]]])
+
+
+def test_package_and_exact_subcommands_never_import_dataclasses(files):
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up
+    exact = _exact_argvs(files)
+    runs = _child_runs(exact, ["dataclasses", "inspect"])
+    assert runs == ([[step, []] for step in _PREAMBLE]
+                    + [[a, 0, []] for a in exact])

@@ -5,13 +5,14 @@ import pytest
 from tubealg.coho import (BHSetup, BHSetupError, gamma,
                           gamma_identity_check, gamma_transport_check,
                           gauge_fix_bh, gl_relations_check, phi_a, phi_class)
-from tubealg.grp import conjugacy_data, cyclic_group, subgroup_closure
+from tubealg.grp import (centralizer, conjugacy_data, cyclic_group,
+                         subgroup_closure)
 from tubealg.phase import (coboundary2, cocycle2_check, cocycle3_check,
                            inflate_cocycle, is_normalized,
                            restrict_trivial_on, standard_cyclic_cocycle,
                            trivial_cocycle)
 
-from conftest import bh_setup_s3, bh_setup_v4, symmetric_group
+from conftest import _FIXTURES, bh_setup_s3, bh_setup_v4, symmetric_group
 
 
 def phi_a_oracle(group, omega, a, g, h):
@@ -142,8 +143,19 @@ def test_gamma_family():
 
 
 def test_gamma_identity_exhaustive(small_fixture):
-    res = gamma_identity_check(small_fixture.group, small_fixture.omega)
-    assert res.ok and res.detail == "exhaustive"
+    G = small_fixture.group
+    res = gamma_identity_check(G, small_fixture.omega)
+    # every (a, g, h) with g, h in C(a), times every (x, y, z)
+    tuples = G.order ** 3 * sum(len(centralizer(G, a)) ** 2
+                                for a in G.elements())
+    assert res.ok and res.detail == f"exhaustive {tuples}"
+
+
+def test_gamma_identity_states_its_count():
+    # S3: centralizers of orders 6, 2, 2, 2, 3, 3; 6^3 (36 + 3*4 + 2*9)
+    fx = _FIXTURES["s3_sign"]
+    res = gamma_identity_check(fx.group, fx.omega)
+    assert res.ok and res.detail == "exhaustive 14256"
 
 
 def test_gamma_identity_sampled_s4(s4_sign_fixture):

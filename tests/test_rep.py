@@ -7,14 +7,14 @@ from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data, cyclic_group
 from tubealg.phase import (Cocycle2, Cocycle3, root, standard_cyclic_cocycle,
                            trivial_cocycle)
-from tubealg.rep import (Representation,
+from tubealg.rep import (DecompositionError, Representation,
                          TwistedGroupAlgebra, _characters, center_dimension,
                          decompose, induce, regular_representation,
                          rep_from_json, rep_to_json, restrict,
                          support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count
 
-from conftest import dihedral8_sign, symmetric_group
+from conftest import dihedral8_sign, force_ambiguous_eigh, symmetric_group
 
 
 def _z2_twisted():
@@ -102,6 +102,32 @@ def test_decompose_regular_s3():
     blocks = decompose(alg, seed=2)
     assert [(b.dimension, b.multiplicity) for b in blocks] == \
         [(1, 1), (1, 1), (2, 2)]
+
+
+def _regular_s3():
+    s3, _ = symmetric_group(3)
+    phi = phi_class(s3, trivial_cocycle(s3), conjugacy_data(s3), 0)
+    return TwistedGroupAlgebra(s3, phi.elements, phi)
+
+
+def test_decompose_names_its_seeds():
+    assert decompose(_regular_s3(), seed=2).seeds == ["2:0"]
+
+
+def test_decompose_retries_an_ambiguous_gap(monkeypatch):
+    force_ambiguous_eigh(monkeypatch, 1)
+    blocks = decompose(_regular_s3(), seed=2)
+    assert [(b.dimension, b.multiplicity) for b in blocks] == \
+        [(1, 1), (1, 1), (2, 2)]
+    assert blocks.seeds == ["2:0", "2:1"]
+
+
+def test_decompose_failure_names_every_seed(monkeypatch):
+    force_ambiguous_eigh(monkeypatch, 3)
+    with pytest.raises(DecompositionError) as exc:
+        decompose(_regular_s3(), seed=2, max_retries=3)
+    assert exc.value.seeds == ["2:0", "2:1", "2:2"]
+    assert "ambiguous eigenvalue gap at attempt 2" in str(exc.value)
 
 
 def test_block_dimension_sum_rule(small_fixture):
