@@ -136,8 +136,8 @@ def _cmd_normalize(args) -> tuple[list, dict]:
     if not res.ok:
         return [_check_dict(res)], {}
     out = phase.normalize3(omega)
-    checks = [_check_dict(res),
-              _check_dict(phase.cocycle3_check(out)), _normalized(out)]
+    checks = [_check_dict(res), _check_dict(out.ensure_valid()),
+              _normalized(out)]
     return checks, {"cocycle": phase.cocycle_to_json(out)}
 
 
@@ -148,7 +148,7 @@ def _cmd_gauge_fix(args) -> tuple[list, dict]:
     except coho.BHSetupError as exc:
         return _setup_failure(exc)
     G = setup.group
-    checks = [_check_dict(phase.cocycle3_check(omega_prime)),
+    checks = [_check_dict(omega_prime.ensure_valid()),
               _normalized(omega_prime)]
     for name, sub in (("restriction-H", setup.H), ("restriction-K", setup.K)):
         w = phase.restrict_trivial_on(omega_prime, sub)
@@ -177,7 +177,7 @@ def _cmd_tube(args) -> tuple[list, dict]:
     if args.action == "build":
         data["structure_constants"] = tube_diag.structure_constants_json(alg)
     elif args.action == "check":
-        exhaustive = 0 if group.order <= args.max_exhaustive \
+        exhaustive = None if group.order <= args.max_exhaustive \
             else args.max_exhaustive ** 4
         for r in alg.check_all(exhaustive, seed=args.seed):
             checks.append(_check_dict(r))
@@ -208,7 +208,7 @@ def _cmd_bh(args) -> tuple[list, dict]:
         data["structure_constants"] = tube_diag.structure_constants_json(alg)
     elif args.action == "check":
         size = len(alg.labels())
-        exhaustive = 0 if size <= args.max_exhaustive ** 2 \
+        exhaustive = None if size <= args.max_exhaustive ** 2 \
             else args.max_exhaustive ** 2
         for r in alg.check_all(exhaustive, seed=args.seed):
             checks.append(_check_dict(r))
@@ -307,12 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tubealg",
         description="exact annular-algebra toolbox for finite groups "
                     "with 3-cocycle data")
-    env_max = int(os.environ.get("TUBEALG_MAX_EXHAUSTIVE",
-                                 DEFAULT_MAX_EXHAUSTIVE))
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-exhaustive", type=int, default=env_max)
+        sp.add_argument("--max-exhaustive", type=int,
+                        default=DEFAULT_MAX_EXHAUSTIVE)
 
     sub = p.add_subparsers(dest="command", required=True)
 

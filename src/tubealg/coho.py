@@ -221,6 +221,9 @@ def bh_setup_from_json(obj: dict) -> BHSetup:
                     or not 0 <= x < group.order)
         if bad:
             raise BHSetupError(f"{name} lists group elements", witness=bad)
+        repeated = tuple(sorted({x for x in sub if sub.count(x) > 1}))
+        if repeated:
+            raise BHSetupError(f"{name} lists distinct elements", repeated)
     return BHSetup(group=group, H=H, K=K, omega=omega)
 
 

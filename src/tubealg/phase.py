@@ -84,18 +84,20 @@ class Cocycle3:
         self.group = group
         self.modulus = modulus
         self.values = tuple(v % modulus for v in values)
-        self._checked = False
+        self._check: Optional[CheckResult] = None
 
     def __call__(self, a: int, b: int, c: int) -> int:
         n = self.group.order
         return self.values[(a * n + b) * n + c]
 
-    def ensure_valid(self) -> None:
-        if not self._checked:
+    def ensure_valid(self) -> CheckResult:
+        """The passing 3-cocycle check, run once per table, or CocycleError."""
+        if self._check is None:
             res = cocycle3_check(self)
             if not res.ok:
                 raise CocycleError("3-cocycle law fails", witness=res.witness)
-            self._checked = True
+            self._check = res
+        return self._check
 
     def is_trivial(self) -> bool:
         return not any(self.values)
@@ -133,8 +135,8 @@ def cocycle3_check(omega: Cocycle3) -> CheckResult:
                     if (omega(a, b, c) + omega(a, bc, d) + omega(b, c, d)
                             - omega(ab, c, d) - omega(a, b, G.mul(c, d))) % N:
                         return CheckResult(False, "cocycle3", (a, b, c, d))
-    omega._checked = True
-    return CheckResult(True, "cocycle3", detail=f"exhaustive {n ** 4}")
+    omega._check = CheckResult(True, "cocycle3", detail=f"exhaustive {n ** 4}")
+    return omega._check
 
 
 def cocycle2_check(phi: Cocycle2) -> CheckResult:

@@ -93,10 +93,6 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
             raise ValueError("unit label needs a normalized twist")
         return [0]
 
-    def validate_label(self, g) -> None:
-        if g not in self.twist.pos:
-            raise ValueError(f"element {g} is not in the algebra")
-
 
 def center_dimension(alg: MonomialStarAlgebra) -> int:
     """Exact dimension of {z : az = za}: the phase-consistent orbits.

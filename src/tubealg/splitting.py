@@ -155,11 +155,12 @@ def projective_dimensions(alg: TwistedGroupAlgebra, seed: int = 0) -> Seeded:
     p = _splitting_prime(alg.modulus * n)
     zeta = _root_of_unity(alg.modulus, p)
     pos = {g: i for i, g in enumerate(els)}
+    products = alg.products
     mult = []
     for a in els:
         row = []
         for b in els:
-            ph, r = alg.mult_basis(a, b)
+            ph, r = products[(a, b)]
             row.append((pos[r], pow(zeta, ph, p)))
         mult.append(row)
     inverse = [pos[alg.group.inverse(g)] for g in els]

@@ -5,14 +5,11 @@ cut-down, and twisted group algebras all share one shape: products of
 basis elements are a single phase times a basis element (or zero), the
 involution sends a basis element to a phase times a basis element, and
 the canonical trace is 0/1 on the basis.  :class:`MonomialStarAlgebra`
-captures that shape once; generic verifiers (associativity,
-anti-automorphism laws, trace symmetry, orthonormality of the basis)
-and the linear-element layer live here.
-
-Coefficients of linear elements are ordinary complex numbers unless the
-caller supplies exact field elements; structure constants themselves
-are always exact phases: ints mod the algebra's ``modulus`` (see
-:mod:`tubealg.phase`).
+captures that shape once, with the generic verifiers (associativity,
+anti-automorphism laws, trace symmetry, orthonormality of the basis).
+Structure constants are exact phases, ints mod the algebra's
+``modulus`` (see :mod:`tubealg.phase`), read only from the ``products``
+and ``stars`` tables that ``mult_basis`` and ``star_basis`` fill.
 """
 
 from __future__ import annotations
@@ -23,49 +20,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Hashable, Optional, Sequence
 
-from .phase import CheckResult, root
-
-
-class Element:
-    """Finitely supported linear combination of basis labels."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "MonomialStarAlgebra", coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return Element(self.algebra, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return Element(self.algebra, out)
-
-    def scale(self, c) -> "Element":
-        return Element(self.algebra, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other: "Element") -> "Element":
-        return self.algebra.mult_elements(self, other)
-
-    def star(self) -> "Element":
-        return self.algebra.star_element(self)
-
-    def trace(self):
-        return sum(c for k, c in self.coeffs.items()
-                   if self.algebra.trace_basis(k))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.coeffs == other.coeffs
-
-
-def _conj(c):
-    return c.conjugate() if hasattr(c, "conjugate") else c
+from .phase import CheckResult
 
 
 class MonomialStarAlgebra:
@@ -83,10 +38,11 @@ class MonomialStarAlgebra:
     and may narrow ``_right_factors(left)``, the labels ``right`` for
     which ``left . right`` can be nonzero (by default every label).
 
-    Every verifier and builder reads two tables built on first use:
+    ``mult_basis`` and ``star_basis`` only fill two tables, built on
+    first use and read by every verifier, builder and consumer:
     ``products``, ``(left, right) -> (phase, label)`` for the nonzero
     basis products, left-major in label order, and ``stars``.  The
-    verifiers walk these and cover the zero products by counting.
+    verifiers cover the zero products by counting.
     """
 
     modulus: int
@@ -106,9 +62,6 @@ class MonomialStarAlgebra:
     def unit_labels(self) -> Sequence[Hashable]:
         raise NotImplementedError
 
-    def validate_label(self, label) -> None:
-        pass
-
     def _right_factors(self, left) -> Sequence[Hashable]:
         return self.labels()
 
@@ -127,49 +80,6 @@ class MonomialStarAlgebra:
     @cached_property
     def stars(self) -> dict:
         return {a: self.star_basis(a) for a in self.labels()}
-
-    # -- linear layer -----------------------------------------------------
-
-    def element(self, coeffs: dict) -> Element:
-        for k in coeffs:
-            self.validate_label(k)
-        return Element(self, coeffs)
-
-    def basis_element(self, label) -> Element:
-        return Element(self, {label: 1.0 + 0.0j})
-
-    def unit(self) -> Element:
-        return Element(self, {k: 1.0 + 0.0j for k in self.unit_labels()})
-
-    def mult_elements(self, left: Element, right: Element) -> Element:
-        out: dict = {}
-        for kl, cl in left.coeffs.items():
-            for kr, cr in right.coeffs.items():
-                hit = self.mult_basis(kl, kr)
-                if hit is None:
-                    continue
-                ph, k = hit
-                out[k] = out.get(k, 0) + cl * cr * root(ph, self.modulus)
-        return Element(self, out)
-
-    def star_element(self, x: Element) -> Element:
-        out: dict = {}
-        for k, c in x.coeffs.items():
-            ph, ks = self.star_basis(k)
-            out[ks] = out.get(ks, 0) + _conj(c) * root(ph, self.modulus)
-        return Element(self, out)
-
-    def trace_element(self, x: Element):
-        return x.trace()
-
-    def inner(self, x: Element, y: Element):
-        """<x, y> = trace(y* x); linear in x, conjugate-linear in y."""
-        return self.trace_element(self.mult_elements(self.star_element(y), x))
-
-    def random_element(self, rng: random.Random) -> Element:
-        coeffs = {k: complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                  for k in self.labels()}
-        return Element(self, coeffs)
 
     # -- exact checks over the basis ---------------------------------------
 
@@ -203,17 +113,18 @@ class MonomialStarAlgebra:
             b = comp[heads[i]][j]
             yield comp[b][r], b, heads[i]
 
-    def check_associativity(self, exhaustive_limit: int = 0,
+    def check_associativity(self, exhaustive_limit: Optional[int] = None,
                             samples: int = 100000, seed: int = 0) -> CheckResult:
         """(c b) a == c (b a) over composable basis triples, exactly.
 
-        ``exhaustive_limit`` of 0 means fully exhaustive; otherwise, when
-        there are more triples than the limit, ``samples`` of them are
-        drawn uniformly.  ``detail`` says which was done.
+        Every triple is walked unless ``exhaustive_limit`` is not None
+        and the triple count exceeds both it and ``samples``; then
+        ``samples`` are drawn uniformly.  ``detail`` says which was done.
         """
         comp = self._composable()
         total = sum(len(comp[b]) for bs in comp.values() for b in bs)
-        if exhaustive_limit and total > exhaustive_limit:
+        if exhaustive_limit is not None and \
+                total > max(exhaustive_limit, samples):
             detail = f"sampled {samples} of {total}, seed {seed}"
         else:
             samples, detail = None, f"exhaustive {total}"
@@ -302,7 +213,8 @@ class MonomialStarAlgebra:
                     return CheckResult(False, side, (a,))
         return CheckResult(True, "unit", detail=f"exhaustive {len(self.labels())}")
 
-    def check_all(self, exhaustive_limit: int = 0, samples: int = 100000,
+    def check_all(self, exhaustive_limit: Optional[int] = None,
+                  samples: int = 100000,
                   seed: int = 0) -> list[CheckResult]:
         return [
             self.check_associativity(exhaustive_limit, samples, seed),

@@ -103,9 +103,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         except KeyError:
             raise ValueError(f"malformed label {label}") from None
 
-    def validate_label(self, label) -> None:
-        self._split(label)
-
     def labels(self) -> list:
         return self._labels
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tubealg import annular_bh
 from tubealg.annular_bh import (ABasisElement, AnnularAlgebra, BoxMorphism,
                                 CutdownAlgebra, bh_verify_star_iso, box_checks,
                                 compare_cutdown_diagonal, double_cosets,
@@ -203,7 +204,7 @@ def test_a_star_oracle_sees_nontrivial_phases():
 
 
 def test_exact_basis_laws(annular):
-    limit = 0 if len(annular.labels()) <= 400 else 40000
+    limit = None if len(annular.labels()) <= 400 else 40000
     for res in annular.check_all(exhaustive_limit=limit, seed=5):
         assert res.ok, (res.name, res.witness)
 
@@ -225,8 +226,7 @@ def test_basis_and_block_counts():
 
 def test_a_trace_values():
     alg = AnnularAlgebra(bh_setup_s3())
-    one = alg.basis_element(ABasisElement(1, 2, 0, 1, 2))
-    assert alg.trace_element(one) == 1
+    assert alg.trace_basis(ABasisElement(1, 2, 0, 1, 2)) == 1
     h1_ne_h2 = alg.basis_label(1, 0, 0, 0)
     assert not alg.trace_basis(h1_ne_h2)
 
@@ -403,6 +403,28 @@ def test_cutdown_trivial_H_matches_tube_nontrivial_cocycle():
     omega = standard_cyclic_cocycle(4, 1)
     setup = BHSetup(omega.group, (0,), tuple(range(4)), omega)
     assert compare_cutdown_diagonal(setup).ok
+
+
+class _DroppedProductTube(TubeAlgebra):
+    """Reports the product of the last label with one factor as zero."""
+
+    def mult_basis(self, left, right):
+        if left == self.labels()[-1] and right == self._right_factors(left)[1]:
+            return None
+        return super().mult_basis(left, right)
+
+
+def test_cutdown_diagonal_names_the_first_mismatch(monkeypatch):
+    s3, _ = symmetric_group(3)
+    setup = BHSetup(s3, (0,), tuple(range(6)), trivial_cocycle(s3))
+    monkeypatch.setattr(annular_bh, "TubeAlgebra", _DroppedProductTube)
+    res = compare_cutdown_diagonal(setup)
+    tube = _DroppedProductTube(s3, setup.omega)
+    left = tube.labels()[-1]
+    right = tube._right_factors(left)[1]
+    assert not res.ok and res.name == "cutdown-diagonal-mult"
+    assert res.witness == (ABasisElement(0, *left[:2], 0, left.g2),
+                           ABasisElement(0, *right[:2], 0, right.g2))
 
 
 def test_cutdown_comparison_requires_trivial_H():

@@ -11,7 +11,7 @@ import pytest
 from tubealg.annular_bh import AnnularAlgebra
 from tubealg import phase
 from tubealg.cli import main
-from tubealg.coho import BHSetup
+from tubealg.coho import BHSetup, BHSetupError, bh_setup_from_json
 from tubealg.grp import group_to_json
 from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
                            standard_cyclic_cocycle, trivial_cocycle,
@@ -230,8 +230,8 @@ def test_env_default_max_exhaustive(files, capsys, monkeypatch):
     monkeypatch.setenv("TUBEALG_MAX_EXHAUSTIVE", "10")
     code, report = run(capsys, ["verify-cocycle", "--group", files["z2.json"],
                                 "--cocycle", files["semion.json"]])
-    assert report["max_exhaustive"] == 10
-    # the flag wins over the environment
+    assert report["max_exhaustive"] == 24
+    # the flag is the one way to set the bound
     code, report = run(capsys, ["verify-cocycle", "--group", files["z2.json"],
                                 "--cocycle", files["semion.json"],
                                 "--max-exhaustive", "5"])
@@ -256,6 +256,28 @@ def test_subgroup_element_out_of_range_is_input_error(files, capsys, argv):
                                        files["bh_s3_h_out_of_range.json"]])
     assert code == 2
     assert report["status"] == "error" and "H lists" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [["bh", "check"], ["bh", "simples"],
+                                  ["bh", "build"], ["gauge-fix"],
+                                  ["rep", "decompose"]])
+@pytest.mark.parametrize("field, entries, repeated", [
+    ("H", [0, 1, 0], (0,)), ("K", [0, 2, 5, 2], (2,))], ids=["H", "K"])
+def test_repeated_subgroup_element_is_input_error(tmp_path, capsys, argv,
+                                                  field, entries, repeated):
+    s3, _ = symmetric_group(3)
+    obj = {"group": group_to_json(s3), "H": [0, 1], "K": [0, 2, 5],
+           "cocycle": cocycle_to_json(trivial_cocycle(s3))}
+    obj[field] = entries
+    with pytest.raises(BHSetupError) as exc:
+        bh_setup_from_json(obj)
+    assert exc.value.witness == repeated
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(obj))
+    code, report = run(capsys, argv + ["--bh", str(setup)])
+    assert code == 2
+    assert report["status"] == "error"
+    assert f"{field} lists distinct elements" in report["error"]
 
 
 @pytest.mark.parametrize("payload", [5, [1, 2]], ids=["int", "list"])
@@ -355,6 +377,29 @@ def test_check_builds_the_product_table_once(files, capsys, monkeypatch,
     code, report = run(capsys, [files.get(a, a) for a in argv])
     assert code == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("argv, details", [
+    (["normalize", "--group", "z2.json", "--cocycle", "semion.json"],
+     ["exhaustive 16", "exhaustive 16"]),
+    (["gauge-fix", "--bh", "bh_s3.json"], ["exhaustive 1296"])])
+def test_cocycle_law_runs_once_per_table(files, capsys, monkeypatch, argv,
+                                         details):
+    # the input table and the output table, each checked once; the output's
+    # check is the one reported
+    checked = []
+    original = phase.cocycle3_check
+
+    def counting(omega):
+        checked.append(omega)
+        return original(omega)
+
+    monkeypatch.setattr(phase, "cocycle3_check", counting)
+    code, report = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 0
+    assert len(checked) == 2 == len({id(omega) for omega in checked})
+    assert [c["detail"] for c in report["checks"]
+            if c["name"] == "cocycle3"] == details
 
 
 def test_bh_simples_checks_each_twist_once(files, capsys, monkeypatch):

@@ -1,12 +1,17 @@
 """The product and involution tables every verifier and builder reads."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import tubealg
+from tubealg import staralg
 from tubealg.annular_bh import AnnularAlgebra, CutdownAlgebra
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data
 from tubealg.rep import TwistedGroupAlgebra
-from tubealg.tube_diag import TubeAlgebra
+from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
 from conftest import bh_setup_s3, bh_setup_v4, dihedral8_sign
 
@@ -101,3 +106,40 @@ def test_checks_state_coverage():
                        "gram": "exhaustive 512",
                        "unit": "exhaustive 64"}
     assert alg.check_block_map().detail == "exhaustive 512"
+
+
+def _callers(names) -> dict:
+    """name -> the set of "module.Class.method" (or "module.function")
+    scopes under src/tubealg that call it."""
+    out = {name: set() for name in names}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else \
+                    getattr(f, "id", None)
+                if name in out:
+                    out[name].add(".".join((module,) + scope))
+            visit(child, module, inner)
+
+    for path in sorted(Path(tubealg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return out
+
+
+def test_one_product_path():
+    # structure constants are read through the tables only, and phases
+    # become complex numbers only in rep's numerical half
+    callers = _callers(("mult_basis", "star_basis", "root"))
+    assert callers["mult_basis"] == {"staralg.MonomialStarAlgebra.products"}
+    assert callers["star_basis"] == {"staralg.MonomialStarAlgebra.stars"}
+    assert callers["root"] and \
+        {c.split(".")[0] for c in callers["root"]} == {"rep"}
+    assert not hasattr(staralg, "Element")
+    for cls in (staralg.MonomialStarAlgebra, TubeShapedAlgebra,
+                TwistedGroupAlgebra):
+        assert not hasattr(cls, "validate_label")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tubealg.coho import gamma
-from tubealg.phase import standard_cyclic_cocycle, trivial_cocycle
+from tubealg.phase import root, standard_cyclic_cocycle, trivial_cocycle
 from tubealg.tube_diag import (TubeAlgebra, TubeBasisElement, simple_count,
                                structure_constants_json, verify_star_iso)
 from tubealg.rep import TwistedGroupAlgebra, decompose
@@ -110,6 +110,20 @@ def test_associativity_detail_states_coverage():
     assert res.ok and res.detail == "sampled 500 of 4096, seed 3"
 
 
+def test_associativity_bound_zero_samples():
+    # only None leaves the walk unbounded
+    alg = TubeAlgebra(*dihedral8_sign())
+    res = alg.check_associativity(exhaustive_limit=0, samples=100)
+    assert res.ok and res.detail == "sampled 100 of 4096, seed 0"
+
+
+def test_associativity_walks_every_triple_when_samples_would_not_be_fewer():
+    omega = standard_cyclic_cocycle(4, 1)
+    alg = TubeAlgebra(omega.group, omega)
+    res = alg.check_associativity(exhaustive_limit=1)
+    assert res.ok and res.detail == "exhaustive 256"
+
+
 def test_associativity_sampling_reaches_late_triples():
     # the broken triples all involve the last label; a sample drawn from
     # a prefix of the triple list never meets them
@@ -120,34 +134,46 @@ def test_associativity_sampling_reaches_late_triples():
     assert alg.labels()[-1] in res.witness
 
 
+def inner(alg, x, y):
+    """<x, y> = trace(y* x) for coefficient dicts, read from the tables:
+    linear in x, conjugate-linear in y."""
+    total = 0
+    for b, cb in y.items():
+        ph_b, bs = alg.stars[b]
+        for a, ca in x.items():
+            hit = alg.products.get((bs, a))
+            if hit is not None and alg.trace_basis(hit[1]):
+                total += cb.conjugate() * ca * root(ph_b + hit[0], alg.modulus)
+    return total
+
+
 def test_trace_values(semion_algebra):
     alg = semion_algebra
-    assert alg.trace_element(alg.basis_element(TubeBasisElement(0, 0, 0))) == 1
-    assert alg.trace_element(alg.basis_element(TubeBasisElement(1, 1, 1))) == 0
+    assert alg.trace_basis(TubeBasisElement(0, 0, 0)) == 1
+    assert alg.trace_basis(TubeBasisElement(1, 1, 1)) == 0
 
 
 def test_trace_positivity_sampled(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     rng = random.Random(3)
     for _ in range(10):
-        x = alg.random_element(rng)
-        val = alg.trace_element(alg.mult_elements(alg.star_element(x), x))
+        x = {k: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in alg.labels()}
+        val = inner(alg, x, x)
         assert val.real > 0
         assert abs(val.imag) < 1e-9
 
 
 def test_inner_product_basics(semion_algebra):
     alg = semion_algebra
-    a = alg.basis_element(TubeBasisElement(1, 1, 1))
-    b = alg.basis_element(TubeBasisElement(0, 1, 0))
-    zero = alg.element({})
-    assert alg.inner(zero, a) == 0
-    assert abs(alg.inner(a, a) - 1) < 1e-12
-    assert alg.inner(a, b) == 0
+    a = {TubeBasisElement(1, 1, 1): 1.0 + 0.0j}
+    b = {TubeBasisElement(0, 1, 0): 1.0 + 0.0j}
+    assert inner(alg, {}, a) == 0
+    assert abs(inner(alg, a, a) - 1) < 1e-12
+    assert inner(alg, a, b) == 0
     # sesquilinearity spot checks
-    x = a.scale(2j)
-    assert abs(alg.inner(x, b + a) -
-               (2j * alg.inner(a, b) + 2j * alg.inner(a, a))) < 1e-12
+    x = {k: 2j * c for k, c in a.items()}
+    assert abs(inner(alg, x, {**b, **a}) -
+               (2j * inner(alg, a, b) + 2j * inner(alg, a, a))) < 1e-12
 
 
 def test_block_dimension_audit(small_fixture):
