@@ -2,12 +2,12 @@
 Counting and splitting representations
 ======================================
 
-Two independent ways to count irreducible representations of the tube
-algebra: exact center dimensions of the twisted centralizer algebras,
-and numerical splitting of the regular representation by a random
-self-adjoint commutant element.  The second half moves representations
-between a centralizer block and the full algebra by induction and
-restriction.
+Two exact ways to count irreducible representations of the tube
+algebra: the center dimensions of the twisted centralizer algebras,
+and the blocks of the regular representation, read off the block
+isomorphism from the projective irreducible dimensions of those
+algebras.  The second half moves representations between a centralizer
+block and the full algebra by induction and restriction.
 """
 
 import numpy as np
@@ -25,20 +25,22 @@ alg = TubeAlgebra(G, omega)
 counts = simple_count(alg)
 print("center dimensions per class:", counts.per_class, "total:", counts.total)
 
-# The same number from the other side: split the left regular
-# representation of the whole 4-dimensional algebra numerically.
+# The same number from the other side: the blocks of the left regular
+# representation of the whole 4-dimensional algebra, one per projective
+# irreducible of a twisted centralizer algebra.
 blocks = decompose(alg, seed=0)
 print("regular representation splits into:",
       [(b.dimension, b.multiplicity) for b in blocks])
 
 # The nonidentity class carries a twisted group algebra in which the
 # generator squares to -1; its regular representation splits into two
-# lines where the generator acts by +i and -i.
+# lines where the generator acts by the eigenvalues +i and -i.
 tw = alg.block_algebra().twists[1]
 talg = TwistedGroupAlgebra(G, tw.elements, tw)
 print("twisted center dimension:", center_dimension(talg))
-for b in decompose(talg, seed=0):
-    print("  line with generator acting as", np.round(b.character[1], 6))
+for z in sorted(np.linalg.eigvals(regular_representation(talg).matrices[1]),
+                key=lambda z: z.imag):
+    print("  line with generator acting as", np.round(z, 6))
 
 # Induction: a 1-dimensional block representation extends to the tube
 # algebra, acting through the block map; restriction compresses back.

@@ -22,7 +22,9 @@ DEFAULT_MAX_EXHAUSTIVE = 24
 
 
 class InputError(ValueError):
-    pass
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 def _log(msg: str) -> None:
@@ -48,7 +50,7 @@ def _load_json(path: str) -> dict:
 
 
 def _check_dict(res: phase.CheckResult, not_ok: str = "fail") -> dict:
-    """A report entry: ``pass``, else ``not_ok`` (``fail``, ``info``, ``skip``)."""
+    """A report entry: ``pass``, else ``not_ok`` (``fail`` or ``info``)."""
     return {"name": res.name, "status": "pass" if res.ok else not_ok,
             "witness": res.witness, "detail": res.detail}
 
@@ -63,10 +65,6 @@ def _normalized(omega: phase.Cocycle3) -> dict:
     n = omega.group.order  # n^3 - (n - 1)^3 entries have an identity argument
     return _exhaustive("normalized", phase.is_normalized(omega),
                        n ** 3 - (n - 1) ** 3)
-
-
-def _skip(name: str, why: str) -> dict:
-    return _check_dict(phase.CheckResult(False, name, detail=why), "skip")
 
 
 def _load_group(path: str) -> grp.GroupTable:
@@ -94,7 +92,7 @@ def _load_setup(path: str) -> coho.BHSetup:
     except grp.GroupError as exc:
         raise InputError(f"{path}: invalid group in setup: {exc}") from exc
     except coho.BHSetupError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}", exc.witness) from exc
 
 
 def _setup_failure(exc: coho.BHSetupError) -> tuple[list, dict]:
@@ -181,11 +179,7 @@ def _cmd_tube(args) -> tuple[list, dict]:
             else args.max_exhaustive ** 4
         for r in alg.check_all(exhaustive, seed=args.seed):
             checks.append(_check_dict(r))
-        if group.order <= args.max_exhaustive:
-            checks.append(_check_dict(tube_diag.verify_star_iso(alg)))
-        else:
-            checks.append(_skip("star-isomorphism",
-                                f"group order {group.order} above bound"))
+        checks.append(_check_dict(tube_diag.verify_star_iso(alg)))
     elif args.action == "simples":
         counts = tube_diag.simple_count(alg)
         data["per_class"] = {str(k): v for k, v in counts.per_class.items()}
@@ -292,8 +286,8 @@ def _cmd_rep(args) -> tuple[list, dict]:
         data = {"blocks": [{"dimension": b.dimension,
                             "multiplicity": b.multiplicity} for b in blocks],
                 "distinct": len(blocks)}
-        detail = (f"{len(blocks)} distinct blocks, attempt {len(blocks.seeds)}"
-                  f" of {rep.MAX_ATTEMPTS}, seeds {json.dumps(blocks.seeds)}")
+        detail = (f"{blocks.detail}, attempt {len(blocks.seeds)} of "
+                  f"{rep.MAX_ATTEMPTS}, seeds {json.dumps(blocks.seeds)}")
         return ([_check_dict(phase.CheckResult(True, "decompose",
                                                detail=detail))], data)
     raise InputError(f"unknown rep action {args.action}")
@@ -398,15 +392,16 @@ def main(argv=None) -> int:
         else:
             for c in checks:
                 _log(f"{c['status']} {c['name']}")
-    except InputError as exc:
+    except rep.DecompositionError as exc:
+        report["checks"] = [_check_dict(phase.CheckResult(
+            False, exc.check, exc.witness, str(exc)))]
+        report["status"] = "fail"
+        code = 1
+        _log(f"FAIL {exc.check}: witness={exc.witness}")
+    except (InputError, grp.GroupError, phase.CocycleError) as exc:
         report["status"] = "error"
         report["error"] = str(exc)
-        code = 2
-        _log(f"input error: {exc}")
-    except (grp.GroupError, phase.CocycleError) as exc:
-        report["status"] = "error"
-        report["error"] = str(exc)
-        report["witness"] = getattr(exc, "witness", None)
+        report["witness"] = exc.witness
         code = 2
         _log(f"input error: {exc}")
     report["timing"] = {"seconds": round(time.monotonic() - t0, 6)}

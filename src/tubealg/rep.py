@@ -1,25 +1,20 @@
 """Twisted group algebras, exact centers, and representation machinery.
 
-Two kinds of computation live here.  Exact: the center dimension of a
-twisted groupoid algebra (tube, annular, cut-down, twisted group), the
-number of phase-consistent orbits of its center equations counted with
-ints mod N — this is how irreducible representations are counted.
-Numerical: splitting a representation into irreducible blocks by
-diagonalizing a random self-adjoint element of the commutant (for the
-left regular representation the commutant is spanned by the right
-multiplications, so no solver is needed), plus the induction /
-restriction / support machinery that moves representations between a
-block algebra and the full tube or annular algebra.  The exact block
-dimensions of a twisted group algebra are in :mod:`tubealg.splitting`.
-
-The exact half (:class:`TwistedGroupAlgebra`, :func:`center_dimension`)
-is numpy-free; numpy is imported only inside the numerical functions, so
-exact work (building, checking, counting simples) never loads it.
+Exact and numpy-free: the center dimension of a twisted groupoid
+algebra (tube, annular, cut-down, twisted group), the number of
+phase-consistent orbits of its center equations counted with ints mod
+N, which counts the irreducible representations; and :func:`decompose`,
+which reads the blocks of a tube-shaped algebra's regular
+representation off its block isomorphism, from the projective
+irreducible dimensions of :mod:`tubealg.splitting`.  Numerical, with
+numpy imported only inside each function: the regular representation
+as matrices, and the induction / restriction / support machinery that
+moves representations between a block algebra and the full tube or
+annular algebra.
 """
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .cyclotomic import nullspace_dimension
@@ -35,23 +30,29 @@ MAX_ATTEMPTS = 5
 
 
 class DecompositionError(RuntimeError):
-    """A splitting failed; ``seeds`` names the seeded attempts it tried."""
+    """A splitting failed: ``check`` names the failed check and ``witness``
+    its witness (by default ``seeds``, the seeded attempts it tried)."""
 
-    def __init__(self, message: str, seeds: Sequence[str] = ()):
+    def __init__(self, message: str, seeds: Sequence[str] = (),
+                 check: str = "decompose", witness=None):
         super().__init__(message)
         self.seeds = list(seeds)
+        self.check = check
+        self.witness = self.seeds if witness is None else witness
 
 
 class Seeded(list):
-    """A splitting's result, with ``seeds``: the seeded attempts it took.
+    """A splitting's result, with ``seeds``: the seeded attempts it took,
+    and a ``detail`` line on the checks it passed.
 
     Attempt ``i`` draws from ``random.Random(f"{seed}:{i}")``; the last
     seed listed is the one that succeeded.
     """
 
-    def __init__(self, items, seeds: Sequence[str]):
+    def __init__(self, items, seeds: Sequence[str], detail: str = ""):
         super().__init__(items)
         self.seeds = list(seeds)
+        self.detail = detail
 
 
 class TwistedGroupAlgebra(MonomialStarAlgebra):
@@ -160,105 +161,57 @@ def regular_representation(alg: MonomialStarAlgebra) -> Representation:
     return Representation(labels=labels, dim=n, matrices=mats)
 
 
-def _characters(alg: MonomialStarAlgebra, subspaces: list,
-                idx: dict) -> list[np.ndarray]:
-    """Per subspace range(Q), the character b -> trace(L_b Q Q^H): the
-    sum of ph (Q Q^H)[a, r] over the products (b, a) -> (ph, r)."""
-    import numpy as np
-    products = alg.products
-    left, right, result = np.array(
-        [(idx[b], idx[a], idx[r]) for (b, a), (_, r) in products.items()],
-        dtype=np.intp).reshape(-1, 3).T
-    phase = np.array([root(ph, alg.modulus) for ph, _ in products.values()])
-    chars = [np.zeros(len(idx), dtype=complex) for _ in subspaces]
-    for ch, Q in zip(chars, subspaces):
-        np.add.at(ch, left, phase * np.sum(Q[right] * Q[result].conj(), axis=1))
-    return chars
-
-
 class IrreducibleBlock(NamedTuple):
+    """The isotypic block of one irreducible in the regular representation:
+    its ``dimension`` D, equal to its ``multiplicity``, and the class of
+    the block isomorphism it comes from."""
+
     dimension: int
     multiplicity: int
-    character: tuple
+    class_index: int
 
 
-def decompose(alg: MonomialStarAlgebra, seed: int = 0, tol: float = 1e-9,
-              max_retries: int = MAX_ATTEMPTS) -> Seeded:
-    """Split the regular representation into irreducible blocks.
+def decompose(alg, seed: int = 0) -> Seeded:
+    """Split the regular representation of a tube-shaped algebra, exactly.
 
-    A random self-adjoint element of the commutant (a right
-    multiplication) is diagonalized; eigenvalue clusters cut the space
-    into invariant subspaces, which are then grouped into equivalence
-    classes by their characters.  Ambiguous eigenvalue gaps trigger a
-    retry with a fresh seeded element; the result's ``seeds`` lists the
-    attempts, as does the :class:`DecompositionError` when all fail.
+    The block map is checked exhaustively first; it makes the algebra
+    the sum over classes C of M_|I_C| tensor C^phi_C[C_G(g_C)], with
+    I_C the objects whose weight lies in C.  So each projective
+    irreducible of dimension d of a twisted centralizer algebra
+    (:func:`tubealg.splitting.projective_dimensions`) gives a block of
+    dimension and multiplicity D = |I_C| d.  Two exact cross-checks
+    follow: the blocks number :func:`center_dimension` of ``alg``, and
+    the D^2 sum to its dimension.  The result's ``seeds`` are those of
+    the class that took the most attempts, and its ``detail`` states
+    the checks.  A failed check raises :class:`DecompositionError` with
+    the check's name and witness.
     """
-    import numpy as np
-    labels = list(alg.labels())
-    idx = {a: i for i, a in enumerate(labels)}
-    n = len(labels)
-    last_error = None
-    seeds = []
-    for attempt in range(max_retries):
-        seeds.append(f"{seed}:{attempt}")
-        rng = random.Random(seeds[-1])
-        z = {a: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for a in labels}
-        w: dict = {}
-        for a, c in z.items():
-            w[a] = w.get(a, 0) + c
-            ph, as_ = alg.stars[a]
-            w[as_] = w.get(as_, 0) + c.conjugate() * root(ph, alg.modulus)
-        # right multiplication by w
-        W = np.zeros((n, n), dtype=complex)
-        for (a, b), (ph, lab) in alg.products.items():
-            W[idx[lab], idx[a]] += w.get(b, 0) * root(ph, alg.modulus)
-        if np.max(np.abs(W - W.conj().T)) > 1e-8:
-            raise DecompositionError("right action of w is not self-adjoint")
-        vals, vecs = np.linalg.eigh(W)
-        scale = max(1.0, float(vals[-1] - vals[0]))
-        gaps = np.diff(vals)
-        cut = tol * scale * 100.0
-        ambiguous = np.any((gaps > tol * scale) & (gaps < cut * 10))
-        if ambiguous:
-            last_error = f"ambiguous eigenvalue gap at attempt {attempt}"
-            continue
-        clusters = []
-        start = 0
-        for i, g in enumerate(gaps):
-            if g > cut:
-                clusters.append((start, i + 1))
-                start = i + 1
-        clusters.append((start, n))
-        subspaces = [vecs[:, a:b] for a, b in clusters]
-        chars = _characters(alg, subspaces, idx)
-        groups: list[list[int]] = []
-        for i in range(len(subspaces)):
-            for grp in groups:
-                if np.max(np.abs(chars[grp[0]] - chars[i])) < 1e-6:
-                    grp.append(i)
-                    break
-            else:
-                groups.append([i])
-        blocks = []
-        ok = True
-        for grp in groups:
-            dims = {subspaces[i].shape[1] for i in grp}
-            if len(dims) != 1:
-                ok = False
-                break
-            blocks.append(IrreducibleBlock(
-                dimension=dims.pop(), multiplicity=len(grp),
-                character=tuple(np.round(chars[grp[0]], 9))))
-        if not ok:
-            last_error = f"inconsistent block dims at attempt {attempt}"
-            continue
-        if sum(b.dimension * b.multiplicity for b in blocks) != n:
-            last_error = f"block dimensions do not add up at attempt {attempt}"
-            continue
-        return Seeded(sorted(blocks, key=lambda b: (b.dimension, b.multiplicity)),
-                      seeds)
-    raise DecompositionError(
-        f"{last_error or 'decomposition failed'}; seeds tried {seeds}", seeds)
+    from .splitting import projective_dimensions
+    res = alg.check_block_map()
+    if not res.ok:
+        raise DecompositionError(f"block map fails {res.name} at {res.witness}",
+                                 check=res.name, witness=res.witness)
+    blocks_alg = alg.block_algebra()
+    blocks, seeds = [], []
+    for c, (index_set, tw) in enumerate(zip(blocks_alg.index_sets,
+                                            blocks_alg.twists)):
+        dims = projective_dimensions(
+            TwistedGroupAlgebra(alg.group, tw.elements, tw), seed)
+        seeds = max(seeds, dims.seeds, key=len)
+        blocks += [IrreducibleBlock(len(index_set) * d, len(index_set) * d, c)
+                   for d in dims]
+    n, count = len(alg.labels()), center_dimension(alg)
+    squares = sum(b.dimension * b.multiplicity for b in blocks)
+    if len(blocks) != count:
+        raise DecompositionError(f"{len(blocks)} blocks, center dimension "
+                                 f"{count}", seeds, "block-count",
+                                 (len(blocks), count))
+    if squares != n:
+        raise DecompositionError(f"sum D^2 = {squares} for {n} labels", seeds,
+                                 "dimension-sum", (squares, n))
+    return Seeded(sorted(blocks), seeds,
+                  f"{count} distinct blocks = center dimension {count}, "
+                  f"sum D^2 = {n} labels, block map {res.detail}")
 
 
 # -- induction / restriction / support ---------------------------------------

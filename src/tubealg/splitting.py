@@ -6,8 +6,9 @@ algebra modulo a prime that splits it and read the block dimensions off
 the characteristic polynomial of a central element, as in Dixon's
 modular method for group characters (Numer. Math. 10, 1967), applied to
 twisted group algebras as in Karpilovsky, *Projective Representations
-of Finite Groups* (1985).  Numpy-free; :func:`tubealg.rep.decompose` is
-the numerical cross-check.
+of Finite Groups* (1985).  Numpy-free; :func:`tubealg.rep.decompose`
+builds the regular representation's blocks of a tube-shaped algebra
+from these dimensions.
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def projective_dimensions(alg: TwistedGroupAlgebra, seed: int = 0) -> Seeded:
     number of blocks of dimension d.  A random z separates the blocks;
     an attempt is kept only if it finds :func:`center_dimension` blocks
     whose squared dimensions sum to |S|.  Raises
-    :class:`DecompositionError` when ``MAX_ATTEMPTS`` seeded attempts
-    all fail.
+    :class:`DecompositionError` (check ``projective-dimensions``, the
+    seeds as witness) when ``MAX_ATTEMPTS`` seeded attempts all fail.
     """
     els = list(alg.labels())
     n = len(els)
@@ -190,4 +191,4 @@ def projective_dimensions(alg: TwistedGroupAlgebra, seed: int = 0) -> Seeded:
             return Seeded(dims, seeds)
     raise DecompositionError(
         f"no attempt found {blocks} blocks of squared dimensions summing "
-        f"to {n}; seeds tried {seeds}", seeds)
+        f"to {n}; seeds tried {seeds}", seeds, "projective-dimensions")

@@ -310,8 +310,9 @@ def simple_count(alg: TubeAlgebra) -> SimpleCount:
     """Number of irreducible representations, summed over class blocks.
 
     Counts the exact center dimension of each twisted centralizer
-    algebra; for the regular-representation cross-check see
-    :func:`tubealg.rep.decompose`.
+    algebra.  :func:`tubealg.rep.decompose` counts the same simples
+    from the projective irreducible dimensions of those algebras and
+    checks its count against the center of the whole algebra.
     """
     return block_simple_count(alg.block_algebra())
 

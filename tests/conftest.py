@@ -155,7 +155,7 @@ def corrupt_last_twist(monkeypatch) -> None:
 
 def force_ambiguous_eigh(monkeypatch, times: int) -> None:
     """Make the first ``times`` eigendecompositions show a gap inside
-    ``rep.decompose``'s ambiguity band (between tol and 1000 tol, scaled),
+    ``regular_split_oracle.regular_split``'s ambiguity band (between tol and 1000 tol, scaled),
     so that it retries with its next seed."""
     import numpy as np
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tubealg.annular_bh import AnnularAlgebra
-from tubealg import phase
+from tubealg import phase, splitting
 from tubealg.cli import main
 from tubealg.coho import BHSetup, BHSetupError, bh_setup_from_json
 from tubealg.grp import group_to_json
@@ -19,7 +19,7 @@ from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
 from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
 from conftest import (bh_setup_v4, corrupt_last_twist, dihedral8_sign,
-                      force_ambiguous_eigh, symmetric_group)
+                      symmetric_group)
 
 
 @pytest.fixture
@@ -48,6 +48,11 @@ def files(tmp_path):
         "group": {"type": "perm", "degree": 3,
                   "generators": [[1, 0, 2], [1, 2, 0]]},
         "H": [0, 1], "K": [0, 2, 5],
+        "cocycle": cocycle_to_json(trivial_cocycle(s3))})
+    write("bh_s3_all.json", {
+        "group": {"type": "perm", "degree": 3,
+                  "generators": [[1, 0, 2], [1, 2, 0]]},
+        "H": list(range(6)), "K": list(range(6)),
         "cocycle": cocycle_to_json(trivial_cocycle(s3))})
     write("bh_s3_h_out_of_range.json", {
         "group": {"type": "perm", "degree": 3,
@@ -256,6 +261,7 @@ def test_subgroup_element_out_of_range_is_input_error(files, capsys, argv):
                                        files["bh_s3_h_out_of_range.json"]])
     assert code == 2
     assert report["status"] == "error" and "H lists" in report["error"]
+    assert report["witness"] == [6]
 
 
 @pytest.mark.parametrize("argv", [["bh", "check"], ["bh", "simples"],
@@ -278,6 +284,7 @@ def test_repeated_subgroup_element_is_input_error(tmp_path, capsys, argv,
     assert code == 2
     assert report["status"] == "error"
     assert f"{field} lists distinct elements" in report["error"]
+    assert report["witness"] == list(repeated)
 
 
 @pytest.mark.parametrize("payload", [5, [1, 2]], ids=["int", "list"])
@@ -548,7 +555,11 @@ def test_simples_build_the_algebra_once(files, capsys, monkeypatch, argv,
        "order 6, |H| 2, |K| 3, restrictions exhaustive 8 + 27")
       for action in ("check", "simples", "build")),
     (["rep", "decompose", "--group", "z2.json", "--cocycle", "semion.json"],
-     "decompose", "pass", '4 distinct blocks, attempt 1 of 5, seeds ["0:0"]')])
+     "decompose", "pass", "4 distinct blocks = center dimension 4, sum D^2 = 4 "
+     'labels, block map exhaustive 8, attempt 1 of 5, seeds ["0:0"]'),
+    # the star-isomorphism check runs at every order: 8^3 products
+    (["tube", "check", "--group", "d8.json", "--cocycle", "d8_sign.json",
+      "--max-exhaustive", "0"], "star-isomorphism", "pass", "exhaustive 512")])
 def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
                                           detail):
     code, report = run(capsys, [files.get(a, a) for a in argv])
@@ -556,14 +567,71 @@ def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
     assert (check["status"], check["detail"]) == (status, detail)
 
 
+def _force_central_elements(monkeypatch, element, times=None) -> None:
+    """Make the first ``times`` (default: every) attempts of
+    ``projective_dimensions`` use ``element(n)`` in place of a random
+    central element of an n-dimensional twisted algebra."""
+    calls = []
+    real = splitting._central_element
+
+    def forced(mult, *args):
+        calls.append(1)
+        if times is None or len(calls) <= times:
+            return element(len(mult))
+        return real(mult, *args)
+
+    monkeypatch.setattr(splitting, "_central_element", forced)
+
+
+def _unit(n: int) -> list:
+    return [1] + [0] * (n - 1)
+
+
+def _last_basis_element(n: int) -> list:
+    # in C[S3] the last element, like every nonidentity one, is not central
+    return [0] * (n - 1) + [1]
+
+
 def test_decompose_reports_its_retries(files, capsys, monkeypatch):
-    force_ambiguous_eigh(monkeypatch, 1)
+    # the unit of the first class's 2-dimensional algebra reads as one
+    # block, fewer than its 2; the second seed separates them
+    _force_central_elements(monkeypatch, _unit, times=1)
     code, report = run(capsys, ["rep", "decompose", "--group", files["z2.json"],
                                 "--cocycle", files["semion.json"],
                                 "--seed", "7"])
     assert code == 0 and report["data"]["distinct"] == 4
     assert report["checks"][0]["detail"] == \
-        '4 distinct blocks, attempt 2 of 5, seeds ["7:0", "7:1"]'
+        "4 distinct blocks = center dimension 4, sum D^2 = 4 labels, " \
+        'block map exhaustive 8, attempt 2 of 5, seeds ["7:0", "7:1"]'
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "decompose", "--group", "s3.json", "--cocycle", "s3_trivial.json"],
+    ["bh", "simples", "--bh", "bh_s3_all.json"]], ids=["rep", "bh"])
+def test_failed_splitting_is_one_failed_check(files, capsys, monkeypatch,
+                                              argv):
+    # every attempt on C[S3] (the identity class; every weight of H = S3)
+    # gets a non-central element, so no seed splits it
+    _force_central_elements(monkeypatch, _last_basis_element)
+    code, report = run(capsys, [files.get(a, a) for a in argv] + ["--seed", "3"])
+    assert code == 1 and report["status"] == "fail" and report["data"] == {}
+    seeds = [f"3:{i}" for i in range(5)]
+    [check] = report["checks"]
+    assert (check["name"], check["status"], check["witness"]) == \
+        ("projective-dimensions", "fail", seeds)
+    assert f"seeds tried {seeds}" in check["detail"]
+
+
+def test_decompose_stops_at_a_corrupt_block_map(files, capsys, monkeypatch):
+    corrupt_last_twist(monkeypatch)
+    code, report = run(capsys, ["rep", "decompose", "--group", files["d8.json"],
+                                "--cocycle", files["d8_sign.json"]])
+    assert code == 1 and report["status"] == "fail"
+    assert "blocks" not in report["data"]
+    [check] = report["checks"]
+    assert (check["name"], check["status"]) == ("phi-mult", "fail")
+    assert len(check["witness"]) == 2
+    assert all(len(label) == 3 for label in check["witness"])
 
 
 # -- numpy only where a subcommand splits numerically ------------------------------
@@ -616,8 +684,11 @@ _PREAMBLE = ["start", "import tubealg", "import tubealg.cli"]
 
 
 def test_exact_subcommands_never_import_numpy(files):
-    exact = _exact_argvs(files)
-    numerical = ["rep", "decompose", "--group", files["z2.json"],
+    exact = _exact_argvs(files) + [
+        ["rep", "decompose", "--group", files["z2.json"],
+         "--cocycle", files["semion.json"]],
+        ["rep", "decompose", "--bh", files["bh_s3.json"]]]
+    numerical = ["rep", "induce", "--group", files["z2.json"],
                  "--cocycle", files["semion.json"]]
     runs = _child_runs(exact + [numerical], ["numpy"])
     assert runs == ([[step, []] for step in _PREAMBLE]

@@ -1,4 +1,5 @@
-"""Twisted group algebras, centers, decomposition, induction, restriction."""
+"""Twisted group algebras, centers, induction, restriction, and the
+numerical regular split (the test oracle of ``rep.decompose``)."""
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from tubealg.grp import conjugacy_data, cyclic_group
 from tubealg.phase import (Cocycle2, Cocycle3, root, standard_cyclic_cocycle,
                            trivial_cocycle)
 from tubealg.rep import (DecompositionError, Representation,
-                         TwistedGroupAlgebra, _characters, center_dimension,
-                         decompose, induce, regular_representation,
-                         rep_from_json, rep_to_json, restrict,
-                         support_decompose)
+                         TwistedGroupAlgebra, center_dimension, induce,
+                         regular_representation, rep_from_json, rep_to_json,
+                         restrict, support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count
 
 from conftest import dihedral8_sign, force_ambiguous_eigh, symmetric_group
+from regular_split_oracle import characters, regular_split
 
 
 def _z2_twisted():
@@ -80,7 +81,7 @@ def test_center_dimension_is_invariant_under_modulus_scaling():
 
 def test_decompose_twisted_z2_blocks():
     alg = _z2_twisted()
-    blocks = decompose(alg, seed=1)
+    blocks = regular_split(alg, seed=1)
     assert [(b.dimension, b.multiplicity) for b in blocks] == [(1, 1), (1, 1)]
     # the generator acts as +i on one block and -i on the other
     vals = sorted((b.character[1] for b in blocks), key=lambda z: z.imag)
@@ -90,7 +91,7 @@ def test_decompose_twisted_z2_blocks():
 def test_decompose_one_dimensional_algebra():
     z1 = cyclic_group(1)
     alg = TwistedGroupAlgebra(z1, (0,), Cocycle2(z1, (0,), [0], 1))
-    blocks = decompose(alg)
+    blocks = regular_split(alg)
     assert [(b.dimension, b.multiplicity) for b in blocks] == [(1, 1)]
 
 
@@ -99,7 +100,7 @@ def test_decompose_regular_s3():
     cd = conjugacy_data(s3)
     phi = phi_class(s3, trivial_cocycle(s3), cd, 0)
     alg = TwistedGroupAlgebra(s3, phi.elements, phi)
-    blocks = decompose(alg, seed=2)
+    blocks = regular_split(alg, seed=2)
     assert [(b.dimension, b.multiplicity) for b in blocks] == \
         [(1, 1), (1, 1), (2, 2)]
 
@@ -111,12 +112,12 @@ def _regular_s3():
 
 
 def test_decompose_names_its_seeds():
-    assert decompose(_regular_s3(), seed=2).seeds == ["2:0"]
+    assert regular_split(_regular_s3(), seed=2).seeds == ["2:0"]
 
 
 def test_decompose_retries_an_ambiguous_gap(monkeypatch):
     force_ambiguous_eigh(monkeypatch, 1)
-    blocks = decompose(_regular_s3(), seed=2)
+    blocks = regular_split(_regular_s3(), seed=2)
     assert [(b.dimension, b.multiplicity) for b in blocks] == \
         [(1, 1), (1, 1), (2, 2)]
     assert blocks.seeds == ["2:0", "2:1"]
@@ -125,7 +126,7 @@ def test_decompose_retries_an_ambiguous_gap(monkeypatch):
 def test_decompose_failure_names_every_seed(monkeypatch):
     force_ambiguous_eigh(monkeypatch, 3)
     with pytest.raises(DecompositionError) as exc:
-        decompose(_regular_s3(), seed=2, max_retries=3)
+        regular_split(_regular_s3(), seed=2, max_retries=3)
     assert exc.value.seeds == ["2:0", "2:1", "2:2"]
     assert "ambiguous eigenvalue gap at attempt 2" in str(exc.value)
 
@@ -135,7 +136,7 @@ def test_block_dimension_sum_rule(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     for tw in alg.block_algebra().twists:
         talg = TwistedGroupAlgebra(small_fixture.group, tw.elements, tw)
-        blocks = decompose(talg, seed=4)
+        blocks = regular_split(talg, seed=4)
         assert sum(b.dimension ** 2 for b in blocks) == talg.dimension
         assert all(b.multiplicity == b.dimension for b in blocks)
 
@@ -144,7 +145,7 @@ def test_center_count_matches_regular_decomposition(small_fixture):
     # two independent computations of the number of irreducibles
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     counts = simple_count(alg)
-    blocks = decompose(alg, seed=6)
+    blocks = regular_split(alg, seed=6)
     assert counts.total == len(blocks)
 
 
@@ -328,7 +329,7 @@ def test_characters_match_per_column_oracle():
     raw = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
     Q, _ = np.linalg.qr(raw)
     subspaces = [Q[:, :1], Q[:, 1:5], np.eye(n, dtype=complex)[:, 10:13]]
-    got = _characters(alg, subspaces, idx)
+    got = characters(alg, subspaces, idx)
     want = _characters_per_column(alg, subspaces)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) < 1e-9

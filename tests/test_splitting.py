@@ -1,9 +1,10 @@
 """Exact projective-irreducible dimensions over a prime field.
 
 ``projective_dimensions`` is checked against the numerical regular
-splitting ``decompose``, which stays as its oracle, and its seeded
-attempts are checked by forcing central elements that do not separate
-the blocks.
+split of ``regular_split_oracle``, and its seeded attempts are checked
+by forcing central elements that do not separate the blocks.
+``rep.decompose``, which builds a tube-shaped algebra's regular blocks
+from these dimensions, is checked against the same oracle.
 """
 
 from functools import cache
@@ -11,16 +12,19 @@ from functools import cache
 import pytest
 
 from tubealg import rep, splitting
-from tubealg.annular_bh import end_xg_algebra
+from tubealg.annular_bh import AnnularAlgebra, end_xg_algebra
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data, cyclic_group, direct_product
 from tubealg.phase import (Cocycle2, Cocycle3, inflate_cocycle,
                            standard_cyclic_cocycle)
 from tubealg.rep import (DecompositionError, TwistedGroupAlgebra,
-                         center_dimension, decompose)
+                         center_dimension)
 from tubealg.splitting import projective_dimensions
-from conftest import (bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
-                      dihedral8_sign, symmetric_group)
+from tubealg.tube_diag import TubeAlgebra
+from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
+                      bh_setup_z1, bh_setup_z2z4, dihedral8_sign,
+                      symmetric_group)
+from regular_split_oracle import regular_split
 
 
 def _v4():
@@ -57,7 +61,7 @@ def _s4_sign():
 
 
 def _algebras():
-    """(id, build) for every twisted algebra compared with decompose."""
+    """(id, build) for every twisted algebra compared with the oracle."""
     out = []
     for name, setup in (("s3", bh_setup_s3), ("v4", bh_setup_v4),
                         ("z2z4", bh_setup_z2z4), ("z1", bh_setup_z1)):
@@ -95,7 +99,7 @@ def test_comparison_list_is_complete():
 def test_dimensions_match_decompose(build):
     alg = build()
     dims = projective_dimensions(alg)
-    assert dims == [b.dimension for b in decompose(alg, seed=1)]
+    assert dims == [b.dimension for b in regular_split(alg, seed=1)]
     assert len(dims) == center_dimension(alg)
     assert sum(d * d for d in dims) == alg.dimension
 
@@ -192,3 +196,58 @@ def test_every_attempt_failing_raises_with_the_seeds(monkeypatch):
         projective_dimensions(alg, seed=3)
     assert exc.value.seeds == [f"3:{i}" for i in range(rep.MAX_ATTEMPTS)]
     assert "seeds tried" in str(exc.value)
+
+
+# -- the regular representation of a tube-shaped algebra ----------------------
+
+
+def _tube_shaped():
+    """(id, build) for every tube-shaped algebra compared with the oracle."""
+    out = [(name, lambda f=_FIXTURES[name]: TubeAlgebra(f.group, f.omega))
+           for name in SMALL_NAMES]
+    out += [(name, lambda build=build: TubeAlgebra(*build()))
+            for name, build in (("d8_sign", dihedral8_sign),
+                                ("s4_sign", _s4_sign), ("type_iii", _type_iii))]
+    out += [(f"annular-{name}", lambda s=setup: AnnularAlgebra(s()))
+            for name, setup in (("s3", bh_setup_s3), ("v4", bh_setup_v4),
+                                ("z2z4", bh_setup_z2z4), ("z1", bh_setup_z1))]
+    return out
+
+
+_TUBE_SHAPED = _tube_shaped()
+
+
+@pytest.mark.parametrize("build", [b for _, b in _TUBE_SHAPED],
+                         ids=[i for i, _ in _TUBE_SHAPED])
+def test_decompose_matches_the_regular_split(build):
+    alg = build()
+    exact = rep.decompose(alg, seed=1)
+    numerical = regular_split(alg, seed=1)
+    assert [(b.dimension, b.multiplicity) for b in exact] == \
+        [(b.dimension, b.multiplicity) for b in numerical]
+    assert len(exact) == len(numerical) == center_dimension(alg)
+    assert sum(b.dimension ** 2 for b in exact) == len(alg.labels())
+
+
+def test_decompose_names_each_block_class():
+    # S4-sign: each class C gives |I_C| d for the projective dimensions d
+    alg = TubeAlgebra(*_s4_sign())
+    blocks = alg.block_algebra()
+    got = sorted((b.class_index, b.dimension) for b in rep.decompose(alg))
+    want = sorted((c, len(blocks.index_sets[c]) * d)
+                  for c in range(len(blocks.twists))
+                  for d in projective_dimensions(_block(*_s4_sign(), c)))
+    assert got == want and len(got) == 21
+
+
+@pytest.mark.parametrize("dims, check, witness", [
+    ([1], "block-count", (2, 4)), ([1, 2], "dimension-sum", (10, 4))])
+def test_decompose_cross_checks_reject_wrong_dimensions(monkeypatch, dims,
+                                                        check, witness):
+    # the semion tube: two classes, each a 2-dimensional algebra
+    monkeypatch.setattr(splitting, "projective_dimensions",
+                        lambda alg, seed: rep.Seeded(dims, [f"{seed}:0"]))
+    with pytest.raises(DecompositionError) as exc:
+        semion = standard_cyclic_cocycle(2, 1)
+        rep.decompose(TubeAlgebra(semion.group, semion))
+    assert (exc.value.check, exc.value.witness) == (check, witness)

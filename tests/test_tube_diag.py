@@ -8,9 +8,10 @@ from tubealg.coho import gamma
 from tubealg.phase import root, standard_cyclic_cocycle, trivial_cocycle
 from tubealg.tube_diag import (TubeAlgebra, TubeBasisElement, simple_count,
                                structure_constants_json, verify_star_iso)
-from tubealg.rep import TwistedGroupAlgebra, decompose
+from tubealg.rep import TwistedGroupAlgebra
 
 from conftest import corrupt_last_twist, dihedral8_sign, symmetric_group
+from regular_split_oracle import regular_split
 
 
 def mult_oracle(omega, right, left):
@@ -259,7 +260,7 @@ def test_semion_blocks_all_one_dimensional():
     alg = TubeAlgebra(sem.group, sem)
     for tw in alg.block_algebra().twists:
         talg = TwistedGroupAlgebra(sem.group, tw.elements, tw)
-        assert all(b.dimension == 1 for b in decompose(talg))
+        assert all(b.dimension == 1 for b in regular_split(talg))
 
 
 def test_structure_constant_dump(semion_algebra):
