@@ -60,11 +60,8 @@ class AnnularAlgebra(TubeShapedAlgebra):
     Objects run H-major, so labels come in the order (h1, g1, s, h2).
     """
 
-    def __init__(self, setup: BHSetup, validate: bool = True):
-        # validate=False only makes sense for formula-level comparisons
-        # where the caller vouches for the setup (e.g. trivial H)
-        if validate:
-            setup.validate()
+    def __init__(self, setup: BHSetup):
+        setup.validate()
         self._build(setup, setup.group.elements())
 
     def _build(self, setup: BHSetup, weights: Sequence[int]) -> None:
@@ -233,13 +230,16 @@ def double_cosets(group: GroupTable, H: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 class CutdownAlgebra(AnnularAlgebra):
-    """The annular algebra on the objects (h, d), d a representative weight."""
+    """The annular algebra on the objects (h, d), d a representative weight.
 
-    def __init__(self, annular: AnnularAlgebra):
-        self.annular = annular
+    Built on ``setup`` as given: unlike :class:`AnnularAlgebra` it does
+    not run :meth:`BHSetup.validate`.
+    """
+
+    def __init__(self, setup: BHSetup):
         self.weights = tuple(
-            sorted(c[0] for c in double_cosets(annular.group, annular.H)))
-        self._build(annular.setup, self.weights)
+            sorted(c[0] for c in double_cosets(setup.group, setup.H)))
+        self._build(setup, self.weights)
 
 
 class EndSplitting(NamedTuple):
@@ -280,7 +280,7 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     result does not depend on it.
     """
     setup, G = alg.setup, alg.group
-    cut = CutdownAlgebra(alg)
+    cut = CutdownAlgebra(setup)
     corner_dims = {}
     for d1 in cut.weights:
         for d2 in cut.weights:
@@ -322,8 +322,7 @@ def compare_cutdown_diagonal(setup: BHSetup) -> CheckResult:
     if tuple(setup.H) != (0,):
         raise ValueError("exact comparison requires trivial H")
     setup.omega.ensure_valid()
-    annular = AnnularAlgebra(setup, validate=False)
-    cut = CutdownAlgebra(annular)
+    cut = CutdownAlgebra(setup)
     tube = TubeAlgebra(setup.group, setup.omega)
     if len(cut.labels()) != len(tube.labels()):
         return CheckResult(False, "cutdown-diagonal-size",

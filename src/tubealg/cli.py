@@ -19,6 +19,7 @@ import time
 from . import annular_bh, coho, grp, phase, rep, tube_diag
 
 DEFAULT_MAX_EXHAUSTIVE = 24
+INPUTS = ("group", "cocycle", "bh", "rep")  # hashed into the report in this order
 
 
 class InputError(ValueError):
@@ -36,7 +37,13 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, what: str, parse, errors: dict | None = None):
+    """``parse`` of the JSON object in ``path``, every fault an InputError.
+
+    A KeyError or TypeError from ``parse`` is a malformed ``what``; an
+    exception of a type in ``errors`` is reported after that type's
+    prefix, with its witness.  Any other exception passes through.
+    """
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -46,7 +53,26 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object")
-    return obj
+    errors = dict.fromkeys((KeyError, TypeError), f"malformed {what}: ") \
+        | (errors or {})
+    try:
+        return parse(obj)
+    except tuple(errors) as exc:
+        prefix = next(p for t, p in errors.items() if isinstance(exc, t))
+        raise InputError(f"{path}: {prefix}{exc}",
+                         getattr(exc, "witness", None)) from exc
+
+
+def _cocycle(args) -> phase.Cocycle3:
+    group = _load(args.group, "group payload", grp.group_from_json)
+    return _load(args.cocycle, "cocycle payload",
+                 lambda obj: phase.cocycle_from_json(group, obj))
+
+
+def _setup(args) -> coho.BHSetup:
+    return _load(args.bh, "setup payload", coho.bh_setup_from_json,
+                 {grp.GroupError: "invalid group in setup: ",
+                  coho.BHSetupError: ""})
 
 
 def _check_dict(res: phase.CheckResult, not_ok: str = "fail") -> dict:
@@ -67,59 +93,46 @@ def _normalized(omega: phase.Cocycle3) -> dict:
                        n ** 3 - (n - 1) ** 3)
 
 
-def _load_group(path: str) -> grp.GroupTable:
-    obj = _load_json(path)
+def _setup_failure(exc: coho.BHSetupError) -> phase.CheckResult:
+    return phase.CheckResult(False, f"setup:{exc.invariant}", exc.witness,
+                             str(exc))
+
+
+def _build(args, annular: bool) -> tuple[phase.CheckResult, object]:
+    """The input's check and its algebra, or the failed check and None:
+    the tube algebra after the ``cocycle3`` check, or the annular algebra
+    after the ``setup`` check, whose failure names the broken invariant."""
+    if not annular:
+        omega = _cocycle(args)
+        res = phase.cocycle3_check(omega)
+        return res, tube_diag.TubeAlgebra(omega.group, omega) if res.ok else None
+    setup = _setup(args)
     try:
-        return grp.group_from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: malformed group payload: {exc}") from exc
-
-
-def _load_cocycle(path: str, group: grp.GroupTable) -> phase.Cocycle3:
-    obj = _load_json(path)
-    try:
-        return phase.cocycle_from_json(group, obj)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: malformed cocycle payload: {exc}") from exc
-
-
-def _load_setup(path: str) -> coho.BHSetup:
-    obj = _load_json(path)
-    try:
-        return coho.bh_setup_from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: malformed setup payload: {exc}") from exc
-    except grp.GroupError as exc:
-        raise InputError(f"{path}: invalid group in setup: {exc}") from exc
+        alg = annular_bh.AnnularAlgebra(setup)
     except coho.BHSetupError as exc:
-        raise InputError(f"{path}: {exc}", exc.witness) from exc
-
-
-def _setup_failure(exc: coho.BHSetupError) -> tuple[list, dict]:
-    return [_check_dict(phase.CheckResult(False, f"setup:{exc.invariant}",
-                                          exc.witness, str(exc)))], {}
+        return _setup_failure(exc), None
+    h, k = len(setup.H), len(setup.K)
+    return phase.CheckResult(
+        True, "setup", detail=f"order {setup.group.order}, |H| {h}, |K| {k}, "
+                              f"restrictions exhaustive {h ** 3} + {k ** 3}"), alg
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_verify_group(args) -> tuple[list, dict]:
-    obj = _load_json(args.group)
     try:
-        group = grp.group_from_json(obj)
+        group = _load(args.group, "group payload", grp.group_from_json)
     except grp.GroupError as exc:
         return [_check_dict(phase.CheckResult(False, "group-table",
                                               exc.witness, str(exc)))], {}
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"{args.group}: malformed group payload: {exc}") from exc
     return ([_check_dict(phase.CheckResult(True, "group-table",
                                            detail=f"order {group.order}"))],
             {"order": group.order})
 
 
 def _cmd_verify_cocycle(args) -> tuple[list, dict]:
-    group = _load_group(args.group)
-    omega = _load_cocycle(args.cocycle, group)
+    omega = _cocycle(args)
     res = phase.cocycle3_check(omega)
     checks = [_check_dict(res)]
     if res.ok:
@@ -128,8 +141,7 @@ def _cmd_verify_cocycle(args) -> tuple[list, dict]:
 
 
 def _cmd_normalize(args) -> tuple[list, dict]:
-    group = _load_group(args.group)
-    omega = _load_cocycle(args.cocycle, group)
+    omega = _cocycle(args)
     res = phase.cocycle3_check(omega)
     if not res.ok:
         return [_check_dict(res)], {}
@@ -140,11 +152,11 @@ def _cmd_normalize(args) -> tuple[list, dict]:
 
 
 def _cmd_gauge_fix(args) -> tuple[list, dict]:
-    setup = _load_setup(args.bh)
+    setup = _setup(args)
     try:
         omega_prime, f = coho.gauge_fix_bh(setup)
     except coho.BHSetupError as exc:
-        return _setup_failure(exc)
+        return [_check_dict(_setup_failure(exc))], {}
     G = setup.group
     checks = [_check_dict(omega_prime.ensure_valid()),
               _normalized(omega_prime)]
@@ -163,24 +175,28 @@ def _cmd_gauge_fix(args) -> tuple[list, dict]:
     return checks, data
 
 
+def _algebra(args, annular: bool) -> tuple[object, list, dict]:
+    """The algebra of ``tube`` or ``bh`` and the report entries they share:
+    the input check, the basis count, the ``build`` dump and the ``check``
+    basis laws, which walk every composable triple when there are at most
+    ``--max-exhaustive`` ** 4 of them (|G|^4 tube, (|H||G|)^4 annular)."""
+    res, alg = _build(args, annular)
+    checks, data = [_check_dict(res)], {}
+    if alg is not None:
+        data["basis_count"] = len(alg.labels())
+        if args.action == "build":
+            data["structure_constants"] = tube_diag.structure_constants_json(alg)
+        elif args.action == "check":
+            checks += [_check_dict(r) for r in alg.check_all(
+                args.max_exhaustive ** 4, seed=args.seed)]
+    return alg, checks, data
+
+
 def _cmd_tube(args) -> tuple[list, dict]:
-    group = _load_group(args.group)
-    omega = _load_cocycle(args.cocycle, group)
-    res = phase.cocycle3_check(omega)
-    if not res.ok:
-        return [_check_dict(res)], {}
-    alg = tube_diag.TubeAlgebra(group, omega)
-    checks = [_check_dict(res)]
-    data: dict = {"basis_count": len(alg.labels())}
-    if args.action == "build":
-        data["structure_constants"] = tube_diag.structure_constants_json(alg)
-    elif args.action == "check":
-        exhaustive = None if group.order <= args.max_exhaustive \
-            else args.max_exhaustive ** 4
-        for r in alg.check_all(exhaustive, seed=args.seed):
-            checks.append(_check_dict(r))
+    alg, checks, data = _algebra(args, annular=False)
+    if alg is not None and args.action == "check":
         checks.append(_check_dict(tube_diag.verify_star_iso(alg)))
-    elif args.action == "simples":
+    elif alg is not None and args.action == "simples":
         counts = tube_diag.simple_count(alg)
         data["per_class"] = {str(k): v for k, v in counts.per_class.items()}
         data["total"] = counts.total
@@ -188,26 +204,9 @@ def _cmd_tube(args) -> tuple[list, dict]:
 
 
 def _cmd_bh(args) -> tuple[list, dict]:
-    setup = _load_setup(args.bh)
-    try:
-        alg = annular_bh.AnnularAlgebra(setup)
-    except coho.BHSetupError as exc:
-        return _setup_failure(exc)
-    h, k = len(setup.H), len(setup.K)
-    checks = [_check_dict(phase.CheckResult(
-        True, "setup", detail=f"order {setup.group.order}, |H| {h}, |K| {k}, "
-                              f"restrictions exhaustive {h ** 3} + {k ** 3}"))]
-    data: dict = {"basis_count": len(alg.labels())}
-    if args.action == "build":
-        data["structure_constants"] = tube_diag.structure_constants_json(alg)
-    elif args.action == "check":
-        size = len(alg.labels())
-        exhaustive = None if size <= args.max_exhaustive ** 2 \
-            else args.max_exhaustive ** 2
-        for r in alg.check_all(exhaustive, seed=args.seed):
-            checks.append(_check_dict(r))
-        for r in annular_bh.box_checks(alg):
-            checks.append(_check_dict(r))
+    alg, checks, data = _algebra(args, annular=True)
+    if alg is not None and args.action == "check":
+        checks += [_check_dict(r) for r in annular_bh.box_checks(alg)]
         report = annular_bh.bh_verify_star_iso(alg)
         for conv, r in report.results.items():
             checks.append(_check_dict(phase.CheckResult(
@@ -217,16 +216,16 @@ def _cmd_bh(args) -> tuple[list, dict]:
             detail=f"passing conventions: {report.passing}")))
         data["passing_conventions"] = report.passing
         bad, triples = [], 0
-        weights = setup.group.elements()
+        weights = alg.group.elements()
         for g in weights:
-            tw = annular_bh.end_xg_algebra(setup, g)
+            tw = annular_bh.end_xg_algebra(alg.setup, g)
             triples += len(tw.elements) ** 3
             if not phase.cocycle2_check(tw).ok:
                 bad.append(g)
         checks.append(_check_dict(phase.CheckResult(
             not bad, "weight-endomorphism-twists", tuple(bad) or None,
             f"exhaustive {len(weights)} weights, {triples} triples")))
-    elif args.action == "simples":
+    elif alg is not None and args.action == "simples":
         report = annular_bh.tube_cutdown(alg, seed=args.seed)
         full = report.simple_count_full
         data["per_class"] = {str(k): v for k, v in full.per_class.items()}
@@ -244,53 +243,42 @@ def _cmd_bh(args) -> tuple[list, dict]:
 
 
 def _cmd_rep(args) -> tuple[list, dict]:
-    use_bh = args.action == "decompose" and args.bh
-    if not use_bh and not (args.group and args.cocycle):
+    annular = args.action == "decompose" and bool(args.bh)
+    if not annular and not (args.group and args.cocycle):
         raise InputError(f"rep {args.action} needs --group and --cocycle"
                          + (" or --bh" if args.action == "decompose" else ""))
+    res, alg = _build(args, annular)
+    checks = [_check_dict(res)]
+    if alg is None:
+        return checks, {}
     if args.action == "induce":
-        group = _load_group(args.group)
-        omega = _load_cocycle(args.cocycle, group)
-        alg = tube_diag.TubeAlgebra(group, omega)
         blocks = alg.block_algebra()
         if not 0 <= args.class_index < len(blocks.index_sets):
             raise InputError(f"class index {args.class_index} out of range")
         tw = blocks.twists[args.class_index]
-        talg = rep.TwistedGroupAlgebra(group, tw.elements, tw)
+        talg = rep.TwistedGroupAlgebra(alg.group, tw.elements, tw)
         if args.rep:
-            obj = _load_json(args.rep)
-            try:
-                pi = rep.rep_from_json(obj, list(tw.elements))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{args.rep}: malformed representation: "
-                                 f"{exc}") from exc
+            pi = _load(args.rep, "representation",
+                       lambda obj: rep.rep_from_json(obj, list(tw.elements)),
+                       {ValueError: "malformed representation: "})
         else:
             pi = rep.regular_representation(talg)
         res = pi.check(talg)
+        checks.append(_check_dict(res))
         if not res.ok:
-            return [_check_dict(res)], {}
+            return checks, {}
         induced = rep.induce(alg, args.class_index, pi)
-        checks = [_check_dict(res), _check_dict(induced.check(alg))]
+        checks.append(_check_dict(induced.check(alg)))
         return checks, {"representation": rep.rep_to_json(induced)}
-    if args.action == "decompose":
-        if use_bh:
-            try:
-                alg = annular_bh.AnnularAlgebra(_load_setup(args.bh))
-            except coho.BHSetupError as exc:
-                return _setup_failure(exc)
-        else:
-            group = _load_group(args.group)
-            omega = _load_cocycle(args.cocycle, group)
-            alg = tube_diag.TubeAlgebra(group, omega)
-        blocks = rep.decompose(alg, seed=args.seed)
-        data = {"blocks": [{"dimension": b.dimension,
-                            "multiplicity": b.multiplicity} for b in blocks],
-                "distinct": len(blocks)}
-        detail = (f"{blocks.detail}, attempt {len(blocks.seeds)} of "
-                  f"{rep.MAX_ATTEMPTS}, seeds {json.dumps(blocks.seeds)}")
-        return ([_check_dict(phase.CheckResult(True, "decompose",
-                                               detail=detail))], data)
-    raise InputError(f"unknown rep action {args.action}")
+    blocks = rep.decompose(alg, seed=args.seed)
+    data = {"blocks": [{"dimension": b.dimension,
+                        "multiplicity": b.multiplicity} for b in blocks],
+            "distinct": len(blocks)}
+    detail = (f"{blocks.detail}, attempt {len(blocks.seeds)} of "
+              f"{rep.MAX_ATTEMPTS}, seeds {json.dumps(blocks.seeds)}")
+    checks.append(_check_dict(phase.CheckResult(True, "decompose",
+                                                detail=detail)))
+    return checks, data
 
 
 # -- driver -------------------------------------------------------------------
@@ -301,96 +289,62 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tubealg",
         description="exact annular-algebra toolbox for finite groups "
                     "with 3-cocycle data")
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-exhaustive", type=int,
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--max-exhaustive", type=int,
                         default=DEFAULT_MAX_EXHAUSTIVE)
-
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify-group", help="validate a group table file")
-    sp.add_argument("--group", required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_verify_group, files=lambda a: [a.group])
+    def add(name, handler, help, inputs, actions=None, required=True):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        if actions:
+            sp.add_argument("action", choices=actions)
+        for flag in inputs:
+            sp.add_argument(flag, required=required)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("verify-cocycle", help="check the 3-cocycle law")
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--cocycle", required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_verify_cocycle,
-                    files=lambda a: [a.group, a.cocycle])
-
-    sp = sub.add_parser("normalize", help="kill identity arguments by a coboundary")
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--cocycle", required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_normalize, files=lambda a: [a.group, a.cocycle])
-
-    sp = sub.add_parser("gauge-fix",
-                        help="trivialize (g, l, l^-1) values for l in H or K")
-    sp.add_argument("--bh", required=True)
-    common(sp)
-    sp.set_defaults(handler=_cmd_gauge_fix, files=lambda a: [a.bh])
-
-    for name in ("tube", "bh"):
-        sp = sub.add_parser(name, help=f"{name} algebra operations")
-        sp.add_argument("action", choices=["build", "check", "simples"])
-        if name == "tube":
-            sp.add_argument("--group", required=True)
-            sp.add_argument("--cocycle", required=True)
-            sp.set_defaults(handler=_cmd_tube,
-                            files=lambda a: [a.group, a.cocycle])
-        else:
-            sp.add_argument("--bh", required=True)
-            sp.set_defaults(handler=_cmd_bh, files=lambda a: [a.bh])
-        common(sp)
-
-    sp = sub.add_parser("rep", help="representation operations")
-    sp.add_argument("action", choices=["induce", "decompose"])
-    sp.add_argument("--group")
-    sp.add_argument("--cocycle")
-    sp.add_argument("--bh")
-    sp.add_argument("--rep")
+    tube_inputs = ["--group", "--cocycle"]
+    add("verify-group", _cmd_verify_group, "validate a group table file",
+        ["--group"])
+    add("verify-cocycle", _cmd_verify_cocycle, "check the 3-cocycle law",
+        tube_inputs)
+    add("normalize", _cmd_normalize, "kill identity arguments by a coboundary",
+        tube_inputs)
+    add("gauge-fix", _cmd_gauge_fix,
+        "trivialize (g, l, l^-1) values for l in H or K", ["--bh"])
+    actions = ["build", "check", "simples"]
+    add("tube", _cmd_tube, "tube algebra operations", tube_inputs, actions)
+    add("bh", _cmd_bh, "bh algebra operations", ["--bh"], actions)
+    sp = add("rep", _cmd_rep, "representation operations",
+             tube_inputs + ["--bh", "--rep"], ["induce", "decompose"],
+             required=False)
     sp.add_argument("--class-index", type=int, default=0)
-    common(sp)
-    sp.set_defaults(handler=_cmd_rep,
-                    files=lambda a: [f for f in (a.group, a.cocycle, a.bh, a.rep)
-                                     if f])
     return p
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.monotonic()
-    report = {
-        "command": ["tubealg"] + argv,
-        "seed": args.seed,
-        "max_exhaustive": args.max_exhaustive,
-        "inputs": {},
-        "checks": [],
-        "data": {},
-        "status": "ok",
-    }
+    report = {"command": ["tubealg"] + argv, "seed": args.seed,
+              "max_exhaustive": args.max_exhaustive, "inputs": {},
+              "checks": [], "data": {}, "status": "ok"}
     code = 0
     try:
-        for f in args.files(args):
+        for f in filter(None, (getattr(args, k, None) for k in INPUTS)):
             report["inputs"][f] = _sha256(f) if os.path.exists(f) else None
             if report["inputs"][f] is None:
                 raise InputError(f"input file not found: {f}")
-        checks, data = args.handler(args)
-        report["checks"] = checks
-        report["data"] = data
-        failed = [c for c in checks if c["status"] == "fail"]
+        report["checks"], report["data"] = args.handler(args)
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
         if failed:
             report["status"] = "fail"
             code = 1
             for c in failed:
                 _log(f"FAIL {c['name']}: witness={c['witness']}")
         else:
-            for c in checks:
+            for c in report["checks"]:
                 _log(f"{c['status']} {c['name']}")
     except rep.DecompositionError as exc:
         report["checks"] = [_check_dict(phase.CheckResult(

@@ -31,8 +31,9 @@ import random
 from typing import NamedTuple, Sequence
 
 from .grp import GroupTable, centralizer, is_subgroup, subgroup_closure, group_from_json
-from .phase import (CheckResult, Cocycle2, Cocycle3, cocycle_from_json,
-                    coboundary2, is_normalized, restrict_trivial_on)
+from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
+                    cocycle_from_json, coboundary2, is_normalized,
+                    restrict_trivial_on)
 
 
 class BHSetupError(ValueError):
@@ -183,8 +184,9 @@ class BHSetup(NamedTuple):
     """A group generated by two subgroups, with a compatible cocycle.
 
     Invariants (see :meth:`validate`): H and K are subgroups whose union
-    generates the whole group, the cocycle is normalized, and its
-    restrictions to H^3 and K^3 are identically 1.
+    generates the whole group, the cocycle satisfies the 3-cocycle law
+    and is normalized, and its restrictions to H^3 and K^3 are
+    identically 1.
     """
 
     group: GroupTable
@@ -201,7 +203,10 @@ class BHSetup(NamedTuple):
         gen = subgroup_closure(G, tuple(self.H) + tuple(self.K))
         if len(gen) != G.order:
             raise BHSetupError("H and K generate the group", witness=gen)
-        self.omega.ensure_valid()
+        try:
+            self.omega.ensure_valid()
+        except CocycleError as exc:
+            raise BHSetupError("cocycle is a 3-cocycle", exc.witness) from exc
         if not is_normalized(self.omega):
             raise BHSetupError("cocycle is normalized")
         w = restrict_trivial_on(self.omega, self.H)

@@ -164,18 +164,25 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
 
     Elements are ordered breadth-first from the identity, multiplying by
     the generators in input order on the right; the identity gets
-    index 0.  Raises :class:`GroupError` if a generator is not a
-    permutation of ``0..degree-1`` or the closure exceeds ``max_order``.
+    index 0.  Raises :class:`GroupError` if the degree is not a
+    non-negative integer, a generator is not a permutation of
+    ``0..degree-1`` or the closure exceeds ``max_order``.  Nothing of
+    size ``degree`` is allocated unless a generator has that size.
     """
     if type(degree) is not int:
         raise GroupError(f"degree {degree!r} is not an integer")
+    if degree < 0:
+        raise GroupError(f"degree {degree} is negative")
     gens = []
     for k, g in enumerate(generators):
         g = tuple(g)
-        if any(type(x) is not int for x in g) or sorted(g) != list(range(degree)):
+        if len(g) != degree or any(type(x) is not int for x in g) \
+                or sorted(g) != list(range(degree)):
             raise GroupError(f"generator {k} is not a permutation of 0..{degree - 1}",
                              witness=(k,))
         gens.append(g)
+    if not gens:
+        return group_from_table(1, [[0]], names=["e"])
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}

@@ -29,12 +29,20 @@ def symmetric_group(degree: int) -> tuple[GroupTable, list[int]]:
     return group, [_sign(group.name(g)) for g in group.elements()]
 
 
-def dihedral8_sign() -> tuple[GroupTable, Cocycle3]:
-    """Order-8 dihedral group with the sign cocycle inflated from Z/2."""
-    g = group_from_permutations(4, [[1, 2, 3, 0], [0, 3, 2, 1]])
+def dihedral_sign(points: int) -> tuple[GroupTable, Cocycle3]:
+    """Dihedral group of order 2 * points with the sign cocycle inflated
+    from Z/2; element 1 is the rotation."""
+    g = group_from_permutations(points, [
+        [(i + 1) % points for i in range(points)],
+        [-i % points for i in range(points)]])
     rotations = set(subgroup_closure(g, [1]))
     signs = [0 if x in rotations else 1 for x in g.elements()]
     return g, inflate_cocycle(standard_cyclic_cocycle(2, 1), g, signs)
+
+
+def dihedral8_sign() -> tuple[GroupTable, Cocycle3]:
+    """Order-8 dihedral group with the sign cocycle inflated from Z/2."""
+    return dihedral_sign(4)
 
 
 @dataclass

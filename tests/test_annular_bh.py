@@ -30,7 +30,7 @@ def test_labels_are_plain_tuples(annular):
     boxes = [b for g1 in G.elements() for g2 in G.elements()
              for b in annular.box_basis(g1, g2)]
     for labels in (TubeAlgebra(G, annular.omega).labels(), annular.labels(),
-                   CutdownAlgebra(annular).labels(), boxes):
+                   CutdownAlgebra(annular.setup).labels(), boxes):
         assert labels
         for label in labels:
             assert isinstance(label, tuple)
@@ -381,7 +381,7 @@ def test_cutdown_simple_objects_s3():
 
 def test_cutdown_closed_under_mult():
     alg = AnnularAlgebra(bh_setup_s3())
-    cut = CutdownAlgebra(alg)
+    cut = CutdownAlgebra(alg.setup)
     labels = set(cut.labels())
     for a in cut.labels():
         for b in cut.labels():

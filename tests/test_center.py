@@ -37,7 +37,7 @@ def _algebras():
     for name, setup in _SETUPS.items():
         out.append((f"annular-{name}", lambda s=setup: AnnularAlgebra(s())))
         out.append((f"cutdown-{name}",
-                    lambda s=setup: CutdownAlgebra(AnnularAlgebra(s()))))
+                    lambda s=setup: CutdownAlgebra(s())))
         G = setup().group
         out += [(f"end-{name}-{g}",
                  lambda s=setup, G=G, g=g: TwistedGroupAlgebra(

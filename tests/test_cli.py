@@ -18,8 +18,8 @@ from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
                            two_factor_cocycle)
 from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
-from conftest import (bh_setup_v4, corrupt_last_twist, dihedral8_sign,
-                      symmetric_group)
+from conftest import (bh_setup_s3, bh_setup_v4, corrupt_last_twist,
+                      dihedral8_sign, dihedral_sign, symmetric_group)
 
 
 @pytest.fixture
@@ -337,6 +337,59 @@ def test_malformed_representation_is_input_error(files, capsys, rep_file):
     assert "malformed representation" in report["error"]
 
 
+# -- a broken 3-cocycle law: one failed check with its quadruple, exit 1 ----------
+
+
+def _tube_inputs(tmp_path, group, omega) -> list:
+    """``--group`` and ``--cocycle`` naming files that hold ``group`` and
+    ``omega``."""
+    (tmp_path / "group.json").write_text(json.dumps(group_to_json(group)))
+    (tmp_path / "cocycle.json").write_text(json.dumps(cocycle_to_json(omega)))
+    return ["--group", str(tmp_path / "group.json"),
+            "--cocycle", str(tmp_path / "cocycle.json")]
+
+
+def _bh_inputs(tmp_path, setup: BHSetup) -> list:
+    """``--bh`` naming a file that holds ``setup``."""
+    (tmp_path / "setup.json").write_text(json.dumps({
+        "group": group_to_json(setup.group), "H": list(setup.H),
+        "K": list(setup.K), "cocycle": cocycle_to_json(setup.omega)}))
+    return ["--bh", str(tmp_path / "setup.json")]
+
+
+def _broken_law(omega: Cocycle3) -> Cocycle3:
+    """``omega`` with its last value moved, so the 3-cocycle law fails."""
+    values = list(omega.values)
+    values[-1] += 1
+    return Cocycle3(omega.group, values, omega.modulus)
+
+
+@pytest.mark.parametrize("argv, source", [
+    *((argv, "group") for argv in (
+        ["verify-cocycle"], ["normalize"], ["tube", "build"], ["tube", "check"],
+        ["tube", "simples"], ["rep", "decompose"], ["rep", "induce"])),
+    *((argv, "bh") for argv in (
+        ["gauge-fix"], ["bh", "build"], ["bh", "check"], ["bh", "simples"],
+        ["rep", "decompose"]))],
+    ids=lambda x: "-".join(x) if isinstance(x, list) else x)
+def test_broken_cocycle_law_is_one_failed_check(tmp_path, capsys, argv, source):
+    if source == "group":  # D8 with the sign cocycle
+        group, omega = dihedral8_sign()
+        omega = _broken_law(omega)
+        inputs, name = _tube_inputs(tmp_path, group, omega), "cocycle3"
+    else:  # the Z2xZ2 setup
+        setup = bh_setup_v4()
+        omega = _broken_law(setup.omega)
+        inputs = _bh_inputs(tmp_path, setup._replace(omega=omega))
+        name = "setup:cocycle is a 3-cocycle"
+    witness = phase.cocycle3_check(omega).witness
+    assert witness is not None and len(witness) == 4
+    code, report = run(capsys, argv + inputs)  # one JSON object on stdout
+    assert code == 1 and report["status"] == "fail"
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [(c["name"], c["witness"]) for c in failed] == [(name, list(witness))]
+
+
 # -- JSON booleans are not integers ---------------------------------------------
 
 
@@ -567,6 +620,26 @@ def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
     assert (check["status"], check["detail"]) == (status, detail)
 
 
+@pytest.mark.parametrize("bound, detail", [
+    ("17", "sampled 100000 of 104976, seed 0"), ("18", "exhaustive 104976")])
+@pytest.mark.parametrize("kind", ["tube", "bh"])
+def test_max_exhaustive_bounds_composable_triples(tmp_path, capsys, kind,
+                                                  bound, detail):
+    # 18^4 = 104976 composable triples either way: the tube algebra of the
+    # order-18 dihedral group, and the annular algebra of S3 with H = A3
+    # (|H| |G| = 18); every triple is walked when there are at most bound^4
+    if kind == "tube":
+        inputs = _tube_inputs(tmp_path, *dihedral_sign(9))
+    else:
+        s3 = bh_setup_s3()  # H a transposition, K = A3: swap them
+        inputs = _bh_inputs(tmp_path, s3._replace(H=s3.K, K=s3.H))
+    code, report = run(capsys, [kind, "check", *inputs,
+                                "--max-exhaustive", bound])
+    assert code == 0
+    check = next(c for c in report["checks"] if c["name"] == "associativity")
+    assert check["detail"] == detail
+
+
 def _force_central_elements(monkeypatch, element, times=None) -> None:
     """Make the first ``times`` (default: every) attempts of
     ``projective_dimensions`` use ``element(n)`` in place of a random
@@ -600,7 +673,8 @@ def test_decompose_reports_its_retries(files, capsys, monkeypatch):
                                 "--cocycle", files["semion.json"],
                                 "--seed", "7"])
     assert code == 0 and report["data"]["distinct"] == 4
-    assert report["checks"][0]["detail"] == \
+    check = next(c for c in report["checks"] if c["name"] == "decompose")
+    assert check["detail"] == \
         "4 distinct blocks = center dimension 4, sum D^2 = 4 labels, " \
         'block map exhaustive 8, attempt 2 of 5, seeds ["7:0", "7:1"]'
 

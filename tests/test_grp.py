@@ -1,5 +1,7 @@
 """Group tables, conjugacy data, and the canonical choices they fix."""
 
+import tracemalloc
+
 import pytest
 
 from tubealg.grp import (GroupError, centralizer, conjugacy_data, cyclic_group,
@@ -64,6 +66,29 @@ def test_perm_closure_s3():
 def test_perm_empty_generators():
     g = group_from_permutations(3, [])
     assert g.order == 1
+
+
+def test_perm_degree_costs_nothing_without_generators():
+    # a 10^6-point identity alone would be over 30 MB of tuple and ints
+    tracemalloc.start()
+    try:
+        trivial = group_from_json({"type": "perm", "degree": 10 ** 6,
+                                   "generators": []})
+        with pytest.raises(GroupError) as short:
+            group_from_permutations(10 ** 6, [[0]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trivial == group_from_permutations(3, [])
+    assert short.value.witness == (0,)
+    assert peak < 1 << 20
+
+
+def test_perm_negative_degree_is_rejected():
+    with pytest.raises(GroupError, match="degree -1 is negative"):
+        group_from_permutations(-1, [])
+    with pytest.raises(GroupError, match="degree -1 is negative"):
+        group_from_permutations(-1, [[]])
 
 
 def test_perm_single_transposition():
