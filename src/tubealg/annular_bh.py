@@ -24,6 +24,7 @@ loads numpy.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple, Sequence
 
 from .coho import BHSetup
@@ -108,12 +109,8 @@ class AnnularAlgebra(TubeShapedAlgebra):
     def box_basis(self, g1: int, g2: int) -> list[BoxMorphism]:
         """All boxes from weight g1 to weight g2; empty across double cosets."""
         G = self.group
-        out = []
-        for h1 in self.H:
-            for h2 in self.H:
-                if G.mul(h1, g1) == G.mul(g2, h2):
-                    out.append(BoxMorphism(h1, g1, g2, h2))
-        return out
+        return [BoxMorphism(h1, g1, g2, h2) for h1 in self.H for h2 in self.H
+                if G.mul(h1, g1) == G.mul(g2, h2)]
 
     def validate_box(self, b: BoxMorphism) -> None:
         G = self.group
@@ -281,31 +278,26 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     """
     setup, G = alg.setup, alg.group
     cut = CutdownAlgebra(setup)
-    corner_dims = {}
-    for d1 in cut.weights:
-        for d2 in cut.weights:
-            corner_dims[(d1, d2)] = sum(
-                1 for x in cut.labels() if x.g1 == d1 and x.g2 == d2)
+    corner_dims = dict.fromkeys(product(cut.weights, repeat=2), 0)
+    for x in cut.labels():
+        corner_dims[(x.g1, x.g2)] += 1
     end_data = []
-    total_simple_objects = 0
     for g in cut.weights:
         tw = end_xg_algebra(setup, g)
         dims = projective_dimensions(TwistedGroupAlgebra(G, tw.elements, tw),
                                      seed=seed)
         # the identity of a sum of matrix blocks splits into dim-many
         # minimal projections per block
-        nmin = sum(dims)
         end_data.append(EndSplitting(
             weight=g, subgroup=tw.elements, blocks=[(d, d) for d in dims],
-            minimal_projections=nmin))
-        total_simple_objects += nmin
+            minimal_projections=sum(dims)))
     full = block_simple_count(alg.block_algebra("op-inverse"))
     cut_count = center_dimension(cut)
     return CutdownReport(
         weights=cut.weights,
         corner_dims=corner_dims,
         end_data=end_data,
-        simple_objects=total_simple_objects,
+        simple_objects=sum(e.minimal_projections for e in end_data),
         simple_count_full=full,
         simple_count_cutdown=cut_count,
         counts_agree=(cut_count == full.total),

@@ -247,6 +247,11 @@ def _cmd_rep(args) -> tuple[list, dict]:
     if not annular and not (args.group and args.cocycle):
         raise InputError(f"rep {args.action} needs --group and --cocycle"
                          + (" or --bh" if args.action == "decompose" else ""))
+    reads = {"bh"} if annular else {"group", "cocycle"} | (
+        {"rep"} if args.action == "induce" else set())
+    unread = [f"--{k}" for k in INPUTS if getattr(args, k) and k not in reads]
+    if unread:
+        raise InputError(f"rep {args.action} does not read {', '.join(unread)}")
     res, alg = _build(args, annular)
     checks = [_check_dict(res)]
     if alg is None:
@@ -263,12 +268,12 @@ def _cmd_rep(args) -> tuple[list, dict]:
                        {ValueError: "malformed representation: "})
         else:
             pi = rep.regular_representation(talg)
-        res = pi.check(talg)
-        checks.append(_check_dict(res))
-        if not res.ok:
+        # the induced Pi = (E tensor pi) o phi: the checks of pi and phi certify it
+        checks += [_check_dict(pi.check(talg)),
+                   _check_dict(tube_diag.verify_star_iso(alg))]
+        if any(c["status"] == "fail" for c in checks):
             return checks, {}
         induced = rep.induce(alg, args.class_index, pi)
-        checks.append(_check_dict(induced.check(alg)))
         return checks, {"representation": rep.rep_to_json(induced)}
     blocks = rep.decompose(alg, seed=args.seed)
     data = {"blocks": [{"dimension": b.dimension,
@@ -359,7 +364,7 @@ def main(argv=None) -> int:
         code = 2
         _log(f"input error: {exc}")
     report["timing"] = {"seconds": round(time.monotonic() - t0, 6)}
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True))
     return code
 
 

@@ -28,6 +28,7 @@ l in H or K.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import NamedTuple, Sequence
 
 from .grp import GroupTable, centralizer, is_subgroup, subgroup_closure, group_from_json
@@ -61,8 +62,7 @@ def phi_class(group: GroupTable, omega: Cocycle3, class_data, c: int) -> Cocycle
     twist is the one under which the tube-algebra block map is
     multiplicative.
     """
-    gc = class_data.reps[c]
-    base = phi_a(group, omega, gc)
+    base = phi_a(group, omega, class_data.reps[c])
     els = base.elements
     values = [-base(group.inverse(t), group.inverse(s))
               for s in els for t in els]
@@ -72,11 +72,9 @@ def phi_class(group: GroupTable, omega: Cocycle3, class_data, c: int) -> Cocycle
 def phi_class_plain_conjugate(group: GroupTable, omega: Cocycle3,
                               class_data, c: int) -> Cocycle2:
     """Alternative twist convention: pointwise conjugate of phi_{g_C}."""
-    gc = class_data.reps[c]
-    base = phi_a(group, omega, gc)
-    els = base.elements
-    values = [-base(s, t) for s in els for t in els]
-    return Cocycle2(group, els, values, base.modulus)
+    base = phi_a(group, omega, class_data.reps[c])
+    return Cocycle2(group, base.elements, [-v for v in base.values],
+                    base.modulus)
 
 
 def gamma(group: GroupTable, omega: Cocycle3, a: int, x: int, y: int,
@@ -129,16 +127,10 @@ def gamma_identity_check(group: GroupTable, omega: Cocycle3,
     cents = {a: centralizer(G, a) for a in range(n)}
     if n <= max_exhaustive:
         for a in range(n):
-            ca = cents[a]
-            for g in ca:
-                for h in ca:
-                    for x in range(n):
-                        for y in range(n):
-                            for z in range(n):
-                                if not _gamma_identity_holds(G, omega, phis,
-                                                             a, x, y, z, g, h):
-                                    return CheckResult(False, "gamma-identity",
-                                                       (a, x, y, z, g, h))
+            for g, h, x, y, z in product(cents[a], cents[a], *[range(n)] * 3):
+                if not _gamma_identity_holds(G, omega, phis, a, x, y, z, g, h):
+                    return CheckResult(False, "gamma-identity",
+                                       (a, x, y, z, g, h))
         visited = n ** 3 * sum(len(ca) ** 2 for ca in cents.values())
         return CheckResult(True, "gamma-identity", detail=f"exhaustive {visited}")
     rng = random.Random(seed)
@@ -195,11 +187,10 @@ class BHSetup(NamedTuple):
     omega: Cocycle3
 
     def validate(self) -> None:
-        G = self.group
-        if not is_subgroup(G, self.H):
-            raise BHSetupError("H is a subgroup", witness=tuple(self.H))
-        if not is_subgroup(G, self.K):
-            raise BHSetupError("K is a subgroup", witness=tuple(self.K))
+        G, subgroups = self.group, (("H", self.H), ("K", self.K))
+        for name, sub in subgroups:
+            if not is_subgroup(G, sub):
+                raise BHSetupError(f"{name} is a subgroup", witness=tuple(sub))
         gen = subgroup_closure(G, tuple(self.H) + tuple(self.K))
         if len(gen) != G.order:
             raise BHSetupError("H and K generate the group", witness=gen)
@@ -209,12 +200,10 @@ class BHSetup(NamedTuple):
             raise BHSetupError("cocycle is a 3-cocycle", exc.witness) from exc
         if not is_normalized(self.omega):
             raise BHSetupError("cocycle is normalized")
-        w = restrict_trivial_on(self.omega, self.H)
-        if w is not None:
-            raise BHSetupError("cocycle restricts trivially to H", witness=w)
-        w = restrict_trivial_on(self.omega, self.K)
-        if w is not None:
-            raise BHSetupError("cocycle restricts trivially to K", witness=w)
+        for name, sub in subgroups:
+            w = restrict_trivial_on(self.omega, sub)
+            if w is not None:
+                raise BHSetupError(f"cocycle restricts trivially to {name}", w)
 
 
 def bh_setup_from_json(obj: dict) -> BHSetup:

@@ -3,27 +3,23 @@
 Exact and numpy-free: the center dimension of a twisted groupoid
 algebra (tube, annular, cut-down, twisted group), the number of
 phase-consistent orbits of its center equations counted with ints mod
-N, which counts the irreducible representations; and :func:`decompose`,
+N, which counts the irreducible representations; :func:`decompose`,
 which reads the blocks of a tube-shaped algebra's regular
-representation off its block isomorphism, from the projective
-irreducible dimensions of :mod:`tubealg.splitting`.  Numerical, with
-numpy imported only inside each function: the regular representation
-as matrices, and the induction / restriction / support machinery that
-moves representations between a block algebra and the full tube or
-annular algebra.
+representation off its block isomorphism; the regular representation
+and induction, as nested lists of ``complex``.  numpy is loaded only to
+check float matrices (`rep induce --rep`) and by `restrict` and
+`support_decompose`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import nullspace_dimension
 from .grp import GroupTable
 from .phase import CheckResult, Cocycle2, cocycle2_check, root
 from .staralg import MonomialStarAlgebra
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 MAX_ATTEMPTS = 5
@@ -123,42 +119,57 @@ def center_dimension(alg: MonomialStarAlgebra) -> int:
 
 
 class Representation(NamedTuple):
-    """Matrices for each basis label of some monomial star algebra."""
+    """Matrices, nested lists of ``complex``, for each basis label of some
+    monomial star algebra; ``regular_of`` is the algebra whose left
+    multiplication they are, set by :func:`regular_representation`."""
 
     labels: list
     dim: int
     matrices: dict
+    regular_of: object = None
 
     def check(self, alg: MonomialStarAlgebra, tol: float = 1e-9) -> CheckResult:
-        """Multiplicativity and *-compatibility to the given tolerance."""
+        """Multiplicativity and *-compatibility: exact for the regular
+        representation of ``alg``, whose verifiers certify it (L_b L_a =
+        zeta^phi L_{ba} on each basis vector is associativity; with the star
+        laws, trace, gram and unit, L_a^dagger = zeta^sigma L_{a*}); else to
+        ``tol`` with numpy, stating coverage and worst residual."""
+        if self.regular_of is alg:
+            results = alg.check_all()
+            bad = [r.witness for r in results if not r.ok]
+            detail = ", ".join(f"{r.name} {r.detail if r.ok else 'fails'}"
+                               for r in results)
+            return CheckResult(not bad, "representation",
+                               bad[0] if bad else None, f"exact: {detail}")
         import numpy as np
-        products, N = alg.products, alg.modulus
-        for b in self.labels:
-            for a in self.labels:
-                hit = products.get((b, a))
-                prod = self.matrices[b] @ self.matrices[a]
-                target = 0 if hit is None else \
-                    root(hit[0], N) * self.matrices[hit[1]]
-                if np.max(np.abs(prod - target)) > tol:
-                    return CheckResult(False, "rep-mult", (b, a))
-        for a in self.labels:
-            ph, lab = alg.stars[a]
-            target = root(ph, N) * self.matrices[lab]
-            if np.max(np.abs(self.matrices[a].conj().T - target)) > tol:
-                return CheckResult(False, "rep-star", (a,))
-        return CheckResult(True, "representation")
+        mats = {a: np.asarray(self.matrices[a], dtype=complex)
+                for a in self.labels}
+        products, N, worst = alg.products, alg.modulus, 0.0
+        for name, witness, got, hit in chain(
+                (("rep-mult", (b, a), mats[b] @ mats[a], products.get((b, a)))
+                 for b in self.labels for a in self.labels),
+                (("rep-star", (a,), mats[a].conj().T, alg.stars[a])
+                 for a in self.labels)):
+            target = 0 if hit is None else root(hit[0], N) * mats[hit[1]]
+            residual = float(np.max(np.abs(got - target), initial=0))
+            if not residual <= tol:  # a NaN residual fails too
+                return CheckResult(False, name, witness,
+                                   f"tol {tol:g}, residual {residual:.3g}")
+            worst = max(worst, residual)
+        m = len(self.labels)
+        return CheckResult(True, "representation", detail=f"tol {tol:g}, "
+                           f"{m * m} products + {m} stars, max residual {worst:.3g}")
 
 
 def regular_representation(alg: MonomialStarAlgebra) -> Representation:
     """Left multiplication on the algebra in its orthonormal basis."""
-    import numpy as np
     labels = list(alg.labels())
     idx = {a: i for i, a in enumerate(labels)}
     n = len(labels)
-    mats = {b: np.zeros((n, n), dtype=complex) for b in labels}
+    mats = {b: [[0j] * n for _ in range(n)] for b in labels}
     for (b, a), (ph, lab) in alg.products.items():
-        mats[b][idx[lab], idx[a]] = root(ph, alg.modulus)
-    return Representation(labels=labels, dim=n, matrices=mats)
+        mats[b][idx[lab]][idx[a]] = root(ph, alg.modulus)
+    return Representation(labels, n, mats, alg)
 
 
 class IrreducibleBlock(NamedTuple):
@@ -224,7 +235,6 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
     (block index set of the class) tensor (the space of ``pi``).
     Basis labels of other classes act as zero.
     """
-    import numpy as np
     blocks = context.block_algebra()
     index_set = blocks.index_sets[class_index]
     pos = {x: i for i, x in enumerate(index_set)}
@@ -233,17 +243,19 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
     mats = {}
     for label in context.labels():
         im = context.phi_iso(label)
-        M = np.zeros((n, n), dtype=complex)
+        M = [[0j] * n for _ in range(n)]
         if im.class_index == class_index:
-            r, c = pos[im.row], pos[im.col]
-            M[r * d:(r + 1) * d, c * d:(c + 1) * d] = \
-                root(im.scalar, context.modulus) * pi.matrices[im.element]
+            r, c = pos[im.row] * d, pos[im.col] * d
+            z, block = root(im.scalar, context.modulus), pi.matrices[im.element]
+            for i in range(d):
+                M[r + i][c:c + d] = [z * x for x in block[i]]
         mats[label] = M
     return Representation(labels=list(context.labels()), dim=n, matrices=mats)
 
 
-def _range_basis(P: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _range_basis(P, tol: float = 1e-9):
     import numpy as np
+    P = np.asarray(P, dtype=complex)
     if P.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
     diag = np.diag(P)
@@ -261,6 +273,7 @@ def _range_basis(P: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 def restrict(context, class_index: int, Pi: Representation) -> Representation:
     """Compress a class-supported representation to the centralizer algebra."""
+    import numpy as np
     blocks = context.block_algebra()
     tw = blocks.twists[class_index]
     P = Pi.matrices[context.support_projector_label(class_index)]
@@ -269,7 +282,8 @@ def restrict(context, class_index: int, Pi: Representation) -> Representation:
     mats = {}
     for v in tw.elements:
         scalar, label = context.phi_iso_inverse(class_index, pivot, pivot, v)
-        mats[v] = root(scalar, context.modulus) * (Q.conj().T @ Pi.matrices[label] @ Q)
+        M = Q.conj().T @ np.asarray(Pi.matrices[label], dtype=complex) @ Q
+        mats[v] = (root(scalar, context.modulus) * M).tolist()
     return Representation(labels=list(tw.elements), dim=Q.shape[1], matrices=mats)
 
 
@@ -299,7 +313,8 @@ def support_decompose(context, Pi: Representation,
             subspaces[c] = R
             dims[c] = 0
             continue
-        stack = np.hstack([Pi.matrices[b] @ R for b in Pi.labels])
+        stack = np.hstack([np.asarray(Pi.matrices[b], dtype=complex) @ R
+                           for b in Pi.labels])
         u, s, _ = np.linalg.svd(stack, full_matrices=False)
         rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
         subspaces[c] = u[:, :rank]
@@ -339,7 +354,6 @@ def rep_to_json(rep: Representation) -> dict:
 
 
 def rep_from_json(obj: dict, labels: list) -> Representation:
-    import numpy as np
     d = int(obj["dimension"])
     raw = obj["matrices"]
     mats = {}
@@ -347,8 +361,8 @@ def rep_from_json(obj: dict, labels: list) -> Representation:
         key = label_key(label)
         if key not in raw:
             raise KeyError(f"missing matrix for label {key}")
-        M = np.array([[complex(re, im) for re, im in row] for row in raw[key]])
-        if M.shape != (d, d):
-            raise ValueError(f"matrix for {key} has shape {M.shape}")
+        M = [[complex(re, im) for re, im in row] for row in raw[key]]
+        if len(M) != d or any(len(row) != d for row in M):
+            raise ValueError(f"matrix for {key} is not {d} x {d}")
         mats[label] = M
     return Representation(labels=list(labels), dim=d, matrices=mats)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tubealg.annular_bh import AnnularAlgebra
-from tubealg import phase, splitting
+from tubealg import phase, rep, splitting
 from tubealg.cli import main
 from tubealg.coho import BHSetup, BHSetupError, bh_setup_from_json
 from tubealg.grp import group_to_json
@@ -94,6 +94,15 @@ def files(tmp_path):
                            ("shape", {"0": one, "1": [[[1.0, 0.0], [0.0, 0.0]]]}),
                            ("entry", {"0": one, "1": [[["x", 0.0]]]})):
         write(f"rep_{name}.json", {"dimension": 1, "matrices": matrices})
+    # the semion's class-1 twisted algebra has [1]^2 = i [0], so [1] -> i
+    # is a representation and [1] -> 1 is not
+    for name, image in (("semion", [[[0.0, 1.0]]]), ("not_a_rep", one),
+                        ("nan", [[[float("nan"), 0.0]]])):
+        write(f"rep_{name}.json", {"dimension": 1,
+                                   "matrices": {"0": one, "1": image}})
+    tw = TubeAlgebra(z2.group, z2).block_algebra().twists[1]
+    write("rep_regular.json", rep.rep_to_json(rep.regular_representation(
+        rep.TwistedGroupAlgebra(z2.group, tw.elements, tw))))
     return out
 
 
@@ -212,6 +221,70 @@ def test_rep_induce_and_decompose(files, capsys):
                                 "--cocycle", files["s3_trivial.json"]])
     assert code == 0
     assert report["data"]["distinct"] == 8
+
+
+def test_rep_induce_reads_a_representation_file(files, capsys):
+    tube = ["--group", files["z2.json"], "--cocycle", files["semion.json"],
+            "--class-index", "1"]
+    code, report = run(capsys, ["rep", "induce", "--rep",
+                                files["rep_semion.json"]] + tube)
+    assert code == 0
+    assert report["data"]["representation"]["dimension"] == 1
+    pi_check, block_map = report["checks"][1:]
+    assert pi_check["name"] == "representation"
+    coverage, residual = pi_check["detail"].split(", max residual ")
+    assert coverage == "tol 1e-09, 4 products + 2 stars"
+    assert float(residual) < 1e-15  # root(1, 4) is i to within 6.2e-17
+    assert (block_map["name"], block_map["detail"]) == (
+        "star-isomorphism", "exhaustive 8")
+    # the regular representation, read from a file, induces what the
+    # default run induces
+    code, report = run(capsys, ["rep", "induce", "--rep",
+                                files["rep_regular.json"]] + tube)
+    _, default = run(capsys, ["rep", "induce"] + tube)
+    assert code == 0
+    assert report["data"]["representation"]["dimension"] == 2
+    assert report["data"] == default["data"]
+
+
+@pytest.mark.parametrize("rep_file, witness", [
+    ("rep_not_a_rep.json", [1, 1]), ("rep_nan.json", [0, 1])])
+def test_rep_induce_non_representation_fails_with_witness(files, capsys,
+                                                          rep_file, witness):
+    code, report = run(capsys, ["rep", "induce", "--group", files["z2.json"],
+                                "--cocycle", files["semion.json"],
+                                "--class-index", "1", "--rep", files[rep_file]])
+    assert code == 1 and report["status"] == "fail"
+    assert "representation" not in report["data"]
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [(c["name"], c["witness"]) for c in failed] == [("rep-mult", witness)]
+    assert failed[0]["detail"].startswith("tol 1e-09, residual ")
+
+
+def test_rep_induce_default_checks_are_exact(files, capsys):
+    code, report = run(capsys, ["rep", "induce", "--group", files["d8.json"],
+                                "--cocycle", files["d8_sign.json"],
+                                "--class-index", "1"])
+    assert code == 0
+    assert [(c["name"], c["detail"]) for c in report["checks"]] == [
+        ("cocycle3", "exhaustive 4096"),
+        ("representation", "exact: associativity exhaustive 64, star-laws "
+         "exhaustive 16, trace-symmetry exhaustive 16, gram exhaustive 16, "
+         "unit exhaustive 4"),
+        ("star-isomorphism", "exhaustive 512")]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["rep", "induce", "--group", "z2.json", "--cocycle", "semion.json",
+      "--bh", "not_json.json"], "--bh"),
+    (["rep", "decompose", "--group", "z2.json", "--cocycle", "semion.json",
+      "--rep", "not_json.json"], "--rep"),
+    (["rep", "decompose", "--bh", "bh_s3.json", "--group", "z2.json"],
+     "--group")], ids=["induce-bh", "decompose-rep", "decompose-bh-group"])
+def test_rep_rejects_an_input_it_does_not_read(files, capsys, argv, unread):
+    code, report = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == f"rep {argv[1]} does not read {unread}"
 
 
 def test_reports_are_deterministic(files, capsys):
@@ -761,9 +834,13 @@ def test_exact_subcommands_never_import_numpy(files):
     exact = _exact_argvs(files) + [
         ["rep", "decompose", "--group", files["z2.json"],
          "--cocycle", files["semion.json"]],
-        ["rep", "decompose", "--bh", files["bh_s3.json"]]]
+        ["rep", "decompose", "--bh", files["bh_s3.json"]],
+        ["rep", "induce", "--group", files["z2.json"],
+         "--cocycle", files["semion.json"]]]
+    # user-supplied float matrices are checked with numpy
     numerical = ["rep", "induce", "--group", files["z2.json"],
-                 "--cocycle", files["semion.json"]]
+                 "--cocycle", files["semion.json"], "--class-index", "1",
+                 "--rep", files["rep_semion.json"]]
     runs = _child_runs(exact + [numerical], ["numpy"])
     assert runs == ([[step, []] for step in _PREAMBLE]
                     + [[a, 0, []] for a in exact]

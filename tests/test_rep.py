@@ -190,14 +190,47 @@ def test_induce_semion_one_dimensional():
     assert Pi.check(alg).ok
 
 
+def _induce_certified(alg, c):
+    """The regular induction of class ``c``, once the exact certificate
+    (the exact check of pi and the block-map check) has accepted it."""
+    tw = alg.block_algebra().twists[c]
+    talg = TwistedGroupAlgebra(alg.group, tw.elements, tw)
+    pi = regular_representation(talg)
+    res = pi.check(talg)
+    assert res.ok and res.detail.startswith("exact: ")
+    assert alg.check_block_map().ok
+    return talg, induce(alg, c, pi)
+
+
 def test_induce_regular_has_product_dimension(small_fixture):
+    # the numerical check passes on what the exact certificate accepts
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     blocks = alg.block_algebra()
-    for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(small_fixture.group, tw.elements, tw)
-        Pi = induce(alg, c, regular_representation(talg))
+    for c in range(len(blocks.twists)):
+        talg, Pi = _induce_certified(alg, c)
         assert Pi.dim == len(blocks.index_sets[c]) * talg.dimension
         assert Pi.check(alg).ok
+
+
+@pytest.mark.parametrize("context", ["d8_sign", "bh_setup_s3"])
+def test_exact_certificate_implies_numerical_check(context):
+    from tubealg.annular_bh import AnnularAlgebra
+    from conftest import bh_setup_s3
+    alg = TubeAlgebra(*dihedral8_sign()) if context == "d8_sign" \
+        else AnnularAlgebra(bh_setup_s3())
+    for c in range(len(alg.block_algebra().twists)):
+        _, Pi = _induce_certified(alg, c)
+        res = Pi.check(alg)
+        assert res.ok and res.detail.startswith("tol 1e-09, ")
+
+
+def test_matrices_are_nested_lists_of_complex():
+    alg, talg = _semion_context()
+    pi = regular_representation(talg)
+    for r in (pi, induce(alg, 1, pi), restrict(alg, 1, induce(alg, 1, pi))):
+        for M in r.matrices.values():
+            assert type(M) is list and len(M) == r.dim
+            assert all(type(z) is complex for row in M for z in row)
 
 
 def test_restrict_after_induce_is_exact(small_fixture):
@@ -230,8 +263,8 @@ def _direct_sum(alg, reps):
         M = np.zeros((dim, dim), dtype=complex)
         at = 0
         for b in blocks_:
-            M[at:at + b.shape[0], at:at + b.shape[0]] = b
-            at += b.shape[0]
+            M[at:at + len(b), at:at + len(b)] = b
+            at += len(b)
         mats[lab] = M
     return Representation(labels=list(alg.labels()), dim=dim, matrices=mats)
 
