@@ -36,7 +36,7 @@ print("regular representation splits into:",
 # generator squares to -1; its regular representation splits into two
 # lines where the generator acts by the eigenvalues +i and -i.
 tw = alg.block_algebra().twists[1]
-talg = TwistedGroupAlgebra(G, tw.elements, tw)
+talg = TwistedGroupAlgebra(tw)
 print("twisted center dimension:", center_dimension(talg))
 for z in sorted(np.linalg.eigvals(regular_representation(talg).matrices[1]),
                 key=lambda z: z.imag):
@@ -57,9 +57,8 @@ print("restriction returns the original matrices:",
 # Support decomposition: a direct sum of inductions from different
 # classes is cut apart by the corner projections at class
 # representatives.
-pieces = [induce(alg, c, regular_representation(
-    TwistedGroupAlgebra(G, t.elements, t)))
-    for c, t in enumerate(alg.block_algebra().twists)]
+pieces = [induce(alg, c, regular_representation(TwistedGroupAlgebra(t)))
+          for c, t in enumerate(alg.block_algebra().twists)]
 dim = sum(p.dim for p in pieces)
 mats = {}
 for lab in alg.labels():

@@ -12,7 +12,7 @@ from .grp import (ClassData, GroupTable, GroupError, centralizer,
                   conjugacy_data, cyclic_group, direct_product,
                   group_from_permutations, group_from_table, subgroup_closure)
 from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
-                    coboundary1, coboundary2, cocycle2_check, cocycle3_check,
+                    coboundary1, coboundary2, cocycle3_check,
                     inflate_cocycle, is_normalized, normalize3, phase_str,
                     product_type_cocycle, root, standard_cyclic_cocycle,
                     trivial_cocycle, two_factor_cocycle)

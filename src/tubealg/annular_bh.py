@@ -194,9 +194,9 @@ def end_xg_algebra(setup: BHSetup, g: int) -> Cocycle2:
     mu(h1, h2) = w(g h1 g^-1, g h2 g^-1, g)^-1 * w(g h1 g^-1, g, h2)
                  * w(g, h1, h2)^-1
 
-    Only the table is built: ``TwistedGroupAlgebra`` checks the
-    2-cocycle law of the twists it is given, and ``bh check`` checks it
-    for every weight.
+    Only the raw table is built: its 2-cocycle law is the associativity
+    that ``TwistedGroupAlgebra(twist)`` checks on construction, which
+    ``bh check`` does for every weight.
     """
     G, w = setup.group, setup.omega
     Hs = set(setup.H)
@@ -276,7 +276,7 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     number sum d.  ``seed`` only picks the central elements tried; the
     result does not depend on it.
     """
-    setup, G = alg.setup, alg.group
+    setup = alg.setup
     cut = CutdownAlgebra(setup)
     corner_dims = dict.fromkeys(product(cut.weights, repeat=2), 0)
     for x in cut.labels():
@@ -284,8 +284,7 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     end_data = []
     for g in cut.weights:
         tw = end_xg_algebra(setup, g)
-        dims = projective_dimensions(TwistedGroupAlgebra(G, tw.elements, tw),
-                                     seed=seed)
+        dims = projective_dimensions(TwistedGroupAlgebra(tw), seed=seed)
         # the identity of a sum of matrix blocks splits into dim-many
         # minimal projections per block
         end_data.append(EndSplitting(

@@ -220,7 +220,9 @@ def _cmd_bh(args) -> tuple[list, dict]:
         for g in weights:
             tw = annular_bh.end_xg_algebra(alg.setup, g)
             triples += len(tw.elements) ** 3
-            if not phase.cocycle2_check(tw).ok:
+            try:
+                rep.TwistedGroupAlgebra(tw)
+            except ValueError:
                 bad.append(g)
         checks.append(_check_dict(phase.CheckResult(
             not bad, "weight-endomorphism-twists", tuple(bad) or None,
@@ -250,6 +252,8 @@ def _cmd_rep(args) -> tuple[list, dict]:
     reads = {"bh"} if annular else {"group", "cocycle"} | (
         {"rep"} if args.action == "induce" else set())
     unread = [f"--{k}" for k in INPUTS if getattr(args, k) and k not in reads]
+    if args.action == "decompose" and args.class_index is not None:
+        unread.append("--class-index")
     if unread:
         raise InputError(f"rep {args.action} does not read {', '.join(unread)}")
     res, alg = _build(args, annular)
@@ -257,11 +261,11 @@ def _cmd_rep(args) -> tuple[list, dict]:
     if alg is None:
         return checks, {}
     if args.action == "induce":
-        blocks = alg.block_algebra()
-        if not 0 <= args.class_index < len(blocks.index_sets):
-            raise InputError(f"class index {args.class_index} out of range")
-        tw = blocks.twists[args.class_index]
-        talg = rep.TwistedGroupAlgebra(alg.group, tw.elements, tw)
+        blocks, index = alg.block_algebra(), args.class_index or 0
+        if not 0 <= index < len(blocks.index_sets):
+            raise InputError(f"class index {index} out of range")
+        tw = blocks.twists[index]
+        talg = rep.TwistedGroupAlgebra(tw)
         if args.rep:
             pi = _load(args.rep, "representation",
                        lambda obj: rep.rep_from_json(obj, list(tw.elements)),
@@ -273,7 +277,7 @@ def _cmd_rep(args) -> tuple[list, dict]:
                    _check_dict(tube_diag.verify_star_iso(alg))]
         if any(c["status"] == "fail" for c in checks):
             return checks, {}
-        induced = rep.induce(alg, args.class_index, pi)
+        induced = rep.induce(alg, index, pi)
         return checks, {"representation": rep.rep_to_json(induced)}
     blocks = rep.decompose(alg, seed=args.seed)
     data = {"blocks": [{"dimension": b.dimension,
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("rep", _cmd_rep, "representation operations",
              tube_inputs + ["--bh", "--rep"], ["induce", "decompose"],
              required=False)
-    sp.add_argument("--class-index", type=int, default=0)
+    sp.add_argument("--class-index", type=int, help="rep induce (default 0)")
     return p
 
 

@@ -105,7 +105,8 @@ class Cocycle3:
 
 class Cocycle2:
     """Table of phases mod ``modulus`` on S x S for a subgroup S (possibly
-    all of G)."""
+    all of G), meant to satisfy the 2-cocycle law; the raw table, unchecked
+    (``rep.TwistedGroupAlgebra`` checks the law as its associativity)."""
 
     def __init__(self, group: GroupTable, elements: Sequence[int],
                  values: Sequence[int], modulus: int):
@@ -137,20 +138,6 @@ def cocycle3_check(omega: Cocycle3) -> CheckResult:
                         return CheckResult(False, "cocycle3", (a, b, c, d))
     omega._check = CheckResult(True, "cocycle3", detail=f"exhaustive {n ** 4}")
     return omega._check
-
-
-def cocycle2_check(phi: Cocycle2) -> CheckResult:
-    """Exhaustive test of the 2-cocycle identity on the stored elements."""
-    G = phi.group
-    els = phi.elements
-    for a in els:
-        for b in els:
-            ab = G.mul(a, b)
-            for c in els:
-                if (phi(b, c) - phi(ab, c) + phi(a, G.mul(b, c))
-                        - phi(a, b)) % phi.modulus:
-                    return CheckResult(False, "cocycle2", (a, b, c))
-    return CheckResult(True, "cocycle2")
 
 
 def coboundary1(group: GroupTable, c1: Sequence[int],

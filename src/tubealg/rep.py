@@ -1,6 +1,8 @@
 """Twisted group algebras, exact centers, and representation machinery.
 
-Exact and numpy-free: the center dimension of a twisted groupoid
+A :class:`TwistedGroupAlgebra` is built from its twist alone; its
+associativity, checked on construction, is the one check of a 2-cocycle
+law.  Exact and numpy-free: the center dimension of a twisted groupoid
 algebra (tube, annular, cut-down, twisted group), the number of
 phase-consistent orbits of its center equations counted with ints mod
 N, which counts the irreducible representations; :func:`decompose`,
@@ -17,8 +19,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .cyclotomic import nullspace_dimension
-from .grp import GroupTable
-from .phase import CheckResult, Cocycle2, cocycle2_check, root
+from .phase import CheckResult, Cocycle2, root
 from .staralg import MonomialStarAlgebra
 
 
@@ -52,20 +53,23 @@ class Seeded(list):
 
 
 class TwistedGroupAlgebra(MonomialStarAlgebra):
-    """Group algebra of a subgroup with multiplication [g][h] = phi(g,h)[gh]."""
+    """The group algebra of a twist's subgroup S, [g][h] = phi(g,h)[gh].
 
-    def __init__(self, group: GroupTable, elements: Sequence[int],
-                 twist: Cocycle2):
-        res = cocycle2_check(twist)
+    Associativity of this algebra is, term by term, the 2-cocycle law
+    phi(a,b) phi(ab,c) = phi(b,c) phi(a,bc) of its twist, so the
+    constructor walks :meth:`check_associativity` over all |S|^3
+    triples and rejects a twist that fails it.
+    """
+
+    def __init__(self, twist: Cocycle2):
+        self.group = twist.group
+        self.els = twist.elements
+        self.twist = twist
+        self.modulus = twist.modulus
+        res = self.check_associativity()
         if not res.ok:
             raise ValueError(
                 f"twist fails associativity at triple {res.witness}")
-        self.group = group
-        self.els = tuple(elements)
-        self.twist = twist
-        self.modulus = twist.modulus
-        if set(self.els) != set(twist.elements):
-            raise ValueError("twist table does not match the element list")
         self.normalized = not any(twist(0, g) or twist(g, 0) for g in self.els)
 
     @property
@@ -206,8 +210,7 @@ def decompose(alg, seed: int = 0) -> Seeded:
     blocks, seeds = [], []
     for c, (index_set, tw) in enumerate(zip(blocks_alg.index_sets,
                                             blocks_alg.twists)):
-        dims = projective_dimensions(
-            TwistedGroupAlgebra(alg.group, tw.elements, tw), seed)
+        dims = projective_dimensions(TwistedGroupAlgebra(tw), seed)
         seeds = max(seeds, dims.seeds, key=len)
         blocks += [IrreducibleBlock(len(index_set) * d, len(index_set) * d, c)
                    for d in dims]
@@ -232,8 +235,9 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
     """Extend a twisted-centralizer representation to the whole algebra.
 
     ``context`` is a tube or annular algebra; the induced space is
-    (block index set of the class) tensor (the space of ``pi``).
-    Basis labels of other classes act as zero.
+    (block index set of the class) tensor (the space of ``pi``).  Pi is
+    read off ``context.block_images``, the images its block-map check
+    certifies.  Basis labels of other classes act as zero.
     """
     blocks = context.block_algebra()
     index_set = blocks.index_sets[class_index]
@@ -241,8 +245,7 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
     d = pi.dim
     n = len(index_set) * d
     mats = {}
-    for label in context.labels():
-        im = context.phi_iso(label)
+    for label, im in context.block_images.items():
         M = [[0j] * n for _ in range(n)]
         if im.class_index == class_index:
             r, c = pos[im.row] * d, pos[im.col] * d

@@ -22,13 +22,15 @@ conjugacy classes C of (matrices indexed by the objects of weight in C)
 tensor (the group algebra of the centralizer of the class
 representative, twisted by the derived 2-cocycle).  ``phi_iso`` realizes
 the isomorphism on basis elements, with the transport cochain supplying
-the scalar; ``check_block_map`` checks multiplicativity and
+the scalar, and ``block_images`` holds its image of every basis
+element; ``check_block_map`` checks multiplicativity and
 *-preservation exhaustively and exactly, and ``verify_star_iso`` runs it
 on the tube algebra.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .coho import gamma, phi_class, phi_class_plain_conjugate
@@ -95,7 +97,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         self._labels = list(self._label_of.values())
         self._class_data: Optional[ClassData] = None
         self._blocks: dict[str, BlockAlgebra] = {}
-        self._images: Optional[dict] = None
 
     def _split(self, label) -> tuple:
         try:
@@ -177,6 +178,12 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         scalar = -gamma(G, self.omega, gc, wa, wb, u) % self.modulus
         return BlockImage(c, scalar, row=y, col=x, element=G.inverse(u))
 
+    @cached_property
+    def block_images(self) -> dict:
+        """label -> :meth:`phi_iso` of it, for every basis label: the one
+        table the block-map check certifies and induction reads."""
+        return {a: self.phi_iso(a) for a in self.labels()}
+
     def phi_iso_inverse(self, c: int, row, col, element: int) -> tuple[int, object]:
         """Preimage of E[row, col] tensor [element] as scalar * basis label."""
         G, cd = self.group, self.class_data
@@ -200,10 +207,7 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     def check_block_map(self, convention: str = "op-inverse") -> CheckResult:
         """Exhaustively check the block map: bijective, multiplicative, *-preserving."""
         blocks = self.block_algebra(convention)
-        labels = self.labels()
-        if self._images is None:
-            self._images = {a: self.phi_iso(a) for a in labels}
-        images = self._images
+        labels, images = self.labels(), self.block_images
         if blocks.total_dimension() != len(labels):
             return CheckResult(False, "block-dimension-audit",
                                (blocks.total_dimension(), len(labels)))
@@ -321,8 +325,7 @@ def block_simple_count(blocks: BlockAlgebra) -> SimpleCount:
     per = {}
     total = 0
     for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(blocks.group, tw.elements, tw)
-        d = center_dimension(talg)
+        d = center_dimension(TwistedGroupAlgebra(tw))
         per[blocks.class_data.reps[c]] = d
         total += d
     return SimpleCount(per_class=per, total=total)

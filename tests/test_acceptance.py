@@ -18,14 +18,15 @@ from tubealg.coho import (BHSetup, gamma, gamma_identity_check,
                           gamma_transport_check, gauge_fix_bh,
                           gl_relations_check, phi_a)
 from tubealg.grp import centralizer, cyclic_group
-from tubealg.phase import (Cocycle3, coboundary2, cocycle2_check,
-                           cocycle3_check, inflate_cocycle, is_normalized,
+from tubealg.phase import (Cocycle3, coboundary2, cocycle3_check,
+                           inflate_cocycle, is_normalized,
                            product_type_cocycle, restrict_trivial_on,
                            standard_cyclic_cocycle, trivial_cocycle)
 from tubealg.rep import (TwistedGroupAlgebra, induce, regular_representation,
                          restrict, support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count, verify_star_iso
 
+from cocycle2_oracle import cocycle2_check
 from conftest import (bh_setup_s3, bh_setup_v4, _FIXTURES, SMALL_NAMES,
                       symmetric_group)
 from regular_split_oracle import regular_split
@@ -133,7 +134,7 @@ def test_criterion_06_simple_counts():
         assert len(blocks) == expected
     sem_alg = TubeAlgebra(semion.group, semion)
     for tw in sem_alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(semion.group, tw.elements, tw)
+        talg = TwistedGroupAlgebra(tw)
         assert all(b.dimension == 1 for b in regular_split(talg, seed=0))
     _report(6, True, "8 / 4 / 9, center dims agree with regular splitting")
 
@@ -144,7 +145,7 @@ def test_criterion_07_induction_roundtrips():
     blocks = alg.block_algebra()
     reps = []
     for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(semion.group, tw.elements, tw)
+        talg = TwistedGroupAlgebra(tw)
         pi = regular_representation(talg)
         Pi = induce(alg, c, pi)
         back = restrict(alg, c, Pi)

@@ -9,9 +9,10 @@ from tubealg.annular_bh import (ABasisElement, AnnularAlgebra, BoxMorphism,
                                 end_xg_algebra, tube_cutdown)
 from tubealg.coho import BHSetup
 from tubealg.grp import subgroup_closure
-from tubealg.phase import cocycle2_check, standard_cyclic_cocycle, trivial_cocycle
+from tubealg.phase import standard_cyclic_cocycle, trivial_cocycle
 from tubealg.tube_diag import TubeAlgebra, TubeBasisElement
 
+from cocycle2_oracle import cocycle2_check
 from conftest import (bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
                       corrupt_last_twist, symmetric_group)
 

@@ -32,7 +32,7 @@ def _algebras():
         for conv in ("op-inverse", "plain-conjugate"):
             twists = TubeAlgebra(G, omega).block_algebra(conv).twists
             out += [(f"block-{name}-{conv}-{c}",
-                     lambda G=G, tw=tw: TwistedGroupAlgebra(G, tw.elements, tw))
+                     lambda tw=tw: TwistedGroupAlgebra(tw))
                     for c, tw in enumerate(twists)]
     for name, setup in _SETUPS.items():
         out.append((f"annular-{name}", lambda s=setup: AnnularAlgebra(s())))
@@ -40,8 +40,8 @@ def _algebras():
                     lambda s=setup: CutdownAlgebra(s())))
         G = setup().group
         out += [(f"end-{name}-{g}",
-                 lambda s=setup, G=G, g=g: TwistedGroupAlgebra(
-                     G, end_xg_algebra(s(), g).elements, end_xg_algebra(s(), g)))
+                 lambda s=setup, g=g: TwistedGroupAlgebra(
+                     end_xg_algebra(s(), g)))
                 for g in G.elements()]
     return out
 
@@ -79,7 +79,7 @@ def test_center_dimension_drops_non_regular_classes():
     alpha = Cocycle2(v4, (0, 1, 2, 3),
                      [(a >> 1) * (b & 1) for a in range(4) for b in range(4)],
                      2)
-    twisted = TwistedGroupAlgebra(v4, (0, 1, 2, 3), alpha)
+    twisted = TwistedGroupAlgebra(alpha)
     assert center_dimension(twisted) == center_dimension_oracle(twisted) == 1
     # the type-III cocycle a1 b2 c3 on (Z/2)^3: each nonidentity flux
     # keeps 2 of its 8 charges
@@ -95,7 +95,7 @@ def test_center_dimension_drops_non_regular_classes():
     assert center_dimension(tube) == center_dimension_oracle(tube) \
         == simple_count(tube).total == 8 + 7 * 2
     for tw in tube.block_algebra().twists:
-        block = TwistedGroupAlgebra(G, tw.elements, tw)
+        block = TwistedGroupAlgebra(tw)
         assert center_dimension(block) == center_dimension_oracle(block)
 
 

@@ -102,7 +102,7 @@ def files(tmp_path):
                                    "matrices": {"0": one, "1": image}})
     tw = TubeAlgebra(z2.group, z2).block_algebra().twists[1]
     write("rep_regular.json", rep.rep_to_json(rep.regular_representation(
-        rep.TwistedGroupAlgebra(z2.group, tw.elements, tw))))
+        rep.TwistedGroupAlgebra(tw))))
     return out
 
 
@@ -280,7 +280,11 @@ def test_rep_induce_default_checks_are_exact(files, capsys):
     (["rep", "decompose", "--group", "z2.json", "--cocycle", "semion.json",
       "--rep", "not_json.json"], "--rep"),
     (["rep", "decompose", "--bh", "bh_s3.json", "--group", "z2.json"],
-     "--group")], ids=["induce-bh", "decompose-rep", "decompose-bh-group"])
+     "--group"),
+    (["rep", "decompose", "--group", "z2.json", "--cocycle", "semion.json",
+      "--class-index", "99"], "--class-index")],
+    ids=["induce-bh", "decompose-rep", "decompose-bh-group",
+         "decompose-class-index"])
 def test_rep_rejects_an_input_it_does_not_read(files, capsys, argv, unread):
     code, report = run(capsys, [files.get(a, a) for a in argv])
     assert code == 2 and report["status"] == "error"
@@ -537,17 +541,17 @@ def test_cocycle_law_runs_once_per_table(files, capsys, monkeypatch, argv,
 
 def test_bh_simples_checks_each_twist_once(files, capsys, monkeypatch):
     # S3 with H a transposition: 3 class twists and the endomorphism
-    # twists of the 2 double-coset weights, each checked once
+    # twists of the 2 double-coset weights, each law walked once, as the
+    # associativity of its twisted group algebra
     checked = []
-    original = phase.cocycle2_check
+    original = rep.TwistedGroupAlgebra.check_associativity
 
-    def counting(tw):
-        checked.append(tw)
-        return original(tw)
+    def counting(self, *args, **kwargs):
+        checked.append(self.twist)
+        return original(self, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tubealg") and hasattr(module, "cocycle2_check"):
-            monkeypatch.setattr(module, "cocycle2_check", counting)
+    monkeypatch.setattr(rep.TwistedGroupAlgebra, "check_associativity",
+                        counting)
     code, report = run(capsys, ["bh", "simples", "--bh", files["bh_s3.json"]])
     assert code == 0
     assert len(checked) == 5

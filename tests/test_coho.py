@@ -7,11 +7,12 @@ from tubealg.coho import (BHSetup, BHSetupError, gamma,
                           gauge_fix_bh, gl_relations_check, phi_a, phi_class)
 from tubealg.grp import (centralizer, conjugacy_data, cyclic_group,
                          subgroup_closure)
-from tubealg.phase import (coboundary2, cocycle2_check, cocycle3_check,
+from tubealg.phase import (coboundary2, cocycle3_check,
                            inflate_cocycle, is_normalized,
                            restrict_trivial_on, standard_cyclic_cocycle,
                            trivial_cocycle)
 
+from cocycle2_oracle import cocycle2_check
 from conftest import _FIXTURES, bh_setup_s3, bh_setup_v4, symmetric_group
 
 

@@ -4,6 +4,7 @@ numerical regular split (the test oracle of ``rep.decompose``)."""
 import numpy as np
 import pytest
 
+from tubealg.annular_bh import end_xg_algebra
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data, cyclic_group
 from tubealg.phase import (Cocycle2, Cocycle3, root, standard_cyclic_cocycle,
@@ -14,20 +15,23 @@ from tubealg.rep import (DecompositionError, Representation,
                          restrict, support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count
 
-from conftest import dihedral8_sign, force_ambiguous_eigh, symmetric_group
+from cocycle2_oracle import cocycle2_check
+from conftest import (_FIXTURES, SMALL_NAMES, bh_setup_s3, bh_setup_v4,
+                      bh_setup_z1, bh_setup_z2z4, dihedral8_sign,
+                      force_ambiguous_eigh, symmetric_group)
 from regular_split_oracle import characters, regular_split
 
 
 def _z2_twisted():
     z2 = cyclic_group(2)
     phi = Cocycle2(z2, (0, 1), [0, 0, 0, 1], 2)
-    return TwistedGroupAlgebra(z2, (0, 1), phi)
+    return TwistedGroupAlgebra(phi)
 
 
 def test_untwisted_is_group_algebra():
     z3 = cyclic_group(3)
     phi = Cocycle2(z3, (0, 1, 2), [0] * 9, 1)
-    alg = TwistedGroupAlgebra(z3, (0, 1, 2), phi)
+    alg = TwistedGroupAlgebra(phi)
     for g in range(3):
         for h in range(3):
             ph, lab = alg.mult_basis(g, h)
@@ -44,19 +48,62 @@ def test_non_cocycle_rejected_with_witness():
     z2 = cyclic_group(2)
     bad = Cocycle2(z2, (0, 1), [0, 0, 1, 0], 2)
     with pytest.raises(ValueError) as exc:
-        TwistedGroupAlgebra(z2, (0, 1), bad)
+        TwistedGroupAlgebra(bad)
     assert "triple" in str(exc.value)
+
+
+def _twists() -> list:
+    """(id, twist) for every class twist, under both conventions, of each
+    small fixture and D8 sign, and every endomorphism twist of four
+    setups; then each of those with modulus above 1 again, with its last
+    value shifted by one step."""
+    tubes = {name: (_FIXTURES[name].group, _FIXTURES[name].omega)
+             for name in SMALL_NAMES} | {"d8_sign": dihedral8_sign()}
+    out = []
+    for name, (G, omega) in tubes.items():
+        alg = TubeAlgebra(G, omega)
+        for conv in ("op-inverse", "plain-conjugate"):
+            out += [(f"class-{name}-{conv}-{c}", tw)
+                    for c, tw in enumerate(alg.block_algebra(conv).twists)]
+    for name, setup in (("s3", bh_setup_s3), ("v4", bh_setup_v4),
+                        ("z2z4", bh_setup_z2z4), ("z1", bh_setup_z1)):
+        s = setup()
+        out += [(f"end-{name}-{g}", end_xg_algebra(s, g))
+                for g in s.group.elements()]
+    return out + [(f"{key}-shifted", Cocycle2(
+        tw.group, tw.elements, tw.values[:-1] + (tw.values[-1] + 1,),
+        tw.modulus)) for key, tw in out if tw.modulus > 1]
+
+
+_TWISTS = _twists()
+
+
+@pytest.mark.parametrize("tw", [tw for _, tw in _TWISTS],
+                         ids=[key for key, _ in _TWISTS])
+def test_constructor_rejects_exactly_what_the_oracle_rejects(tw):
+    if cocycle2_check(tw).ok:
+        assert TwistedGroupAlgebra(tw).twist is tw
+    else:
+        with pytest.raises(ValueError, match="fails associativity"):
+            TwistedGroupAlgebra(tw)
+
+
+def test_shifted_twists_include_broken_ones():
+    # the oracle comparison sees both outcomes
+    shifted = [cocycle2_check(tw).ok for key, tw in _TWISTS
+               if key.endswith("-shifted")]
+    assert True in shifted and False in shifted
 
 
 def test_center_dimensions():
     z2 = cyclic_group(2)
-    plain = TwistedGroupAlgebra(z2, (0, 1), Cocycle2(z2, (0, 1), [0] * 4, 1))
+    plain = TwistedGroupAlgebra(Cocycle2(z2, (0, 1), [0] * 4, 1))
     assert center_dimension(plain) == 2
     assert center_dimension(_z2_twisted()) == 2
     s3, _ = symmetric_group(3)
     cd = conjugacy_data(s3)
     phi = phi_class(s3, trivial_cocycle(s3), cd, 0)
-    assert center_dimension(TwistedGroupAlgebra(s3, phi.elements, phi)) == 3
+    assert center_dimension(TwistedGroupAlgebra(phi)) == 3
 
 
 def test_center_dimension_is_invariant_under_modulus_scaling():
@@ -68,15 +115,15 @@ def test_center_dimension_is_invariant_under_modulus_scaling():
     z2 = cyclic_group(2)
     for modulus in (2, 6, 12):
         phi = Cocycle2(z2, (0, 1), [0, 0, 0, modulus // 2], modulus)
-        assert center_dimension(TwistedGroupAlgebra(z2, (0, 1), scaled(phi))) \
-            == center_dimension(TwistedGroupAlgebra(z2, (0, 1), phi)) == 2
+        assert center_dimension(TwistedGroupAlgebra(scaled(phi))) \
+            == center_dimension(TwistedGroupAlgebra(phi)) == 2
     G, omega = dihedral8_sign()
     omega3 = Cocycle3(G, [3 * v for v in omega.values], 3 * omega.modulus)
     assert center_dimension(TubeAlgebra(G, omega3)) \
         == center_dimension(TubeAlgebra(G, omega)) == 22
     for tw in TubeAlgebra(G, omega).block_algebra().twists:
-        assert center_dimension(TwistedGroupAlgebra(G, tw.elements, scaled(tw))) \
-            == center_dimension(TwistedGroupAlgebra(G, tw.elements, tw))
+        assert center_dimension(TwistedGroupAlgebra(scaled(tw))) \
+            == center_dimension(TwistedGroupAlgebra(tw))
 
 
 def test_decompose_twisted_z2_blocks():
@@ -90,7 +137,7 @@ def test_decompose_twisted_z2_blocks():
 
 def test_decompose_one_dimensional_algebra():
     z1 = cyclic_group(1)
-    alg = TwistedGroupAlgebra(z1, (0,), Cocycle2(z1, (0,), [0], 1))
+    alg = TwistedGroupAlgebra(Cocycle2(z1, (0,), [0], 1))
     blocks = regular_split(alg)
     assert [(b.dimension, b.multiplicity) for b in blocks] == [(1, 1)]
 
@@ -99,7 +146,7 @@ def test_decompose_regular_s3():
     s3, _ = symmetric_group(3)
     cd = conjugacy_data(s3)
     phi = phi_class(s3, trivial_cocycle(s3), cd, 0)
-    alg = TwistedGroupAlgebra(s3, phi.elements, phi)
+    alg = TwistedGroupAlgebra(phi)
     blocks = regular_split(alg, seed=2)
     assert [(b.dimension, b.multiplicity) for b in blocks] == \
         [(1, 1), (1, 1), (2, 2)]
@@ -108,7 +155,7 @@ def test_decompose_regular_s3():
 def _regular_s3():
     s3, _ = symmetric_group(3)
     phi = phi_class(s3, trivial_cocycle(s3), conjugacy_data(s3), 0)
-    return TwistedGroupAlgebra(s3, phi.elements, phi)
+    return TwistedGroupAlgebra(phi)
 
 
 def test_decompose_names_its_seeds():
@@ -135,7 +182,7 @@ def test_block_dimension_sum_rule(small_fixture):
     # sum of squared irreducible dimensions fills each twisted algebra
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     for tw in alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(small_fixture.group, tw.elements, tw)
+        talg = TwistedGroupAlgebra(tw)
         blocks = regular_split(talg, seed=4)
         assert sum(b.dimension ** 2 for b in blocks) == talg.dimension
         assert all(b.multiplicity == b.dimension for b in blocks)
@@ -152,7 +199,7 @@ def test_center_count_matches_regular_decomposition(small_fixture):
 def test_regular_representation_is_star_rep(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     for tw in alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(small_fixture.group, tw.elements, tw)
+        talg = TwistedGroupAlgebra(tw)
         reg = regular_representation(talg)
         assert reg.check(talg).ok
 
@@ -161,7 +208,7 @@ def _semion_context():
     omega = standard_cyclic_cocycle(2, 1)
     alg = TubeAlgebra(omega.group, omega)
     tw = alg.block_algebra().twists[1]
-    talg = TwistedGroupAlgebra(omega.group, tw.elements, tw)
+    talg = TwistedGroupAlgebra(tw)
     return alg, talg
 
 
@@ -169,7 +216,7 @@ def test_induce_trivial_class():
     s3, _ = symmetric_group(3)
     alg = TubeAlgebra(s3, trivial_cocycle(s3))
     tw = alg.block_algebra().twists[0]
-    talg = TwistedGroupAlgebra(s3, tw.elements, tw)
+    talg = TwistedGroupAlgebra(tw)
     pi = Representation(labels=list(tw.elements), dim=1,
                         matrices={v: np.eye(1, dtype=complex)
                                   for v in tw.elements})
@@ -194,7 +241,7 @@ def _induce_certified(alg, c):
     """The regular induction of class ``c``, once the exact certificate
     (the exact check of pi and the block-map check) has accepted it."""
     tw = alg.block_algebra().twists[c]
-    talg = TwistedGroupAlgebra(alg.group, tw.elements, tw)
+    talg = TwistedGroupAlgebra(tw)
     pi = regular_representation(talg)
     res = pi.check(talg)
     assert res.ok and res.detail.startswith("exact: ")
@@ -237,7 +284,7 @@ def test_restrict_after_induce_is_exact(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     blocks = alg.block_algebra()
     for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(small_fixture.group, tw.elements, tw)
+        talg = TwistedGroupAlgebra(tw)
         pi = regular_representation(talg)
         back = restrict(alg, c, induce(alg, c, pi))
         assert back.dim == pi.dim
@@ -281,7 +328,7 @@ def test_support_decompose_two_inductions():
     blocks = alg.block_algebra()
     reps = []
     for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(alg.group, tw.elements, tw)
+        talg = TwistedGroupAlgebra(tw)
         reps.append(induce(alg, c, regular_representation(talg)))
     S = _direct_sum(alg, reps)
     sd = support_decompose(alg, S)
@@ -305,7 +352,7 @@ def test_induce_restrict_annular_context():
     blocks = alg.block_algebra()
     c = 1
     tw = blocks.twists[c]
-    talg = TwistedGroupAlgebra(alg.group, tw.elements, tw)
+    talg = TwistedGroupAlgebra(tw)
     pi = regular_representation(talg)
     Pi = induce(alg, c, pi)
     assert Pi.dim == len(blocks.index_sets[c]) * pi.dim

@@ -38,7 +38,7 @@ def _m2_twist() -> TwistedGroupAlgebra:
     alpha = Cocycle2(v4, (0, 1, 2, 3),
                      [(a >> 1) * (b & 1) for a in range(4) for b in range(4)],
                      2)
-    return TwistedGroupAlgebra(v4, (0, 1, 2, 3), alpha)
+    return TwistedGroupAlgebra(alpha)
 
 
 @cache
@@ -67,8 +67,8 @@ def _algebras():
                         ("z2z4", bh_setup_z2z4), ("z1", bh_setup_z1)):
         G = setup().group
         out += [(f"end-{name}-{g}",
-                 lambda s=setup, G=G, g=g: TwistedGroupAlgebra(
-                     G, end_xg_algebra(s(), g).elements, end_xg_algebra(s(), g)))
+                 lambda s=setup, g=g: TwistedGroupAlgebra(
+                     end_xg_algebra(s(), g)))
                 for g in G.elements()]
     # the inputs are cached, so the 3-cocycle law is checked once each
     for name, build in (("d8_sign", cache(dihedral8_sign)), ("s4_sign", _s4_sign),
@@ -83,7 +83,7 @@ def _algebras():
 def _block(G, omega, c: int) -> TwistedGroupAlgebra:
     """The twisted centralizer algebra of class c of the tube algebra."""
     tw = phi_class(G, omega, conjugacy_data(G), c)
-    return TwistedGroupAlgebra(G, tw.elements, tw)
+    return TwistedGroupAlgebra(tw)
 
 
 _ALGEBRAS = _algebras()
@@ -161,8 +161,7 @@ def _force_first(monkeypatch, element: list) -> None:
 
 def _group_algebra(group) -> TwistedGroupAlgebra:
     els = tuple(group.elements())
-    return TwistedGroupAlgebra(group, els,
-                               Cocycle2(group, els, [0] * len(els) ** 2, 1))
+    return TwistedGroupAlgebra(Cocycle2(group, els, [0] * len(els) ** 2, 1))
 
 
 def test_unit_is_rejected_for_too_few_blocks(monkeypatch):

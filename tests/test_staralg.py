@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import tubealg
-from tubealg import staralg
+from tubealg import phase, staralg
 from tubealg.annular_bh import AnnularAlgebra, CutdownAlgebra
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data
@@ -52,7 +52,7 @@ def test_twisted_group_algebra_table_matches_oracle(fixtures):
     for c in range(cd.num_classes()):
         tw = phi_class(fx.group, fx.omega, cd, c)
         _assert_tables_match_oracle(
-            TwistedGroupAlgebra(fx.group, tw.elements, tw))
+            TwistedGroupAlgebra(tw))
 
 
 class _CountingTube(TubeAlgebra):
@@ -134,11 +134,15 @@ def _callers(names) -> dict:
 def test_one_product_path():
     # structure constants are read through the tables only, and phases
     # become complex numbers only in rep's numerical half
-    callers = _callers(("mult_basis", "star_basis", "root"))
+    callers = _callers(("mult_basis", "star_basis", "root", "phi_iso"))
     assert callers["mult_basis"] == {"staralg.MonomialStarAlgebra.products"}
     assert callers["star_basis"] == {"staralg.MonomialStarAlgebra.stars"}
     assert callers["root"] and \
         {c.split(".")[0] for c in callers["root"]} == {"rep"}
+    # block images are computed once, for the block-map check and induction
+    assert callers["phi_iso"] == {"tube_diag.TubeShapedAlgebra.block_images"}
+    # a twist's 2-cocycle law is its twisted group algebra's associativity
+    assert not hasattr(phase, "cocycle2_check")
     assert not hasattr(staralg, "Element")
     for cls in (staralg.MonomialStarAlgebra, TubeShapedAlgebra,
                 TwistedGroupAlgebra):

@@ -259,7 +259,7 @@ def test_semion_blocks_all_one_dimensional():
     sem = standard_cyclic_cocycle(2, 1)
     alg = TubeAlgebra(sem.group, sem)
     for tw in alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(sem.group, tw.elements, tw)
+        talg = TwistedGroupAlgebra(tw)
         assert all(b.dimension == 1 for b in regular_split(talg))
 
 
