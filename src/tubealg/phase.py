@@ -62,7 +62,7 @@ def phase_str(k: int, n: int) -> str:
 
 
 class CheckResult(NamedTuple):
-    """Outcome of an exhaustive or sampled verification."""
+    """Outcome of a verification; ``detail`` states its coverage."""
 
     ok: bool
     name: str = ""

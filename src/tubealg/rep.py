@@ -16,7 +16,7 @@ check float matrices (`rep induce --rep`) and by `restrict` and
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import nullspace_dimension
 from .phase import CheckResult, Cocycle2, root
@@ -58,8 +58,11 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
     Associativity of this algebra is, term by term, the 2-cocycle law
     phi(a,b) phi(ab,c) = phi(b,c) phi(a,bc) of its twist, so the
     constructor walks :meth:`check_associativity` over all |S|^3
-    triples and rejects a twist that fails it.
+    triples and rejects a twist that fails it; the result is kept, so
+    :meth:`check_all` does not walk them again.
     """
+
+    _associativity: Optional[CheckResult] = None
 
     def __init__(self, twist: Cocycle2):
         self.group = twist.group
@@ -71,6 +74,11 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
             raise ValueError(
                 f"twist fails associativity at triple {res.witness}")
         self.normalized = not any(twist(0, g) or twist(g, 0) for g in self.els)
+
+    def check_associativity(self) -> CheckResult:
+        if self._associativity is None:
+            self._associativity = super().check_associativity()
+        return self._associativity
 
     @property
     def dimension(self) -> int:

@@ -6,18 +6,15 @@ basis elements are a single phase times a basis element (or zero), the
 involution sends a basis element to a phase times a basis element, and
 the canonical trace is 0/1 on the basis.  :class:`MonomialStarAlgebra`
 captures that shape once, with the generic verifiers (associativity,
-anti-automorphism laws, trace symmetry, orthonormality of the basis).
-Structure constants are exact phases, ints mod the algebra's
+anti-automorphism laws, trace symmetry, orthonormality of the basis),
+each exhaustive over the basis.  Structure constants are exact phases, ints mod the algebra's
 ``modulus`` (see :mod:`tubealg.phase`), read only from the ``products``
 and ``stars`` tables that ``mult_basis`` and ``star_basis`` fill.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate
 from typing import Hashable, Optional, Sequence
 
 from .phase import CheckResult
@@ -90,46 +87,20 @@ class MonomialStarAlgebra:
             comp[a].append(b)
         return comp
 
-    def _triples(self, comp: dict, samples: Optional[int], seed: int):
-        """Composable triples (c, b, a): every one in label order when
-        ``samples`` is None, else ``samples`` uniform draws from them all."""
-        if samples is None:
-            for a, bs in comp.items():
-                for b in bs:
-                    for c in comp[b]:
-                        yield c, b, a
-            return
-        # draw a by its number of triples, then b by its number of c's
-        heads = list(comp)
-        tails = [list(accumulate(len(comp[b]) for b in comp[a])) for a in heads]
-        cum = list(accumulate(t[-1] if t else 0 for t in tails))
-        rng = random.Random(seed)
-        for _ in range(samples):
-            r = rng.randrange(cum[-1])
-            i = bisect_right(cum, r)
-            r -= cum[i - 1] if i else 0
-            j = bisect_right(tails[i], r)
-            r -= tails[i][j - 1] if j else 0
-            b = comp[heads[i]][j]
-            yield comp[b][r], b, heads[i]
+    def _triples(self, comp: dict):
+        """Every composable triple (c, b, a), in label order."""
+        for a, bs in comp.items():
+            for b in bs:
+                for c in comp[b]:
+                    yield c, b, a
 
-    def check_associativity(self, exhaustive_limit: Optional[int] = None,
-                            samples: int = 100000, seed: int = 0) -> CheckResult:
-        """(c b) a == c (b a) over composable basis triples, exactly.
-
-        Every triple is walked unless ``exhaustive_limit`` is not None
-        and the triple count exceeds both it and ``samples``; then
-        ``samples`` are drawn uniformly.  ``detail`` says which was done.
-        """
+    def check_associativity(self) -> CheckResult:
+        """(c b) a == c (b a) over every composable basis triple, exactly;
+        ``detail`` is ``exhaustive <triples>``."""
         comp = self._composable()
-        total = sum(len(comp[b]) for bs in comp.values() for b in bs)
-        if exhaustive_limit is not None and \
-                total > max(exhaustive_limit, samples):
-            detail = f"sampled {samples} of {total}, seed {seed}"
-        else:
-            samples, detail = None, f"exhaustive {total}"
         products, N = self.products, self.modulus
-        for c, b, a in self._triples(comp, samples, seed):
+        detail = f"exhaustive {sum(len(comp[b]) for b, _ in products)}"
+        for c, b, a in self._triples(comp):
             ph_ba, ba = products[(b, a)]
             ph_cb, cb = products[(c, b)]
             left = products.get((cb, a))
@@ -213,11 +184,9 @@ class MonomialStarAlgebra:
                     return CheckResult(False, side, (a,))
         return CheckResult(True, "unit", detail=f"exhaustive {len(self.labels())}")
 
-    def check_all(self, exhaustive_limit: Optional[int] = None,
-                  samples: int = 100000,
-                  seed: int = 0) -> list[CheckResult]:
+    def check_all(self) -> list[CheckResult]:
         return [
-            self.check_associativity(exhaustive_limit, samples, seed),
+            self.check_associativity(),
             self.check_star_laws(),
             self.check_trace(),
             self.check_gram_identity(),

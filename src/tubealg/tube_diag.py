@@ -24,8 +24,9 @@ representative, twisted by the derived 2-cocycle).  ``phi_iso`` realizes
 the isomorphism on basis elements, with the transport cochain supplying
 the scalar, and ``block_images`` holds its image of every basis
 element; ``check_block_map`` checks multiplicativity and
-*-preservation exhaustively and exactly, and ``verify_star_iso`` runs it
-on the tube algebra.
+*-preservation exhaustively and exactly, once per twist convention, and
+``verify_star_iso`` runs it on the tube algebra.  With the class twists'
+2-cocycle laws it certifies associativity; triples are walked on failure.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                     self._parts[label] = (x, s, y, a, b)
                     self._into[y].append(label)
         self._labels = list(self._label_of.values())
-        self._class_data: Optional[ClassData] = None
         self._blocks: dict[str, BlockAlgebra] = {}
+        self._block_checks: dict[str, CheckResult] = {}
 
     def _split(self, label) -> tuple:
         try:
@@ -134,11 +135,9 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
 
     # -- block decomposition ------------------------------------------------
 
-    @property
+    @cached_property
     def class_data(self) -> ClassData:
-        if self._class_data is None:
-            self._class_data = conjugacy_data(self.group)
-        return self._class_data
+        return conjugacy_data(self.group)
 
     def sc_index(self) -> list[list]:
         """Per class, the objects whose weight lies in it, in object order."""
@@ -184,6 +183,33 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         table the block-map check certifies and induction reads."""
         return {a: self.phi_iso(a) for a in self.labels()}
 
+    def check_block_map(self, convention: str = "op-inverse") -> CheckResult:
+        """Exhaustively check the block map: bijective, multiplicative,
+        *-preserving; each convention is walked once and its result kept."""
+        if convention not in self._block_checks:
+            self._block_checks[convention] = self._walk_block_map(convention)
+        return self._block_checks[convention]
+
+    def check_associativity(self) -> CheckResult:
+        """Associativity: a passing block map is an injective homomorphism
+        into the block sum, associative when every class twist passes the
+        2-cocycle law :class:`TwistedGroupAlgebra` checks, so (c b) a and
+        c (b a) have one image.  Else every composable triple is walked."""
+        iso = self.check_block_map()
+        if iso.ok:
+            try:
+                laws = sum(TwistedGroupAlgebra(tw).dimension ** 3
+                           for tw in self.block_algebra().twists)
+            except ValueError:  # a class twist fails its 2-cocycle law
+                pass
+            else:
+                comp = self._composable()
+                triples = sum(len(comp[b]) for b, _ in self.products)
+                return CheckResult(True, "associativity", detail=(
+                    f"certified {triples} by block map {iso.detail}, "
+                    f"class twists exhaustive {laws}"))
+        return super().check_associativity()
+
     def phi_iso_inverse(self, c: int, row, col, element: int) -> tuple[int, object]:
         """Preimage of E[row, col] tensor [element] as scalar * basis label."""
         G, cd = self.group, self.class_data
@@ -204,8 +230,7 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         x = self.support_block_index(c)
         return self._label_of[(x, 0, x)]
 
-    def check_block_map(self, convention: str = "op-inverse") -> CheckResult:
-        """Exhaustively check the block map: bijective, multiplicative, *-preserving."""
+    def _walk_block_map(self, convention: str) -> CheckResult:
         blocks = self.block_algebra(convention)
         labels, images = self.labels(), self.block_images
         if blocks.total_dimension() != len(labels):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tubealg.annular_bh import AnnularAlgebra
-from tubealg import phase, rep, splitting
+from tubealg import phase, rep, splitting, staralg, tube_diag
 from tubealg.cli import main
 from tubealg.coho import BHSetup, BHSetupError, bh_setup_from_json
 from tubealg.grp import group_to_json
@@ -558,6 +558,75 @@ def test_bh_simples_checks_each_twist_once(files, capsys, monkeypatch):
     assert len({id(tw) for tw in checked}) == len(checked)
 
 
+def _count_walks(monkeypatch) -> tuple[list, list]:
+    """Record each associativity walk's algebra and each triple it visits."""
+    walks, triples = [], []
+    walk, items = staralg.MonomialStarAlgebra.check_associativity, \
+        staralg.MonomialStarAlgebra._triples
+
+    def counted_walk(self):
+        walks.append(self)
+        return walk(self)
+
+    def counted_items(self, comp):
+        for item in items(self, comp):
+            triples.append(item)
+            yield item
+
+    monkeypatch.setattr(staralg.MonomialStarAlgebra, "check_associativity",
+                        counted_walk)
+    monkeypatch.setattr(staralg.MonomialStarAlgebra, "_triples", counted_items)
+    return walks, triples
+
+
+def test_rep_induce_walks_its_twist_once(files, capsys, monkeypatch):
+    # the twisted algebra's constructor walks the 4^3 triples of class 1's
+    # law; the exact representation check reuses that result
+    walks, triples = _count_walks(monkeypatch)
+    code, report = run(capsys, ["rep", "induce", "--group", files["d8.json"],
+                                "--cocycle", files["d8_sign.json"],
+                                "--class-index", "1"])
+    assert code == 0
+    assert [type(alg) for alg in walks] == [rep.TwistedGroupAlgebra]
+    assert len(triples) == 64
+
+
+def test_tube_check_walks_only_the_class_twists(files, capsys, monkeypatch):
+    # D8 sign: the 5 class twists' laws, 8^3 + 8^3 + 3 * 4^3 = 1216
+    # triples, certify the tube algebra's 4096 composable triples
+    walks, triples = _count_walks(monkeypatch)
+    code, report = run(capsys, ["tube", "check", "--group", files["d8.json"],
+                                "--cocycle", files["d8_sign.json"]])
+    assert code == 0
+    assert {type(alg) for alg in walks} == {rep.TwistedGroupAlgebra}
+    assert len(walks) == 5 and len(triples) == 1216
+    check = next(c for c in report["checks"] if c["name"] == "associativity")
+    assert check["detail"] == ("certified 4096 by block map exhaustive 512, "
+                               "class twists exhaustive 1216")
+
+
+@pytest.mark.parametrize("kind, argv, stars", [
+    ("tube", ["--group", "d8.json", "--cocycle", "d8_sign.json"], 64),
+    ("bh", ["--bh", "bh_s3.json"], 2 * 144)])
+def test_check_walks_the_block_map_once_per_convention(files, capsys,
+                                                       monkeypatch, kind,
+                                                       argv, stars):
+    # the certificate and the star-isomorphism entries share one pass per
+    # convention: op-inverse (tube), op-inverse and plain-conjugate (bh),
+    # each starring every basis image once
+    calls = []
+    star = tube_diag.BlockAlgebra.star
+
+    def counted(self, x):
+        calls.append(x)
+        return star(self, x)
+
+    monkeypatch.setattr(tube_diag.BlockAlgebra, "star", counted)
+    code, report = run(capsys, [kind, "check", *(files.get(a, a) for a in argv)])
+    assert code == 0
+    assert len(calls) == stars
+
+
 # -- labels on the wire -------------------------------------------------------------
 
 
@@ -697,23 +766,28 @@ def test_cli_checks_report_their_coverage(files, capsys, argv, name, status,
     assert (check["status"], check["detail"]) == (status, detail)
 
 
-@pytest.mark.parametrize("bound, detail", [
-    ("17", "sampled 100000 of 104976, seed 0"), ("18", "exhaustive 104976")])
-@pytest.mark.parametrize("kind", ["tube", "bh"])
-def test_max_exhaustive_bounds_composable_triples(tmp_path, capsys, kind,
-                                                  bound, detail):
+@pytest.mark.parametrize("kind, detail", [
+    ("tube", "certified 104976 by block map exhaustive 5832, "
+             "class twists exhaustive 8756"),
+    ("bh", "certified 104976 by block map exhaustive 5832, "
+           "class twists exhaustive 251")])
+def test_max_exhaustive_changes_no_check(tmp_path, capsys, kind, detail):
     # 18^4 = 104976 composable triples either way: the tube algebra of the
     # order-18 dihedral group, and the annular algebra of S3 with H = A3
-    # (|H| |G| = 18); every triple is walked when there are at most bound^4
+    # (|H| |G| = 18); below, at and above 18 every triple is certified
     if kind == "tube":
         inputs = _tube_inputs(tmp_path, *dihedral_sign(9))
     else:
         s3 = bh_setup_s3()  # H a transposition, K = A3: swap them
         inputs = _bh_inputs(tmp_path, s3._replace(H=s3.K, K=s3.H))
-    code, report = run(capsys, [kind, "check", *inputs,
-                                "--max-exhaustive", bound])
-    assert code == 0
-    check = next(c for c in report["checks"] if c["name"] == "associativity")
+    checks = []
+    for bound in ("0", "17", "18"):
+        code, report = run(capsys, [kind, "check", *inputs,
+                                    "--max-exhaustive", bound])
+        assert code == 0 and report["max_exhaustive"] == int(bound)
+        checks.append(report["checks"])
+    assert checks[0] == checks[1] == checks[2]
+    check = next(c for c in checks[0] if c["name"] == "associativity")
     assert check["detail"] == detail
 
 

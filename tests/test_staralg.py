@@ -1,6 +1,7 @@
 """The product and involution tables every verifier and builder reads."""
 
 import ast
+import copy
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from tubealg.grp import conjugacy_data
 from tubealg.rep import TwistedGroupAlgebra
 from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
-from conftest import bh_setup_s3, bh_setup_v4, dihedral8_sign
+from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
+                      bh_setup_z1, dihedral8_sign)
 
 
 def all_pairs_products(alg) -> dict:
@@ -100,7 +102,9 @@ def test_dropped_product_fails_the_verifiers():
 def test_checks_state_coverage():
     alg = TubeAlgebra(*dihedral8_sign())
     details = {r.name: r.detail for r in alg.check_all()}
-    assert details == {"associativity": "exhaustive 4096",
+    assert details == {"associativity": "certified 4096 by block map "
+                                        "exhaustive 512, class twists "
+                                        "exhaustive 1216",
                        "star-laws": "exhaustive 512",
                        "trace-symmetry": "exhaustive 512",
                        "gram": "exhaustive 512",
@@ -147,3 +151,69 @@ def test_one_product_path():
     for cls in (staralg.MonomialStarAlgebra, TubeShapedAlgebra,
                 TwistedGroupAlgebra):
         assert not hasattr(cls, "validate_label")
+
+
+# -- associativity: the block-map certificate against the walk -----------------
+
+
+def _certified_algebras() -> dict:
+    algs = {name: (lambda fx=_FIXTURES[name]: TubeAlgebra(fx.group, fx.omega))
+            for name in SMALL_NAMES}
+    algs["d8_sign"] = lambda: TubeAlgebra(*dihedral8_sign())
+    for name, make in (("s3", bh_setup_s3), ("v4", bh_setup_v4),
+                       ("z1", bh_setup_z1)):
+        algs[f"{name}_annular"] = lambda make=make: AnnularAlgebra(make())
+        algs[f"{name}_cutdown"] = lambda make=make: CutdownAlgebra(make())
+    return algs
+
+
+_CERTIFIED_ALGEBRAS = _certified_algebras()
+
+
+def _corruptions(alg, per_kind: int = 20):
+    """Product tables with one entry changed: its phase shifted, its label
+    replaced by the next label, or the product dropped; for ``per_kind``
+    entries spread evenly over the table, skipping no-op changes."""
+    products, labels, N = alg.products, alg.labels(), alg.modulus
+    keys = list(products)
+    nxt = {a: labels[(i + 1) % len(labels)] for i, a in enumerate(labels)}
+    for key in keys[::max(1, len(keys) // per_kind)][:per_kind]:
+        ph, lab = products[key]
+        for hit in ((ph + 1) % N, lab), (ph, nxt[lab]), None:
+            if hit == (ph, lab):
+                continue
+            table = dict(products)
+            if hit is None:
+                del table[key]
+            else:
+                table[key] = hit
+            yield table
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED_ALGEBRAS))
+def test_certificate_accepts_no_table_the_walk_rejects(name):
+    alg = _CERTIFIED_ALGEBRAS[name]()
+    alg.block_images, alg.stars, alg.block_algebra()   # shared by the copies
+    counts = {"walk rejects": 0, "certificate rejects": 0, "tables": 0}
+    for table in _corruptions(alg):
+        mutant = copy.copy(alg)
+        mutant.products = table          # shadows the cached table
+        mutant._block_checks = {}
+        walk = staralg.MonomialStarAlgebra.check_associativity(mutant)
+        res = mutant.check_associativity()
+        certified = res.detail.startswith("certified ")
+        assert res.ok == walk.ok and (walk.ok or not certified)
+        if not walk.ok:
+            assert res == walk           # the walk's first witness
+        counts["tables"] += 1
+        counts["walk rejects"] += not walk.ok
+        counts["certificate rejects"] += not certified
+    assert counts["tables"] > 0
+    assert counts["certificate rejects"] >= counts["walk rejects"]
+    # one label: the one change drops the one product, and no triple is left
+    assert counts["walk rejects"] > 0 or len(alg.labels()) == 1
+
+
+def test_no_sampler_is_left():
+    source = Path(staralg.__file__).read_text()
+    assert "random" not in source and "samples" not in source

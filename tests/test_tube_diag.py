@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from tubealg import tube_diag
 from tubealg.coho import gamma
 from tubealg.phase import root, standard_cyclic_cocycle, trivial_cocycle
 from tubealg.tube_diag import (TubeAlgebra, TubeBasisElement, simple_count,
                                structure_constants_json, verify_star_iso)
 from tubealg.rep import TwistedGroupAlgebra
+from tubealg.staralg import MonomialStarAlgebra
 
 from conftest import corrupt_last_twist, dihedral8_sign, symmetric_group
 from regular_split_oracle import regular_split
@@ -86,11 +88,18 @@ def test_exact_basis_laws(small_fixture):
         assert res.ok, (small_fixture.name, res.name, res.witness)
 
 
-def test_associativity_sampled_s4(s4_sign_fixture):
+D8_CERTIFIED = ("certified 4096 by block map exhaustive 512, "
+                "class twists exhaustive 1216")
+
+
+def test_associativity_certified_s4(s4_sign_fixture):
+    # 331,776 triples, certified by the 24^3 block-map products and the
+    # 5 class twists' laws (24^3 + 8^3 + 3^3 + 4^3 + 4^3)
     alg = TubeAlgebra(s4_sign_fixture.group, s4_sign_fixture.omega)
-    res = alg.check_associativity(exhaustive_limit=10000, samples=100000,
-                                  seed=11)
-    assert res.ok
+    res = alg.check_associativity()
+    assert res.ok and res.detail == ("certified 331776 by block map "
+                                     "exhaustive 13824, class twists "
+                                     "exhaustive 14491")
 
 
 class _SignFlippedTube(TubeAlgebra):
@@ -106,33 +115,53 @@ class _SignFlippedTube(TubeAlgebra):
 def test_associativity_detail_states_coverage():
     alg = TubeAlgebra(*dihedral8_sign())
     res = alg.check_associativity()
+    assert res.ok and res.detail == D8_CERTIFIED
+    res = MonomialStarAlgebra.check_associativity(alg)
     assert res.ok and res.detail == "exhaustive 4096"
-    res = alg.check_associativity(exhaustive_limit=100, samples=500, seed=3)
-    assert res.ok and res.detail == "sampled 500 of 4096, seed 3"
 
 
-def test_associativity_bound_zero_samples():
-    # only None leaves the walk unbounded
+def test_associativity_takes_no_bound():
+    # no bound, no samples, no seed: the certificate covers every triple
     alg = TubeAlgebra(*dihedral8_sign())
-    res = alg.check_associativity(exhaustive_limit=0, samples=100)
-    assert res.ok and res.detail == "sampled 100 of 4096, seed 0"
+    talg = TwistedGroupAlgebra(alg.block_algebra().twists[0])
+    for kwargs in ({"exhaustive_limit": 0}, {"samples": 100}, {"seed": 3}):
+        for a in (alg, talg):
+            with pytest.raises(TypeError):
+                a.check_associativity(**kwargs)
+            with pytest.raises(TypeError):
+                a.check_all(**kwargs)
+    assert alg.check_associativity().detail == D8_CERTIFIED
 
 
-def test_associativity_walks_every_triple_when_samples_would_not_be_fewer():
+def test_associativity_certified_and_walked_z4():
     omega = standard_cyclic_cocycle(4, 1)
     alg = TubeAlgebra(omega.group, omega)
-    res = alg.check_associativity(exhaustive_limit=1)
+    res = alg.check_associativity()
+    assert res.ok and res.detail == ("certified 256 by block map exhaustive "
+                                     "64, class twists exhaustive 256")
+    res = MonomialStarAlgebra.check_associativity(alg)
     assert res.ok and res.detail == "exhaustive 256"
 
 
-def test_associativity_sampling_reaches_late_triples():
-    # the broken triples all involve the last label; a sample drawn from
-    # a prefix of the triple list never meets them
+def test_associativity_walks_when_a_class_twist_fails(monkeypatch):
+    # a class twist that fails its 2-cocycle law voids the certificate
+    def failing(twist):
+        raise ValueError("twist fails associativity")
+
+    monkeypatch.setattr(tube_diag, "TwistedGroupAlgebra", failing)
+    res = TubeAlgebra(*dihedral8_sign()).check_associativity()
+    assert res.ok and res.detail == "exhaustive 4096"
+
+
+def test_associativity_falls_back_to_the_walk_on_late_triples():
+    # the broken triples all involve the last label, the last to be
+    # walked; the block map fails on them, so the walk finds one
     alg = _SignFlippedTube(*dihedral8_sign())
-    assert not alg.check_associativity().ok
-    res = alg.check_associativity(exhaustive_limit=100, samples=2000, seed=3)
+    assert alg.check_block_map().name == "phi-mult"
+    res = alg.check_associativity()
     assert not res.ok and res.name == "associativity"
     assert alg.labels()[-1] in res.witness
+    assert res == MonomialStarAlgebra.check_associativity(alg)
 
 
 def inner(alg, x, y):
