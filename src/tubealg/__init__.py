@@ -6,30 +6,50 @@ constants; this package builds them in exact root-of-unity arithmetic,
 realizes their block decompositions into twisted centralizer group
 algebras, and provides the induction machinery for their
 representations.
+
+The public names below are resolved on first use (PEP 562), so
+``import tubealg`` loads no submodule and a process compiles only the
+modules it reads.
 """
 
-from .grp import (ClassData, GroupTable, GroupError, centralizer,
-                  conjugacy_data, cyclic_group, direct_product,
-                  group_from_permutations, group_from_table, subgroup_closure)
-from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
-                    coboundary1, coboundary2, cocycle3_check,
-                    inflate_cocycle, is_normalized, normalize3, phase_str,
-                    product_type_cocycle, root, standard_cyclic_cocycle,
-                    trivial_cocycle, two_factor_cocycle)
-from .coho import (BHSetup, BHSetupError, gamma, gamma_identity_check,
-                   gamma_transport_check, gauge_fix_bh, gl_relations_check,
-                   phi_a, phi_class)
-from .tube_diag import (BlockAlgebra, BlockImage, SimpleCount, TubeAlgebra,
-                        TubeBasisElement, TubeShapedAlgebra, simple_count,
-                        verify_star_iso)
-from .annular_bh import (ABasisElement, AnnularAlgebra, BoxMorphism,
-                         CutdownAlgebra, bh_verify_star_iso,
-                         compare_cutdown_diagonal, double_cosets,
-                         end_xg_algebra, tube_cutdown)
-from .rep import (Representation, TwistedGroupAlgebra, center_dimension,
-                  decompose, induce, regular_representation, restrict,
-                  support_decompose)
-from .splitting import projective_dimensions
+from importlib import import_module as _import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "grp": ("ClassData", "GroupTable", "GroupError", "centralizer",
+            "conjugacy_data", "cyclic_group", "direct_product",
+            "group_from_permutations", "group_from_table", "subgroup_closure"),
+    "phase": ("CheckResult", "Cocycle2", "Cocycle3", "CocycleError",
+              "coboundary1", "coboundary2", "cocycle3_check",
+              "inflate_cocycle", "is_normalized", "normalize3", "phase_str",
+              "product_type_cocycle", "root", "standard_cyclic_cocycle",
+              "trivial_cocycle", "two_factor_cocycle"),
+    "coho": ("BHSetup", "BHSetupError", "gamma", "gamma_identity_check",
+             "gamma_transport_check", "gauge_fix_bh", "gl_relations_check",
+             "phi_a", "phi_class"),
+    "tube_diag": ("BlockAlgebra", "BlockImage", "SimpleCount", "TubeAlgebra",
+                  "TubeBasisElement", "TubeShapedAlgebra", "simple_count",
+                  "verify_star_iso"),
+    "annular_bh": ("ABasisElement", "AnnularAlgebra", "BoxMorphism",
+                   "CutdownAlgebra", "bh_verify_star_iso",
+                   "compare_cutdown_diagonal", "double_cosets",
+                   "end_xg_algebra", "tube_cutdown"),
+    "rep": ("Representation", "TwistedGroupAlgebra", "center_dimension",
+            "decompose", "induce", "regular_representation", "restrict",
+            "support_decompose"),
+    "splitting": ("projective_dimensions",),
+}
+_SUBMODULES = (*_EXPORTS, "cyclotomic", "staralg")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_HOME, *_SUBMODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -16,7 +16,9 @@ import os
 import sys
 import time
 
-from . import annular_bh, coho, grp, phase, rep, tube_diag
+# tube_diag, rep and annular_bh (which loads splitting) are imported where
+# they are read, so a process loads only what its subcommand needs
+from . import coho, grp, phase
 
 INPUTS = ("group", "cocycle", "bh", "rep")  # hashed into the report in this order
 
@@ -102,9 +104,11 @@ def _build(args, annular: bool) -> tuple[phase.CheckResult, object]:
     the tube algebra after the ``cocycle3`` check, or the annular algebra
     after the ``setup`` check, whose failure names the broken invariant."""
     if not annular:
+        from . import tube_diag
         omega = _cocycle(args)
         res = phase.cocycle3_check(omega)
         return res, tube_diag.TubeAlgebra(omega.group, omega) if res.ok else None
+    from . import annular_bh
     setup = _setup(args)
     try:
         alg = annular_bh.AnnularAlgebra(setup)
@@ -183,6 +187,7 @@ def _algebra(args, annular: bool) -> tuple[object, list, dict]:
     if alg is not None:
         data["basis_count"] = len(alg.labels())
         if args.action == "build":
+            from . import tube_diag
             data["structure_constants"] = tube_diag.structure_constants_json(alg)
         elif args.action == "check":
             checks += [_check_dict(r) for r in alg.check_all()]
@@ -190,6 +195,7 @@ def _algebra(args, annular: bool) -> tuple[object, list, dict]:
 
 
 def _cmd_tube(args) -> tuple[list, dict]:
+    from . import tube_diag
     alg, checks, data = _algebra(args, annular=False)
     if alg is not None and args.action == "check":
         checks.append(_check_dict(tube_diag.verify_star_iso(alg)))
@@ -201,6 +207,7 @@ def _cmd_tube(args) -> tuple[list, dict]:
 
 
 def _cmd_bh(args) -> tuple[list, dict]:
+    from . import annular_bh, rep
     alg, checks, data = _algebra(args, annular=True)
     if alg is not None and args.action == "check":
         checks += [_check_dict(r) for r in annular_bh.box_checks(alg)]
@@ -242,6 +249,7 @@ def _cmd_bh(args) -> tuple[list, dict]:
 
 
 def _cmd_rep(args) -> tuple[list, dict]:
+    from . import rep, tube_diag
     annular = args.action == "decompose" and bool(args.bh)
     if not annular and not (args.group and args.cocycle):
         raise InputError(f"rep {args.action} needs --group and --cocycle"
@@ -352,7 +360,7 @@ def main(argv=None) -> int:
         else:
             for c in report["checks"]:
                 _log(f"{c['status']} {c['name']}")
-    except rep.DecompositionError as exc:
+    except phase.DecompositionError as exc:
         report["checks"] = [_check_dict(phase.CheckResult(
             False, exc.check, exc.witness, str(exc)))]
         report["status"] = "fail"

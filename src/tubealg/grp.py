@@ -276,6 +276,31 @@ def subgroup_closure(group: GroupTable, elements: Sequence[int]) -> tuple[int, .
     return tuple(sorted(seen))
 
 
+def generating_set(group: GroupTable) -> tuple[int, ...]:
+    """Greedy generators: each is the first element, in index order, outside
+    the subgroup generated by the ones before it.  Never empty: ``(0,)``
+    for the trivial group."""
+    n, mult = group.order, group.mult
+    gens = []
+    members = [0]
+    inside = bytearray(n)
+    inside[0] = 1
+    for g in range(1, n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        # close under right multiplication by every generator, which in a
+        # finite group gives the subgroup; the loop also visits new members
+        for x in members:
+            row = mult[x]
+            for s in gens:
+                y = row[s]
+                if not inside[y]:
+                    inside[y] = 1
+                    members.append(y)
+    return tuple(gens) or (0,)
+
+
 def is_subgroup(group: GroupTable, elements: Sequence[int]) -> bool:
     elems = set(elements)
     if 0 not in elems:

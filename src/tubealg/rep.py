@@ -19,23 +19,11 @@ from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import nullspace_dimension
-from .phase import CheckResult, Cocycle2, root
+from .phase import CheckResult, Cocycle2, DecompositionError, root
 from .staralg import MonomialStarAlgebra
 
 
 MAX_ATTEMPTS = 5
-
-
-class DecompositionError(RuntimeError):
-    """A splitting failed: ``check`` names the failed check and ``witness``
-    its witness (by default ``seeds``, the seeded attempts it tried)."""
-
-    def __init__(self, message: str, seeds: Sequence[str] = (),
-                 check: str = "decompose", witness=None):
-        super().__init__(message)
-        self.seeds = list(seeds)
-        self.check = check
-        self.witness = self.seeds if witness is None else witness
 
 
 class Seeded(list):

@@ -267,7 +267,8 @@ def test_rep_induce_default_checks_are_exact(files, capsys):
                                 "--class-index", "1"])
     assert code == 0
     assert [(c["name"], c["detail"]) for c in report["checks"]] == [
-        ("cocycle3", "exhaustive 4096"),
+        ("cocycle3", "certified 4096 by last argument over 2 generators, "
+                     "exhaustive 1024"),
         ("representation", "exact: associativity exhaustive 64, star-laws "
          "exhaustive 16, trace-symmetry exhaustive 16, gram exhaustive 16, "
          "unit exhaustive 4"),
@@ -518,8 +519,9 @@ def test_check_builds_the_product_table_once(files, capsys, monkeypatch,
 
 @pytest.mark.parametrize("argv, details", [
     (["normalize", "--group", "z2.json", "--cocycle", "semion.json"],
-     ["exhaustive 16", "exhaustive 16"]),
-    (["gauge-fix", "--bh", "bh_s3.json"], ["exhaustive 1296"])])
+     ["certified 16 by last argument over 1 generator, exhaustive 8"] * 2),
+    (["gauge-fix", "--bh", "bh_s3.json"],
+     ["certified 1296 by last argument over 2 generators, exhaustive 432"])])
 def test_cocycle_law_runs_once_per_table(files, capsys, monkeypatch, argv,
                                          details):
     # the input table and the output table, each checked once; the output's
@@ -923,6 +925,20 @@ def test_exact_subcommands_never_import_numpy(files):
     assert runs == ([[step, []] for step in _PREAMBLE]
                     + [[a, 0, []] for a in exact]
                     + [[numerical, 0, ["numpy"]]])
+
+
+@pytest.mark.parametrize("subcommand, loaded", [
+    ("tube", ["tubealg.rep", "tubealg.staralg", "tubealg.tube_diag"]),
+    ("gauge-fix", [])])
+def test_subcommands_load_only_the_modules_they_read(files, subcommand,
+                                                      loaded):
+    argv = (["tube", "check", "--group", files["z2.json"], "--cocycle",
+             files["semion.json"]] if subcommand == "tube"
+            else ["gauge-fix", "--bh", files["bh_s3.json"]])
+    watch = [f"tubealg.{m}" for m in ("annular_bh", "splitting", "tube_diag",
+                                      "rep", "staralg")]
+    runs = _child_runs([argv], watch)
+    assert runs == [[step, []] for step in _PREAMBLE] + [[argv, 0, loaded]]
 
 
 def test_package_and_exact_subcommands_never_import_dataclasses(files):

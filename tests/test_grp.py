@@ -5,11 +5,12 @@ import tracemalloc
 import pytest
 
 from tubealg.grp import (GroupError, centralizer, conjugacy_data, cyclic_group,
-                         direct_product, element_order, group_from_json,
-                         group_from_permutations, group_from_table,
-                         group_to_json, subgroup_closure)
+                         direct_product, element_order, generating_set,
+                         group_from_json, group_from_permutations,
+                         group_from_table, group_to_json, subgroup_closure)
 
-from conftest import symmetric_group
+from conftest import (bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
+                      dihedral8_sign, symmetric_group)
 
 
 def brute_force_classes(group):
@@ -176,6 +177,44 @@ def test_subgroup_closure_trivial():
     g = cyclic_group(4)
     assert subgroup_closure(g, []) == (0,)
     assert subgroup_closure(g, [1]) == (0, 1, 2, 3)
+
+
+def test_generating_set_examples():
+    assert generating_set(symmetric_group(4)[0]) == (1, 2)
+    assert generating_set(symmetric_group(5)[0]) == (1, 2)
+    assert generating_set(cyclic_group(1)) == (0,)
+    assert generating_set(cyclic_group(6)) == (1,)
+
+
+_MORE_GROUPS = {
+    "d8": lambda: dihedral8_sign()[0],
+    "s4": lambda: symmetric_group(4)[0],
+    "bh_s3": lambda: bh_setup_s3().group,
+    "bh_v4": lambda: bh_setup_v4().group,
+    "bh_z1": lambda: bh_setup_z1().group,
+    "bh_z2z4": lambda: bh_setup_z2z4().group,
+}
+
+
+@pytest.mark.parametrize("name", _MORE_GROUPS)
+def test_generating_set_is_greedy_and_generates(name):
+    _check_generating_set(_MORE_GROUPS[name]())
+
+
+def test_generating_set_small(small_fixture):
+    _check_generating_set(small_fixture.group)
+
+
+def _check_generating_set(group):
+    gens = generating_set(group)
+    everything = tuple(group.elements())
+    assert subgroup_closure(group, gens) == everything
+    if group.order == 1:
+        assert gens == (0,)
+        return
+    for i, g in enumerate(gens):  # the first element outside the earlier ones
+        inside = subgroup_closure(group, gens[:i])
+        assert g == min(set(everything) - set(inside))
 
 
 def test_centralizer_identity(small_fixture):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubealg
-from tubealg.grp import cyclic_group
+from tubealg.grp import cyclic_group, generating_set, subgroup_closure
 from tubealg.phase import (CocycleError, Cocycle2, Cocycle3,
                            coboundary1, coboundary2, cocycle3_check,
                            cocycle_from_json, cocycle_to_json,
@@ -19,8 +19,11 @@ from tubealg.phase import (CocycleError, Cocycle2, Cocycle3,
                            standard_cyclic_cocycle, table_to_json,
                            trivial_cocycle)
 
+import cocycle3_oracle
 from cocycle2_oracle import cocycle2_check
-from conftest import symmetric_group
+from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
+                      bh_setup_z1, bh_setup_z2z4, dihedral8_sign,
+                      symmetric_group)
 
 
 def law_holds(omega, quad) -> bool:
@@ -109,7 +112,8 @@ def test_cocycle3_trivial_passes(small_fixture):
 def test_semion_passes():
     omega = standard_cyclic_cocycle(2, 1)
     res = cocycle3_check(omega)
-    assert res.ok and res.detail == "exhaustive 16"
+    assert res.ok and res.detail == (
+        "certified 16 by last argument over 1 generator, exhaustive 8")
     assert brute_force_cocycle3(omega)
     # only the all-ones entry is nontrivial
     for a in range(2):
@@ -127,6 +131,77 @@ def test_perturbed_z2_fails_with_witness():
     res = cocycle3_check(omega)
     assert not res.ok
     assert not law_holds(omega, res.witness)
+
+
+def test_trivial_group_nonzero_value_is_rejected():
+    # the generating set of the trivial group is (0,), never empty
+    res = cocycle3_check(Cocycle3(cyclic_group(1), [1], 2))
+    assert (res.ok, res.witness) == (False, (0, 0, 0, 0))
+
+
+def _law_fixture(name: str) -> Cocycle3:
+    if name in _FIXTURES:
+        return _FIXTURES[name].omega
+    if name == "d8_sign":
+        return dihedral8_sign()[1]
+    if name == "s4_sign":
+        s4, signs = symmetric_group(4)
+        return inflate_cocycle(standard_cyclic_cocycle(2, 1), s4, signs)
+    return {"bh_s3": bh_setup_s3, "bh_v4": bh_setup_v4, "bh_z1": bh_setup_z1,
+            "bh_z2z4": bh_setup_z2z4}[name]().omega
+
+
+@pytest.mark.parametrize("name", [*SMALL_NAMES, "d8_sign", "s4_sign", "bh_s3",
+                                  "bh_v4", "bh_z1", "bh_z2z4"])
+def test_single_value_shifts_match_the_oracle(name):
+    """Shift one value by one step mod N: the reduced check and the full
+    walk give the same verdict, and the same witness when both reject."""
+    omega = _law_fixture(name)
+    N = max(omega.modulus, 2)  # a step mod 1 changes nothing: read mod 2
+    size = len(omega.values)
+    stride = 1 if size <= 512 else 499  # S4: 28 of its 13,824 values
+    rejected = 0
+    for i in range(0, size, stride):
+        values = list(omega.values)
+        values[i] += 1
+        shifted = Cocycle3(omega.group, values, N)
+        want = cocycle3_oracle.cocycle3_check(shifted)
+        got = cocycle3_check(shifted)
+        assert (got.ok, got.witness) == (want.ok, want.witness), (name, i)
+        rejected += not want.ok
+    assert rejected
+
+
+@pytest.mark.parametrize("name", ["s3_sign", "v4_product", "d8_sign",
+                                  "s4_sign", "bh_z2z4"])
+def test_law_failing_outside_a_subgroup_is_rejected(name):
+    """w(a, b, c) = [c not in H] mod 3 gives dw(a, b, c, d) = h(c) + h(d) - h(cd),
+    which vanishes exactly for d in H: with H generated by the first i
+    greedy generators, only the later ones expose the failure."""
+    G = _law_fixture(name).group
+    gens = generating_set(G)
+    assert len(gens) >= 2
+    for i in range(len(gens) + 1):
+        H = set(subgroup_closure(G, gens[:i]))
+        omega = Cocycle3(G, [int(c not in H) for _ in range(G.order ** 2)
+                             for c in G.elements()], 3)
+        want = cocycle3_oracle.cocycle3_check(omega)
+        got = cocycle3_check(omega)
+        assert want.ok == (i == len(gens)), (name, i)
+        assert (got.ok, got.witness) == (want.ok, want.witness), (name, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from([*SMALL_NAMES, "d8_sign"]), data=st.data())
+def test_twist_by_a_coboundary_passes_both_checks(name, data):
+    omega = _law_fixture(name)
+    G, n = omega.group, omega.group.order
+    f = data.draw(st.lists(phases, min_size=n * n, max_size=n * n))
+    scale = L // omega.modulus
+    twisted = Cocycle3(G, [scale * w + d for w, d in zip(
+        omega.values, coboundary2(G, f, L))], L)
+    assert cocycle3_oracle.cocycle3_check(twisted).ok
+    assert cocycle3_check(twisted).ok
 
 
 def test_cocycle2_trivial():
