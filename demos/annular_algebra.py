@@ -25,8 +25,8 @@ print("annular basis size:", len(alg.labels()), "= (|H||G|)^2")
 
 # Boxes only exist within one H-H double coset of weights.
 print("double coset sizes:", [len(c) for c in double_cosets(s3, H)])
-print("boxes e -> e:", len(alg.box_basis(0, 0)),
-      "; boxes e -> 3-cycle:", len(alg.box_basis(0, 2)))
+print("boxes e -> e:", len(alg.boxes.box_basis(0, 0)),
+      "; boxes e -> 3-cycle:", len(alg.boxes.box_basis(0, 2)))
 
 # A product of annular basis elements: a delta-rule on the middle pair
 # labels, then a single phase times a basis element.

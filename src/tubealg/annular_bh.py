@@ -2,7 +2,9 @@
 
 Morphisms between weight objects are spanned by boxes
 ``(h1, g1, g2, h2)`` with ``h1 g1 = g2 h2`` (nonzero only inside one
-H-H double coset).  The annular algebra is the tube-shaped algebra of
+H-H double coset); they form :class:`BoxAlgebra`, one more monomial
+*-algebra checked by the shared verifiers of :mod:`tubealg.staralg`.
+The annular algebra is the tube-shaped algebra of
 :mod:`tubealg.tube_diag` on the objects ``(h, g)`` in H x G, each of
 weight ``h g``: its basis ``A(h1, g1, s, h2, g2)`` is the morphism
 ``(h1, g1) -s-> (h2, g2)``, with ``h1 g1 s = s h2 g2``.  Products, the
@@ -15,7 +17,8 @@ double-coset representatives.  The identity endomorphism of each weight
 pushes to the unit of its corner, so the cut-down is the same algebra
 on the objects ``(h, d)`` with ``d`` a representative weight;
 endomorphism algebras of single weights are the twisted algebras
-produced by :func:`end_xg_algebra`, and their minimal idempotent
+produced by :func:`end_xg_algebra`, whose twist is read off the box
+composition of the weight's endomorphisms, and their minimal idempotent
 splittings index the simple weight objects.  Those splittings are
 exact: :func:`tubealg.splitting.projective_dimensions` reads the block
 dimensions of each twisted algebra over a prime field, so nothing here
@@ -24,14 +27,16 @@ loads numpy.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coho import BHSetup
 from .grp import GroupTable
 from .phase import CheckResult, Cocycle2
 from .rep import TwistedGroupAlgebra, center_dimension
 from .splitting import projective_dimensions
+from .staralg import MonomialStarAlgebra
 from .tube_diag import SimpleCount, TubeAlgebra, TubeBasisElement, \
     TubeShapedAlgebra, block_simple_count
 
@@ -84,7 +89,54 @@ class AnnularAlgebra(TubeShapedAlgebra):
         g2 = G.mul(G.inverse(h2), G.mul(G.inverse(s), G.mul(G.mul(h1, g1), s)))
         return ABasisElement(h1, g1, s, h2, g2)
 
-    # -- box calculus ----------------------------------------------------------
+    @cached_property
+    def boxes(self) -> BoxAlgebra:
+        """The box calculus between the weights of ``setup``."""
+        return BoxAlgebra(self.setup)
+
+
+class BoxAlgebra(MonomialStarAlgebra):
+    """The box calculus between the weights g in G: a box out of g
+    composes after the boxes into g.  Labels, enumerated on first use,
+    run g1-major, then g2, then in :meth:`box_basis` order; the identity
+    boxes carry the trace and sum to the unit."""
+
+    def __init__(self, setup: BHSetup):
+        self.group = setup.group
+        self.omega = setup.omega
+        self.modulus = setup.omega.modulus
+        self.H = tuple(setup.H)
+        self._in_H = frozenset(self.H)
+
+    @cached_property
+    def _labels(self) -> list[BoxMorphism]:
+        weights = self.group.elements()
+        return [b for g1 in weights for g2 in weights
+                for b in self.box_basis(g1, g2)]
+
+    @cached_property
+    def _into(self) -> dict:
+        weights = self.group.elements()  # g1-major, as in the labels
+        return {g2: [b for g1 in weights for b in self.box_basis(g1, g2)]
+                for g2 in weights}
+
+    def labels(self) -> list[BoxMorphism]:
+        return self._labels
+
+    def _right_factors(self, outer: BoxMorphism) -> list[BoxMorphism]:
+        return self._into[outer.g1]
+
+    def mult_basis(self, outer, inner) -> Optional[tuple[int, BoxMorphism]]:
+        return self.box_compose(outer, inner) if inner.g2 == outer.g1 else None
+
+    def star_basis(self, b: BoxMorphism) -> tuple[int, BoxMorphism]:
+        return self.box_star(b)
+
+    def trace_basis(self, b: BoxMorphism) -> bool:
+        return b == self.identity_box(b.g1)
+
+    def unit_labels(self) -> list[BoxMorphism]:
+        return [self.identity_box(g) for g in self.group.elements()]
 
     def box_compose(self, outer: BoxMorphism,
                     inner: BoxMorphism) -> tuple[int, BoxMorphism]:
@@ -107,59 +159,34 @@ class AnnularAlgebra(TubeShapedAlgebra):
         return scalar, out
 
     def box_basis(self, g1: int, g2: int) -> list[BoxMorphism]:
-        """All boxes from weight g1 to weight g2; empty across double cosets."""
-        G = self.group
-        return [BoxMorphism(h1, g1, g2, h2) for h1 in self.H for h2 in self.H
-                if G.mul(h1, g1) == G.mul(g2, h2)]
+        """The boxes from weight g1 to g2, by h1 (which forces h2)."""
+        G, g2i = self.group, self.group.inverse(g2)
+        return [BoxMorphism(h1, g1, g2, h2) for h1 in self.H
+                if (h2 := G.mul(g2i, G.mul(h1, g1))) in self._in_H]
 
     def validate_box(self, b: BoxMorphism) -> None:
-        G = self.group
-        if b.h1 not in self.H or b.h2 not in self.H or \
-                G.mul(b.h1, b.g1) != G.mul(b.g2, b.h2):
+        if b.h1 not in self._in_H or b.h2 not in self._in_H or \
+                self.group.mul(b.h1, b.g1) != self.group.mul(b.g2, b.h2):
             raise ValueError(f"malformed box {b}")
 
-    def identity_box(self, g: int) -> BoxMorphism:
+    @staticmethod
+    def identity_box(g: int) -> BoxMorphism:
         return BoxMorphism(0, g, g, 0)
 
 
 def box_checks(alg: AnnularAlgebra) -> list[CheckResult]:
-    """Exhaustive unitarity, involution and associativity of the box calculus."""
-    G, N = alg.group, alg.modulus
-    boxes = [b for g1 in G.elements() for g2 in G.elements()
-             for b in alg.box_basis(g1, g2)]
-    for b in boxes:
-        ph1, bs = alg.box_star(b)
-        ph2, bss = alg.box_star(bs)
-        if bss != b or ph1 != ph2:
-            return [CheckResult(False, "box-star-involution", (b,))]
-        # b* . b must be the identity box of the source weight, scalar 1
-        ph_c, prod = alg.box_compose(bs, b)
-        if prod != alg.identity_box(b.g1) or (ph1 + ph_c) % N:
-            return [CheckResult(False, "box-unitarity", (b,))]
-        ph_c, prod = alg.box_compose(b, bs)
-        if prod != alg.identity_box(b.g2) or (ph1 + ph_c) % N:
-            return [CheckResult(False, "box-unitarity", (b,))]
-    detail = f"exhaustive {len(boxes)}"
-    out = [CheckResult(True, "box-star-involution", detail=detail),
-           CheckResult(True, "box-unitarity", detail=detail)]
-    by_source: dict[int, list[BoxMorphism]] = {}
-    for b in boxes:
-        by_source.setdefault(b.g1, []).append(b)
-    triples = 0
-    for a in boxes:
-        for b in by_source.get(a.g2, ()):
-            ph_ba, ba = alg.box_compose(b, a)
-            for c in by_source.get(b.g2, ()):
-                triples += 1
-                ph_cb, cb = alg.box_compose(c, b)
-                ph_l, left = alg.box_compose(cb, a)
-                ph_r, right = alg.box_compose(c, ba)
-                if left != right or (ph_cb + ph_l - ph_ba - ph_r) % N:
-                    out.append(CheckResult(False, "box-associativity", (c, b, a)))
-                    return out
-    out.append(CheckResult(True, "box-associativity",
-                           detail=f"exhaustive {triples}"))
-    return out
+    """The shared verifiers on ``alg.boxes``, exhaustive, under box names.
+
+    ``box-star-involution`` is the star laws (involutive and
+    anti-multiplicative); ``box-unitarity`` is the Gram identity, whose
+    diagonal is b* b = 1 and, at b*, b b* = 1.  Both state the box count.
+    """
+    boxes = alg.boxes
+    count = f"exhaustive {len(boxes.labels())}"
+    out = [res._replace(name=name, detail=count if res.ok else "")
+           for name, res in (("box-star-involution", boxes.check_star_laws()),
+                             ("box-unitarity", boxes.check_gram_identity()))]
+    return out + [boxes.check_associativity()._replace(name="box-associativity")]
 
 
 class BHIsoReport(NamedTuple):
@@ -191,25 +218,15 @@ def bh_verify_star_iso(alg: AnnularAlgebra) -> BHIsoReport:
 def end_xg_algebra(setup: BHSetup, g: int) -> Cocycle2:
     """The endomorphism twist of the weight g, on H^g = H meet g^-1 H g.
 
-    mu(h1, h2) = w(g h1 g^-1, g h2 g^-1, g)^-1 * w(g h1 g^-1, g, h2)
-                 * w(g, h1, h2)^-1
-
-    Only the raw table is built: its 2-cocycle law is the associativity
-    that ``TwistedGroupAlgebra(twist)`` checks on construction, which
-    ``bh check`` does for every weight.
-    """
-    G, w = setup.group, setup.omega
-    Hs = set(setup.H)
-    gi = G.inverse(g)
-    hg = tuple(sorted(h for h in setup.H
-                      if G.mul(G.mul(g, h), gi) in Hs))
-    values = []
-    for h1 in hg:
-        c1 = G.mul(G.mul(g, h1), gi)
-        for h2 in hg:
-            c2 = G.mul(G.mul(g, h2), gi)
-            values.append(w(c1, g, h2) - w(c1, c2, g) - w(g, h1, h2))
-    return Cocycle2(G, hg, values, w.modulus)
+    h in H^g labels the box (g h g^-1, g, g, h), and mu(h1, h2) is the
+    phase of box h1 after box h2, read off :meth:`BoxAlgebra.box_compose`
+    on the endomorphism boxes of g alone.  Its 2-cocycle law is their
+    associativity, which ``box_checks`` walks."""
+    boxes = BoxAlgebra(setup)
+    ends = sorted(boxes.box_basis(g, g), key=lambda b: b.h2)
+    return Cocycle2(setup.group, [b.h2 for b in ends],
+                    [boxes.box_compose(b1, b2)[0] for b1 in ends for b2 in ends],
+                    boxes.modulus)
 
 
 def double_cosets(group: GroupTable, H: Sequence[int]) -> list[tuple[int, ...]]:
@@ -262,19 +279,12 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     """Corner description of the annular algebra on double-coset weights.
 
     The unit of each weight corner is the image of the identity
-    endomorphism of that weight, so cutting by the identity splittings
-    of :func:`end_xg_algebra` leaves the subalgebra on representative
-    weights.  Reports corner dimensions, the minimal idempotent
-    splitting of each weight endomorphism algebra (these index the
-    simple weight objects), and the simple count of the corner algebra,
-    computed exactly and compared against the full algebra's count.
-
-    Each splitting comes from the exact projective-irreducible
-    dimensions d of the weight's twisted algebra
-    (:func:`tubealg.splitting.projective_dimensions`): its blocks are the
-    regular-representation pairs (d, d) and its minimal projections
-    number sum d.  ``seed`` only picks the central elements tried; the
-    result does not depend on it.
+    endomorphism of that weight.  Reports corner dimensions, the minimal
+    idempotent splitting of each cut weight's :func:`end_xg_algebra`
+    (these index the simple weight objects; the exact projective
+    dimensions d give blocks (d, d) and sum d projections), and the
+    corner's exact simple count against the full algebra's.  ``seed``
+    only picks the central elements tried, not the result.
     """
     setup = alg.setup
     cut = CutdownAlgebra(setup)
@@ -285,8 +295,6 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     for g in cut.weights:
         tw = end_xg_algebra(setup, g)
         dims = projective_dimensions(TwistedGroupAlgebra(tw), seed=seed)
-        # the identity of a sum of matrix blocks splits into dim-many
-        # minimal projections per block
         end_data.append(EndSplitting(
             weight=g, subgroup=tw.elements, blocks=[(d, d) for d in dims],
             minimal_projections=sum(dims)))

@@ -46,11 +46,11 @@ def _load(path: str, what: str, parse, errors: dict | None = None):
     prefix, with its witness.  Any other exception passes through.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object")
@@ -219,18 +219,6 @@ def _cmd_bh(args) -> tuple[list, dict]:
             report.ok, "star-isomorphism",
             detail=f"passing conventions: {report.passing}")))
         data["passing_conventions"] = report.passing
-        bad, triples = [], 0
-        weights = alg.group.elements()
-        for g in weights:
-            tw = annular_bh.end_xg_algebra(alg.setup, g)
-            triples += len(tw.elements) ** 3
-            try:
-                rep.TwistedGroupAlgebra(tw)
-            except ValueError:
-                bad.append(g)
-        checks.append(_check_dict(phase.CheckResult(
-            not bad, "weight-endomorphism-twists", tuple(bad) or None,
-            f"exhaustive {len(weights)} weights, {triples} triples")))
     elif alg is not None and args.action == "simples":
         report = annular_bh.tube_cutdown(alg, seed=args.seed)
         full = report.simple_count_full

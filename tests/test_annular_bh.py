@@ -29,7 +29,7 @@ def annular(request):
 def test_labels_are_plain_tuples(annular):
     G = annular.group
     boxes = [b for g1 in G.elements() for g2 in G.elements()
-             for b in annular.box_basis(g1, g2)]
+             for b in annular.boxes.box_basis(g1, g2)]
     for labels in (TubeAlgebra(G, annular.omega).labels(), annular.labels(),
                    CutdownAlgebra(annular.setup).labels(), boxes):
         assert labels
@@ -50,17 +50,17 @@ def test_label_fields():
 
 def test_identity_boxes_compose(annular):
     for g in annular.group.elements():
-        b = annular.identity_box(g)
-        ph, out = annular.box_compose(b, b)
+        b = annular.boxes.identity_box(g)
+        ph, out = annular.boxes.box_compose(b, b)
         assert ph == 0 and out == b
 
 
 def test_box_compose_trivial_cocycle():
     alg = AnnularAlgebra(bh_setup_s3())
     for g1 in alg.group.elements():
-        for inner in alg.box_basis(g1, g1):
-            for outer in alg.box_basis(g1, g1):
-                ph, out = alg.box_compose(outer, inner)
+        for inner in alg.boxes.box_basis(g1, g1):
+            for outer in alg.boxes.box_basis(g1, g1):
+                ph, out = alg.boxes.box_compose(outer, inner)
                 assert ph == 0
                 assert out.h1 == alg.group.mul(outer.h1, inner.h1)
 
@@ -68,9 +68,9 @@ def test_box_compose_trivial_cocycle():
 def test_box_compose_product_fixture_oracle():
     alg = AnnularAlgebra(bh_setup_v4())
     w, G = alg.omega, alg.group
-    inner = alg.box_basis(1, 1)[1]       # a box on the weight in K
-    outer = alg.box_basis(1, 1)[1]
-    ph, out = alg.box_compose(outer, inner)
+    inner = alg.boxes.box_basis(1, 1)[1]       # a box on the weight in K
+    outer = alg.boxes.box_basis(1, 1)[1]
+    ph, out = alg.boxes.box_compose(outer, inner)
     oracle = (-w(outer.h1, inner.h1, inner.g1)
               + w(outer.h1, outer.g1, inner.h2)
               - w(outer.g2, outer.h2, inner.h2)) % w.modulus
@@ -80,8 +80,8 @@ def test_box_compose_product_fixture_oracle():
 
 
 def test_box_star_identity_box(annular):
-    b = annular.identity_box(0)
-    ph, out = annular.box_star(b)
+    b = annular.boxes.identity_box(0)
+    ph, out = annular.boxes.box_star(b)
     assert ph == 0 and out == b
 
 
@@ -94,7 +94,7 @@ def test_box_checks_state_coverage():
     alg = AnnularAlgebra(bh_setup_s3())
     G = alg.group
     boxes = [b for g1 in G.elements() for g2 in G.elements()
-             for b in alg.box_basis(g1, g2)]
+             for b in alg.boxes.box_basis(g1, g2)]
     triples = sum(1 for a in boxes for b in boxes if b.g1 == a.g2
                   for c in boxes if c.g1 == b.g2)
     details = {r.name: r.detail for r in box_checks(alg)}
@@ -103,12 +103,70 @@ def test_box_checks_state_coverage():
                        "box-associativity": f"exhaustive {triples}"}
 
 
+def _shift_phase(monkeypatch, method: str, args: tuple) -> None:
+    """Add 1 to the phase that ``BoxAlgebra.<method>`` returns at ``args``."""
+    original = getattr(annular_bh.BoxAlgebra, method)
+
+    def shifted(self, *call):
+        ph, out = original(self, *call)
+        return (ph + (call == args)) % self.modulus, out
+    monkeypatch.setattr(annular_bh.BoxAlgebra, method, shifted)
+
+
+def test_corrupted_box_compose_fails_associativity(monkeypatch):
+    clean = AnnularAlgebra(bh_setup_v4()).boxes
+    pair = next(p for p in clean.products
+                if not any(clean.trace_basis(b) for b in p))
+    _shift_phase(monkeypatch, "box_compose", pair)
+    alg = AnnularAlgebra(bh_setup_v4())
+    res = box_checks(alg)[2]
+    assert (res.name, res.ok) == ("box-associativity", False)
+    # the witness is a composable triple (c, b, a) that the shift breaks
+    c, b, a = res.witness
+    compose = alg.boxes.box_compose
+    (ph_cb, cb), (ph_ba, ba) = compose(c, b), compose(b, a)
+    (ph_l, left), (ph_r, right) = compose(cb, a), compose(c, ba)
+    assert left == right and (ph_cb + ph_l - ph_ba - ph_r) % alg.modulus
+    assert pair in {(c, b), (b, a), (cb, a), (c, ba)}
+
+
+def test_corrupted_box_star_fails_involution(monkeypatch):
+    clean = AnnularAlgebra(bh_setup_v4()).boxes
+    b, bs = next((b, bs) for b, (_, bs) in clean.stars.items() if bs != b)
+    _shift_phase(monkeypatch, "box_star", (b,))
+    res = box_checks(AnnularAlgebra(bh_setup_v4()))[0]
+    assert (res.name, res.ok) == ("box-star-involution", False)
+    assert res.witness in {(b,), (bs,)}
+
+
+def test_boxes_are_built_on_first_use(monkeypatch):
+    calls = []
+    original = annular_bh.BoxAlgebra.box_basis
+
+    def counting(self, g1, g2):
+        calls.append((g1, g2))
+        return original(self, g1, g2)
+    monkeypatch.setattr(annular_bh.BoxAlgebra, "box_basis", counting)
+    alg = AnnularAlgebra(bh_setup_s3())
+    assert "boxes" not in vars(alg)
+    boxes = alg.boxes
+    assert calls == [] and "_labels" not in vars(boxes)
+    # an endomorphism twist reads only the endomorphism boxes of its weight
+    end_xg_algebra(alg.setup, 2)
+    assert calls == [(2, 2)]
+    calls.clear()
+    report = tube_cutdown(alg)
+    assert calls == [(g, g) for g in report.weights]
+    calls.clear()
+    assert len(boxes.labels()) == 24 and len(calls) == 6 * 6  # |G|^2 pairs
+
+
 def test_box_basis_counts():
     alg = AnnularAlgebra(bh_setup_s3())
     G, H = alg.group, alg.H
-    assert len(alg.box_basis(0, 0)) == len(H)
+    assert len(alg.boxes.box_basis(0, 0)) == len(H)
     # weights in different double cosets have no morphisms
-    assert alg.box_basis(0, 2) == []
+    assert alg.boxes.box_basis(0, 2) == []
     # endomorphisms of a weight g are counted by |H meet g H g^-1|
     g = 2
     overlap = [h for h in H
@@ -117,7 +175,7 @@ def test_box_basis_counts():
     # oracle: h1 determines h2 = g^-1 h1 g which must land in H
     expected = sum(1 for h1 in H
                    if G.mul(G.mul(G.inverse(g), h1), g) in set(H))
-    assert len(alg.box_basis(g, g)) == expected == 1
+    assert len(alg.boxes.box_basis(g, g)) == expected == 1
 
 
 # -- annular basis -------------------------------------------------------------
@@ -315,8 +373,11 @@ def test_end_xg_trivial_cocycle():
         assert all(tw(a, b) == 0 for a in tw.elements for b in tw.elements)
 
 
-def test_end_xg_product_fixture_oracle():
-    setup = bh_setup_v4()
+@pytest.mark.parametrize("make_setup", [bh_setup_v4, bh_setup_s3, bh_setup_z1,
+                                        bh_setup_z2z4],
+                         ids=["v4", "s3", "z1", "z2z4"])
+def test_end_xg_product_fixture_oracle(make_setup):
+    setup = make_setup()
     w, G = setup.omega, setup.group
     for g in G.elements():
         tw = end_xg_algebra(setup, g)
@@ -330,6 +391,18 @@ def test_end_xg_product_fixture_oracle():
                 assert tw(h1, h2) == oracle
 
 
+def test_end_xg_elements_are_sorted():
+    # H = A3 in S3: conjugating by a transposition swaps the 3-cycles, so
+    # the endomorphism boxes of g come in an order other than their h2's
+    s3 = bh_setup_s3()
+    setup = s3._replace(H=s3.K, K=s3.H)
+    G, Hs = setup.group, set(setup.H)
+    for g in G.elements():
+        gi = G.inverse(g)
+        assert end_xg_algebra(setup, g).elements == tuple(sorted(
+            h for h in setup.H if G.mul(G.mul(g, h), gi) in Hs))
+
+
 def test_end_xg_matches_box_composition(annular):
     # the twisted product must reproduce composition of endomorphism boxes
     G = annular.group
@@ -341,7 +414,7 @@ def test_end_xg_matches_box_composition(annular):
             b1 = BoxMorphism(G.mul(G.mul(g, h1), gi), g, g, h1)
             for h2 in tw.elements:
                 b2 = BoxMorphism(G.mul(G.mul(g, h2), gi), g, g, h2)
-                ph, out = annular.box_compose(b1, b2)
+                ph, out = annular.boxes.box_compose(b1, b2)
                 assert ph == tw(h1, h2)
                 assert out.h2 == G.mul(h1, h2)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from tubealg.annular_bh import AnnularAlgebra
-from tubealg import phase, rep, splitting, staralg, tube_diag
+from tubealg import annular_bh, phase, rep, splitting, staralg, tube_diag
 from tubealg.cli import main
 from tubealg.coho import BHSetup, BHSetupError, bh_setup_from_json
 from tubealg.grp import group_to_json
@@ -18,6 +18,7 @@ from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
                            two_factor_cocycle)
 from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
+from cocycle2_oracle import cocycle2_check
 from conftest import (bh_setup_s3, bh_setup_v4, corrupt_last_twist,
                       dihedral8_sign, dihedral_sign, symmetric_group)
 
@@ -147,6 +148,22 @@ def test_malformed_json_is_input_error(files, capsys):
     code, report = run(capsys, ["verify-group", "--group",
                                 files["not_json.json"]])
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("flag", ["--group", "--cocycle", "--bh", "--rep"])
+def test_unreadable_json_is_input_error(files, capsys, tmp_path, flag, content):
+    bad = tmp_path / "unreadable.json"
+    bad.write_bytes(content)
+    tube = ["--group", files["z2.json"], "--cocycle", files["semion.json"]]
+    argv = {"--group": ["verify-group", "--group", str(bad)],
+            "--cocycle": ["verify-cocycle", *tube[:2], "--cocycle", str(bad)],
+            "--bh": ["bh", "check", "--bh", str(bad)],
+            "--rep": ["rep", "induce", *tube, "--rep", str(bad)]}[flag]
+    code, report = run(capsys, argv)
+    assert code == 2
+    assert report["status"] == "error" and "not valid JSON" in report["error"]
 
 
 def test_bad_group_in_pipeline_is_input_error(files, capsys):
@@ -728,6 +745,25 @@ def test_simples_build_the_algebra_once(files, capsys, monkeypatch, argv,
     assert counted == {m: 1 for m in methods}
 
 
+def test_corrupted_endomorphism_phase_fails_bh_check(tmp_path, capsys,
+                                                     monkeypatch):
+    # shift the phase of End(0)'s identity box after its other box
+    setup = bh_setup_v4()
+    ident, other = annular_bh.BoxAlgebra(setup).box_basis(0, 0)
+    original = annular_bh.BoxAlgebra.box_compose
+
+    def shifted(self, outer, inner):
+        ph, out = original(self, outer, inner)
+        return (ph + ((outer, inner) == (ident, other))) % self.modulus, out
+    monkeypatch.setattr(annular_bh.BoxAlgebra, "box_compose", shifted)
+    code, report = run(capsys, ["bh", "check", *_bh_inputs(tmp_path, setup)])
+    assert code == 1
+    assert "box-associativity" in {c["name"] for c in report["checks"]
+                                   if c["status"] == "fail"}
+    # the same phase is End(0)'s twist, whose 2-cocycle law now fails
+    assert not cocycle2_check(annular_bh.end_xg_algebra(setup, 0)).ok
+
+
 # -- coverage of the CLI's own checks ----------------------------------------------
 
 
@@ -741,8 +777,9 @@ def test_simples_build_the_algebra_once(files, capsys, monkeypatch, argv,
      "exhaustive 27"),
     (["gauge-fix", "--bh", "bh_s3.json"], "coboundary-relation", "pass",
      "exhaustive 216"),
-    (["bh", "check", "--bh", "bh_s3.json"], "weight-endomorphism-twists",
-     "pass", "exhaustive 6 weights, 20 triples"),  # 2 x 2^3 + 4 x 1^3
+    # every composable box triple, the weight endomorphisms' included
+    (["bh", "check", "--bh", "bh_s3.json"], "box-associativity", "pass",
+     "exhaustive 384"),
     (["bh", "simples", "--bh", "bh_s3.json"], "cutdown-count-agreement",
      "pass", "full 8, cut-down 8"),
     (["verify-cocycle", "--group", "z2.json", "--cocycle", "semion.json"],

@@ -46,6 +46,7 @@ def test_annular_and_cutdown_tables_match_oracle(make_setup):
     annular = AnnularAlgebra(make_setup())
     _assert_tables_match_oracle(annular)
     _assert_tables_match_oracle(CutdownAlgebra(annular.setup))
+    _assert_tables_match_oracle(annular.boxes)
 
 
 def test_twisted_group_algebra_table_matches_oracle(fixtures):
