@@ -33,12 +33,12 @@ _EXPORTS = {
                    "CutdownAlgebra", "bh_verify_star_iso",
                    "compare_cutdown_diagonal", "double_cosets",
                    "end_xg_algebra", "tube_cutdown"),
-    "rep": ("Representation", "TwistedGroupAlgebra", "center_dimension",
-            "decompose", "induce", "regular_representation", "restrict",
-            "support_decompose"),
+    "staralg": ("TwistedGroupAlgebra", "center_dimension"),
+    "rep": ("Representation", "decompose", "induce", "regular_representation",
+            "restrict", "support_decompose"),
     "splitting": ("projective_dimensions",),
 }
-_SUBMODULES = (*_EXPORTS, "cyclotomic", "staralg")
+_SUBMODULES = (*_EXPORTS, "cyclotomic")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_HOME, *_SUBMODULES])

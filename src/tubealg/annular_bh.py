@@ -34,9 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 from .coho import BHSetup
 from .grp import GroupTable
 from .phase import CheckResult, Cocycle2
-from .rep import TwistedGroupAlgebra, center_dimension
-from .splitting import projective_dimensions
-from .staralg import MonomialStarAlgebra
+from .staralg import MonomialStarAlgebra, TwistedGroupAlgebra, center_dimension
 from .tube_diag import SimpleCount, TubeAlgebra, TubeBasisElement, \
     TubeShapedAlgebra, block_simple_count
 
@@ -286,6 +284,7 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
     corner's exact simple count against the full algebra's.  ``seed``
     only picks the central elements tried, not the result.
     """
+    from .splitting import projective_dimensions
     setup = alg.setup
     cut = CutdownAlgebra(setup)
     corner_dims = dict.fromkeys(product(cut.weights, repeat=2), 0)

@@ -16,8 +16,8 @@ import os
 import sys
 import time
 
-# tube_diag, rep and annular_bh (which loads splitting) are imported where
-# they are read, so a process loads only what its subcommand needs
+# tube_diag, annular_bh, staralg, rep and splitting are imported where they
+# are read, so a process loads only what its subcommand needs
 from . import coho, grp, phase
 
 INPUTS = ("group", "cocycle", "bh", "rep")  # hashed into the report in this order
@@ -207,7 +207,7 @@ def _cmd_tube(args) -> tuple[list, dict]:
 
 
 def _cmd_bh(args) -> tuple[list, dict]:
-    from . import annular_bh, rep
+    from . import annular_bh, staralg
     alg, checks, data = _algebra(args, annular=True)
     if alg is not None and args.action == "check":
         checks += [_check_dict(r) for r in annular_bh.box_checks(alg)]
@@ -226,7 +226,7 @@ def _cmd_bh(args) -> tuple[list, dict]:
         data["total"] = full.total
         data["cutdown_total"] = report.simple_count_cutdown
         data["cutdown_weights"] = list(report.weights)
-        data["corner_dims"] = {rep.label_key(k): v
+        data["corner_dims"] = {staralg.label_key(k): v
                                for k, v in report.corner_dims.items()}
         data["simple_objects"] = report.simple_objects
         checks.append(_check_dict(phase.CheckResult(
@@ -273,11 +273,12 @@ def _cmd_rep(args) -> tuple[list, dict]:
         induced = rep.induce(alg, index, pi)
         return checks, {"representation": rep.rep_to_json(induced)}
     blocks = rep.decompose(alg, seed=args.seed)
+    from .splitting import MAX_ATTEMPTS
     data = {"blocks": [{"dimension": b.dimension,
                         "multiplicity": b.multiplicity} for b in blocks],
             "distinct": len(blocks)}
     detail = (f"{blocks.detail}, attempt {len(blocks.seeds)} of "
-              f"{rep.MAX_ATTEMPTS}, seeds {json.dumps(blocks.seeds)}")
+              f"{MAX_ATTEMPTS}, seeds {json.dumps(blocks.seeds)}")
     checks.append(_check_dict(phase.CheckResult(True, "decompose",
                                                 detail=detail)))
     return checks, data

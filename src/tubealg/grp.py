@@ -332,14 +332,6 @@ def cyclic_group(n: int) -> GroupTable:
     return group_from_table(n, mult, names=[str(i) for i in range(n)])
 
 
-def element_order(group: GroupTable, g: int) -> int:
-    k, x = 1, g
-    while x != 0:
-        x = group.mul(x, g)
-        k += 1
-    return k
-
-
 def group_to_json(group: GroupTable) -> dict:
     obj = {"type": "table", "order": group.order,
            "mult": [list(row) for row in group.mult]}

@@ -16,7 +16,7 @@ structure constants, block-map scalars) is a sum of cocycle values, so:
 - Only :func:`table_to_json` reduces, dividing the modulus and the
   values by their gcd, so a file whose modulus and values are scaled by
   a common factor gives the same output.
-- ``rep.center_dimension`` compares phases mod the algebra's own N, so
+- ``staralg.center_dimension`` compares phases mod the algebra's own N, so
   scaling N and every phase by a common factor leaves it unchanged.
 
 :func:`root` and :func:`phase_str` turn a phase into a complex number
@@ -118,7 +118,7 @@ class Cocycle3:
 class Cocycle2:
     """Table of phases mod ``modulus`` on S x S for a subgroup S (possibly
     all of G), meant to satisfy the 2-cocycle law; the raw table, unchecked
-    (``rep.TwistedGroupAlgebra`` checks the law as its associativity)."""
+    (``staralg.TwistedGroupAlgebra`` checks the law as its associativity)."""
 
     def __init__(self, group: GroupTable, elements: Sequence[int],
                  values: Sequence[int], modulus: int):

@@ -1,121 +1,24 @@
-"""Twisted group algebras, exact centers, and representation machinery.
+"""Representations of the monomial *-algebras of :mod:`tubealg.staralg`.
 
-A :class:`TwistedGroupAlgebra` is built from its twist alone; its
-associativity, checked on construction, is the one check of a 2-cocycle
-law.  Exact and numpy-free: the center dimension of a twisted groupoid
-algebra (tube, annular, cut-down, twisted group), the number of
-phase-consistent orbits of its center equations counted with ints mod
-N, which counts the irreducible representations; :func:`decompose`,
-which reads the blocks of a tube-shaped algebra's regular
-representation off its block isomorphism; the regular representation
-and induction, as nested lists of ``complex``.  numpy is loaded only to
+:func:`decompose` reads the blocks of a tube-shaped algebra's regular
+representation off its block isomorphism, exactly: it loads
+:mod:`tubealg.splitting` when it runs, to split each class's twisted
+centralizer algebra over a prime field.  The regular representation
+and induction are nested lists of ``complex``.  numpy is loaded only to
 check float matrices (`rep induce --rep`) and by `restrict` and
-`support_decompose`.
+`support_decompose`.  Twisted group algebras, center dimensions and
+the wire key of a label live in :mod:`tubealg.staralg`, with the
+algebras they read.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
-from .cyclotomic import nullspace_dimension
-from .phase import CheckResult, Cocycle2, DecompositionError, root
-from .staralg import MonomialStarAlgebra
-
-
-MAX_ATTEMPTS = 5
-
-
-class Seeded(list):
-    """A splitting's result, with ``seeds``: the seeded attempts it took,
-    and a ``detail`` line on the checks it passed.
-
-    Attempt ``i`` draws from ``random.Random(f"{seed}:{i}")``; the last
-    seed listed is the one that succeeded.
-    """
-
-    def __init__(self, items, seeds: Sequence[str], detail: str = ""):
-        super().__init__(items)
-        self.seeds = list(seeds)
-        self.detail = detail
-
-
-class TwistedGroupAlgebra(MonomialStarAlgebra):
-    """The group algebra of a twist's subgroup S, [g][h] = phi(g,h)[gh].
-
-    Associativity of this algebra is, term by term, the 2-cocycle law
-    phi(a,b) phi(ab,c) = phi(b,c) phi(a,bc) of its twist, so the
-    constructor walks :meth:`check_associativity` over all |S|^3
-    triples and rejects a twist that fails it; the result is kept, so
-    :meth:`check_all` does not walk them again.
-    """
-
-    _associativity: Optional[CheckResult] = None
-
-    def __init__(self, twist: Cocycle2):
-        self.group = twist.group
-        self.els = twist.elements
-        self.twist = twist
-        self.modulus = twist.modulus
-        res = self.check_associativity()
-        if not res.ok:
-            raise ValueError(
-                f"twist fails associativity at triple {res.witness}")
-        self.normalized = not any(twist(0, g) or twist(g, 0) for g in self.els)
-
-    def check_associativity(self) -> CheckResult:
-        if self._associativity is None:
-            self._associativity = super().check_associativity()
-        return self._associativity
-
-    @property
-    def dimension(self) -> int:
-        return len(self.els)
-
-    def labels(self) -> Sequence[int]:
-        return self.els
-
-    def mult_basis(self, left: int, right: int):
-        return self.twist(left, right), self.group.mul(left, right)
-
-    def star_basis(self, g: int):
-        gi = self.group.inverse(g)
-        return -self.twist(gi, g) % self.modulus, gi
-
-    def trace_basis(self, g: int) -> bool:
-        return g == 0
-
-    def unit_labels(self):
-        if not self.normalized:
-            raise ValueError("unit label needs a normalized twist")
-        return [0]
-
-
-def center_dimension(alg: MonomialStarAlgebra) -> int:
-    """Exact dimension of {z : az = za}: the phase-consistent orbits.
-
-    Row (g, r) of the equations is the coefficient on r of g z - z g,
-    for z = sum_t z_t t.  In a twisted groupoid algebra each side of a
-    row has at most one term, so the kernel is an orbit count with
-    phases mod N (:func:`tubealg.cyclotomic.nullspace_dimension`).  For
-    a semisimple algebra this equals the number of irreducible
-    representations.
-    """
-    labels = list(alg.labels())
-    idx = {a: i for i, a in enumerate(labels)}
-    m = len(labels)
-    rows: dict = {}   # g * m + r -> [term of g z, term of z g]
-    for (left, right), (ph, r) in alg.products.items():
-        i, j, k = idx[left], idx[right], idx[r]
-        for g, side, t in ((i, 0, j), (j, 1, i)):
-            row = rows.setdefault(g * m + k, [None, None])
-            if row[side] is not None:
-                raise ValueError(f"center row {(labels[g], r)} has two terms "
-                                 "on one side: not a twisted groupoid algebra")
-            row[side] = (t, ph)
-    return nullspace_dimension(
-        [[term for term in row if term is not None] for row in rows.values()],
-        m, alg.modulus)
+from .phase import CheckResult, DecompositionError, root
+from .staralg import (MonomialStarAlgebra, TwistedGroupAlgebra,
+                      center_dimension, label_key)
 
 
 class Representation(NamedTuple):
@@ -182,7 +85,7 @@ class IrreducibleBlock(NamedTuple):
     class_index: int
 
 
-def decompose(alg, seed: int = 0) -> Seeded:
+def decompose(alg, seed: int = 0) -> list:
     """Split the regular representation of a tube-shaped algebra, exactly.
 
     The block map is checked exhaustively first; it makes the algebra
@@ -194,10 +97,11 @@ def decompose(alg, seed: int = 0) -> Seeded:
     follow: the blocks number :func:`center_dimension` of ``alg``, and
     the D^2 sum to its dimension.  The result's ``seeds`` are those of
     the class that took the most attempts, and its ``detail`` states
-    the checks.  A failed check raises :class:`DecompositionError` with
-    the check's name and witness.
+    the checks: it is a :class:`tubealg.splitting.Seeded`.  A failed
+    check raises :class:`DecompositionError` with the check's name and
+    witness.
     """
-    from .splitting import projective_dimensions
+    from .splitting import Seeded, projective_dimensions
     res = alg.check_block_map()
     if not res.ok:
         raise DecompositionError(f"block map fails {res.name} at {res.witness}",
@@ -334,13 +238,6 @@ def support_decompose(context, Pi: Representation,
 
 
 # -- wire format --------------------------------------------------------------
-
-
-def label_key(label) -> str:
-    """The wire key of a label: ``"g1,s,g2"`` for a tuple, else ``str``."""
-    if isinstance(label, tuple):
-        return ",".join(str(x) for x in label)
-    return str(label)
 
 
 def rep_to_json(rep: Representation) -> dict:

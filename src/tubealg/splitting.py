@@ -6,18 +6,36 @@ algebra modulo a prime that splits it and read the block dimensions off
 the characteristic polynomial of a central element, as in Dixon's
 modular method for group characters (Numer. Math. 10, 1967), applied to
 twisted group algebras as in Karpilovsky, *Projective Representations
-of Finite Groups* (1985).  Numpy-free; :func:`tubealg.rep.decompose`
-builds the regular representation's blocks of a tube-shaped algebra
-from these dimensions.
+of Finite Groups* (1985).  Numpy-free and built on :mod:`tubealg.staralg`
+alone; :func:`tubealg.rep.decompose` and
+:func:`tubealg.annular_bh.tube_cutdown` load it when they split.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
-from .rep import (MAX_ATTEMPTS, DecompositionError, Seeded,
-                  TwistedGroupAlgebra, center_dimension)
+from . import staralg
+from .phase import DecompositionError
+
+
+MAX_ATTEMPTS = 5
+
+
+class Seeded(list):
+    """A splitting's result, with ``seeds``: the seeded attempts it took,
+    and a ``detail`` line on the checks it passed.
+
+    Attempt ``i`` draws from ``random.Random(f"{seed}:{i}")``; the last
+    seed listed is the one that succeeded.
+    """
+
+    def __init__(self, items, seeds: Sequence[str], detail: str = ""):
+        super().__init__(items)
+        self.seeds = list(seeds)
+        self.detail = detail
 
 
 def _splitting_prime(m: int) -> int:
@@ -30,10 +48,21 @@ def _splitting_prime(m: int) -> int:
     return p
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division up to its root."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
 def _root_of_unity(n: int, p: int) -> int:
     """An element of order exactly n in F_p^*, for n dividing p - 1."""
-    primes = [q for q in range(2, n + 1)
-              if n % q == 0 and all(q % r for r in range(2, q))]
+    primes = _prime_factors(n)
     for x in range(2, p):
         z = pow(x, (p - 1) // n, p)
         if all(pow(z, n // q, p) != 1 for q in primes):
@@ -133,41 +162,48 @@ def _product(x: list[int], y: list[int], mult: list, p: int) -> list[int]:
     return out
 
 
-def projective_dimensions(alg: TwistedGroupAlgebra, seed: int = 0) -> Seeded:
+def projective_dimensions(alg: staralg.TwistedGroupAlgebra,
+                          seed: int = 0) -> Seeded:
     """The dimensions of the irreducible representations of C^phi[S], sorted.
 
     Exact, over F_p with p the least prime above 2**16 that is 1 mod
-    N |S|: it holds a primitive N-th root zeta, which stands for
-    exp(2 pi i / N), it splits the algebra, and it does not divide the
-    order of the central extension.  A central element z acts on the
-    block M_d of the algebra by a scalar, so left multiplication by z
-    has characteristic polynomial prod (x - c_i)^(d_i^2).  Its power
-    sums are Tr(L_z^j) = |S| zeta^phi(e,e) t_j, with t_j the coefficient
-    of [e] in z^j; Newton's identities give the polynomial, and Yun's
+    m |S|, with m = N / gcd(N, phases) the conductor of the twist: it
+    holds a primitive m-th root zeta, which stands for exp(2 pi i / m)
+    (a phase k mod N is k m / N mod m), it splits the algebra, and it
+    does not divide the order of the central extension.  A central
+    element z acts on the block M_d of the algebra by a scalar, so left
+    multiplication by z has characteristic polynomial
+    prod (x - c_i)^(d_i^2).  Its power sums are
+    Tr(L_z^j) = |S| zeta^phi(e,e) t_j, with t_j the coefficient of [e]
+    in z^j; Newton's identities give the polynomial, and Yun's
     square-free factorization gives, for each multiplicity d^2, the
     number of blocks of dimension d.  A random z separates the blocks;
-    an attempt is kept only if it finds :func:`center_dimension` blocks
-    whose squared dimensions sum to |S|.  Raises
-    :class:`DecompositionError` (check ``projective-dimensions``, the
-    seeds as witness) when ``MAX_ATTEMPTS`` seeded attempts all fail.
+    an attempt is kept only if it finds as many blocks as
+    :func:`tubealg.staralg.center_dimension` and their squared
+    dimensions sum to |S|.  Raises :class:`DecompositionError` (check
+    ``projective-dimensions``, the seeds as witness) when
+    ``MAX_ATTEMPTS`` seeded attempts all fail.
     """
     els = list(alg.labels())
     n = len(els)
-    p = _splitting_prime(alg.modulus * n)
-    zeta = _root_of_unity(alg.modulus, p)
-    pos = {g: i for i, g in enumerate(els)}
     products = alg.products
+    step = math.gcd(alg.modulus, *(ph for ph, _ in products.values()))
+    conductor = alg.modulus // step
+    p = _splitting_prime(conductor * n)
+    zeta = _root_of_unity(conductor, p)
+    pos = {g: i for i, g in enumerate(els)}
     mult = []
     for a in els:
         row = []
         for b in els:
             ph, r = products[(a, b)]
-            row.append((pos[r], pow(zeta, ph, p)))
+            row.append((pos[r], pow(zeta, ph // step, p)))
         mult.append(row)
     inverse = [pos[alg.group.inverse(g)] for g in els]
     e = pos[0]
     trace_unit = n * mult[e][e][1] % p
-    blocks = center_dimension(alg)
+    # looked up per call: a span recorder may rebind it after this import
+    blocks = staralg.center_dimension(alg)
     seeds = []
     for attempt in range(MAX_ATTEMPTS):
         seeds.append(f"{seed}:{attempt}")

@@ -1,4 +1,4 @@
-"""Shared machinery for algebras with monomial structure constants.
+"""The exact core: algebras with monomial structure constants.
 
 The tube algebra, the two-subgroup annular algebra, its double-coset
 cut-down, and twisted group algebras all share one shape: products of
@@ -10,6 +10,10 @@ anti-automorphism laws, trace symmetry, orthonormality of the basis),
 each exhaustive over the basis.  Structure constants are exact phases, ints mod the algebra's
 ``modulus`` (see :mod:`tubealg.phase`), read only from the ``products``
 and ``stars`` tables that ``mult_basis`` and ``star_basis`` fill.
+:class:`TwistedGroupAlgebra` is that shape on one object, checking its
+twist's 2-cocycle law as its associativity; :func:`center_dimension`
+counts the center of any of them.  :mod:`tubealg.rep` (representations)
+and :mod:`tubealg.splitting` (prime-field splitting) build on this.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Optional, Sequence
 
-from .phase import CheckResult
+from .phase import CheckResult, Cocycle2
 
 
 class MonomialStarAlgebra:
@@ -192,3 +196,89 @@ class MonomialStarAlgebra:
             self.check_gram_identity(),
             self.check_unit(),
         ]
+
+
+class TwistedGroupAlgebra(MonomialStarAlgebra):
+    """The group algebra of a twist's subgroup S, [g][h] = phi(g,h)[gh].
+
+    Associativity of this algebra is, term by term, the 2-cocycle law
+    phi(a,b) phi(ab,c) = phi(b,c) phi(a,bc) of its twist, so the
+    constructor walks :meth:`check_associativity` over all |S|^3
+    triples and rejects a twist that fails it; the result is kept, so
+    :meth:`check_all` does not walk them again.
+    """
+
+    _associativity: Optional[CheckResult] = None
+
+    def __init__(self, twist: Cocycle2):
+        self.group = twist.group
+        self.els = twist.elements
+        self.twist = twist
+        self.modulus = twist.modulus
+        res = self.check_associativity()
+        if not res.ok:
+            raise ValueError(
+                f"twist fails associativity at triple {res.witness}")
+        self.normalized = not any(twist(0, g) or twist(g, 0) for g in self.els)
+
+    def check_associativity(self) -> CheckResult:
+        if self._associativity is None:
+            self._associativity = super().check_associativity()
+        return self._associativity
+
+    @property
+    def dimension(self) -> int:
+        return len(self.els)
+
+    def labels(self) -> Sequence[int]:
+        return self.els
+
+    def mult_basis(self, left: int, right: int):
+        return self.twist(left, right), self.group.mul(left, right)
+
+    def star_basis(self, g: int):
+        gi = self.group.inverse(g)
+        return -self.twist(gi, g) % self.modulus, gi
+
+    def trace_basis(self, g: int) -> bool:
+        return g == 0
+
+    def unit_labels(self):
+        if not self.normalized:
+            raise ValueError("unit label needs a normalized twist")
+        return [0]
+
+
+def center_dimension(alg: MonomialStarAlgebra) -> int:
+    """Exact dimension of {z : az = za}: the phase-consistent orbits.
+
+    Row (g, r) of the equations is the coefficient on r of g z - z g,
+    for z = sum_t z_t t.  In a twisted groupoid algebra each side of a
+    row has at most one term, so the kernel is an orbit count with
+    phases mod N (:func:`tubealg.cyclotomic.nullspace_dimension`).  For
+    a semisimple algebra this equals the number of irreducible
+    representations.
+    """
+    from .cyclotomic import nullspace_dimension
+    labels = list(alg.labels())
+    idx = {a: i for i, a in enumerate(labels)}
+    m = len(labels)
+    rows: dict = {}   # g * m + r -> [term of g z, term of z g]
+    for (left, right), (ph, r) in alg.products.items():
+        i, j, k = idx[left], idx[right], idx[r]
+        for g, side, t in ((i, 0, j), (j, 1, i)):
+            row = rows.setdefault(g * m + k, [None, None])
+            if row[side] is not None:
+                raise ValueError(f"center row {(labels[g], r)} has two terms "
+                                 "on one side: not a twisted groupoid algebra")
+            row[side] = (t, ph)
+    return nullspace_dimension(
+        [[term for term in row if term is not None] for row in rows.values()],
+        m, alg.modulus)
+
+
+def label_key(label) -> str:
+    """The wire key of a label: ``"g1,s,g2"`` for a tuple, else ``str``."""
+    if isinstance(label, tuple):
+        return ",".join(str(x) for x in label)
+    return str(label)

@@ -38,8 +38,7 @@ from .coho import gamma, phi_class, phi_class_plain_conjugate
 from .grp import ClassData, GroupTable, conjugacy_data
 from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
                     is_normalized, phase_str)
-from .rep import TwistedGroupAlgebra, center_dimension
-from .staralg import MonomialStarAlgebra
+from .staralg import MonomialStarAlgebra, TwistedGroupAlgebra, center_dimension
 
 
 class TubeBasisElement(NamedTuple):

@@ -1,7 +1,7 @@
 """Test oracle: the 2-cocycle law of a table, walked term by term.
 
 The library checks this law only as the associativity of the twisted
-group algebra (:class:`tubealg.rep.TwistedGroupAlgebra`); this direct
+group algebra (:class:`tubealg.staralg.TwistedGroupAlgebra`); this direct
 loop over the stored elements is kept here to cross-check it.
 """
 

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tubealg.phase import root
-from tubealg.rep import MAX_ATTEMPTS, DecompositionError, Seeded
+from tubealg.phase import DecompositionError, root
+from tubealg.splitting import MAX_ATTEMPTS, Seeded
 from tubealg.staralg import MonomialStarAlgebra
 
 

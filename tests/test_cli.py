@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from tubealg.annular_bh import AnnularAlgebra
 from tubealg import annular_bh, phase, rep, splitting, staralg, tube_diag
 from tubealg.cli import main
 from tubealg.coho import BHSetup, BHSetupError, bh_setup_from_json
-from tubealg.grp import group_to_json
+from tubealg.grp import cyclic_group, group_to_json
 from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
                            standard_cyclic_cocycle, trivial_cocycle,
                            two_factor_cocycle)
@@ -408,6 +409,37 @@ def test_rep_decompose_invalid_setup_fails_with_witness(files, capsys):
     check = report["checks"][0]
     assert check["name"] == "setup:H is a subgroup"
     assert check["status"] == "fail" and check["witness"] == [0, 2]
+
+
+@pytest.mark.parametrize("command", [["rep", "decompose"], ["bh", "simples"]])
+def test_large_modulus_splits_at_the_twists_conductor(tmp_path, capsys,
+                                                       command):
+    # the splitting prime follows the twists' conductor (1 for a zero
+    # cocycle), not the file's modulus, which trial division cannot reach
+    s3, _ = symmetric_group(3)
+    order = 2 if command[0] == "rep" else 6
+
+    def write(name, obj):
+        (tmp_path / name).write_text(json.dumps(obj))
+        return str(tmp_path / name)
+
+    z2 = write("z2.json", group_to_json(cyclic_group(2)))
+    reports = []
+    for modulus in (2, 10 ** 20):
+        zero = {"modulus": modulus, "values": [0] * order ** 3}
+        inputs = (["--group", z2, "--cocycle", write("zero.json", zero)]
+                  if command[0] == "rep" else
+                  ["--bh", write("bh.json", {"group": group_to_json(s3),
+                                             "H": [0, 1], "K": [0, 2, 5],
+                                             "cocycle": zero})])
+        start = time.perf_counter()
+        code, report = run(capsys, command + inputs)
+        assert code == 0 and time.perf_counter() - start < 1.0
+        reports.append(report)
+    small, large = reports
+    assert large["data"] == small["data"]
+    assert [c["detail"] for c in large["checks"][1:]] == \
+        [c["detail"] for c in small["checks"][1:]]
 
 
 @pytest.mark.parametrize("argv", [["tube", "check"], ["tube", "build"],
@@ -915,15 +947,20 @@ import tubealg
 runs.append(["import tubealg", loaded()])
 import tubealg.cli
 runs.append(["import tubealg.cli", loaded()])
-for argv in json.loads(sys.argv[1]):
-    runs.append([argv, tubealg.cli.main(argv), loaded()])
+for step in json.loads(sys.argv[1]):
+    if isinstance(step, str):
+        exec(step)
+        runs.append([step, loaded()])
+    else:
+        runs.append([step, tubealg.cli.main(step), loaded()])
 print(json.dumps(runs), file=sys.stderr)
 """
 
 
 def _child_runs(argvs: list, watch: list) -> list:
     """In a fresh interpreter: which of ``watch`` are loaded after start,
-    ``import tubealg``, ``import tubealg.cli`` and each CLI run."""
+    ``import tubealg``, ``import tubealg.cli`` and each step: a CLI run
+    for an argv, an ``exec`` for a string."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
@@ -964,18 +1001,37 @@ def test_exact_subcommands_never_import_numpy(files):
                     + [[numerical, 0, ["numpy"]]])
 
 
-@pytest.mark.parametrize("subcommand, loaded", [
-    ("tube", ["tubealg.rep", "tubealg.staralg", "tubealg.tube_diag"]),
-    ("gauge-fix", [])])
-def test_subcommands_load_only_the_modules_they_read(files, subcommand,
-                                                      loaded):
-    argv = (["tube", "check", "--group", files["z2.json"], "--cocycle",
-             files["semion.json"]] if subcommand == "tube"
-            else ["gauge-fix", "--bh", files["bh_s3.json"]])
-    watch = [f"tubealg.{m}" for m in ("annular_bh", "splitting", "tube_diag",
-                                      "rep", "staralg")]
-    runs = _child_runs([argv], watch)
-    assert runs == [[step, []] for step in _PREAMBLE] + [[argv, 0, loaded]]
+# The watched modules each step loads: set-up and the verifiers load
+# neither ``rep`` nor ``splitting``, and only the code that splits loads
+# ``splitting``.
+_TUBE = ["staralg", "tube_diag"]
+_BH = ["annular_bh"] + _TUBE
+_SPLIT = ["cyclotomic", "splitting"]
+_CLOSURES = {
+    "set-up": _BH, "verify-group": [], "verify-cocycle": [], "normalize": [],
+    "tube check": _TUBE, "tube build": _TUBE,
+    "tube simples": ["cyclotomic"] + _TUBE, "gauge-fix": [],
+    "bh check": _BH, "bh build": _BH, "bh simples": _BH + _SPLIT,
+    "rep induce": ["rep"] + _TUBE, "rep decompose": ["rep"] + _SPLIT + _TUBE,
+    "rep decompose --bh": ["rep"] + _SPLIT + _BH}
+
+
+@pytest.mark.parametrize("step", _CLOSURES)
+def test_subcommands_load_only_the_modules_they_read(files, step):
+    group = ["--group", files["z2.json"], "--cocycle", files["semion.json"]]
+    argvs = {" ".join(a for a in argv[:2] if not a.startswith("-")): argv
+             for argv in _exact_argvs(files)}
+    argvs.update({"rep induce": ["rep", "induce"] + group,
+                  "rep decompose": ["rep", "decompose"] + group,
+                  "rep decompose --bh": ["rep", "decompose", "--bh",
+                                         files["bh_s3.json"]]})
+    watch = [f"tubealg.{m}" for m in ("annular_bh", "cyclotomic", "rep",
+                                      "splitting", "staralg", "tube_diag")]
+    loaded = sorted(f"tubealg.{m}" for m in _CLOSURES[step])
+    todo = ("from tubealg import AnnularAlgebra, TubeAlgebra"
+            if step == "set-up" else argvs[step])
+    last = [todo, loaded] if step == "set-up" else [todo, 0, loaded]
+    assert _child_runs([todo], watch) == [[s, []] for s in _PREAMBLE] + [last]
 
 
 def test_package_and_exact_subcommands_never_import_dataclasses(files):

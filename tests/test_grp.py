@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from tubealg.grp import (GroupError, centralizer, conjugacy_data, cyclic_group,
-                         direct_product, element_order, generating_set,
+from tubealg.grp import (GroupError, GroupTable, centralizer, conjugacy_data,
+                         cyclic_group, direct_product, generating_set,
                          group_from_json, group_from_permutations,
                          group_from_table, group_to_json, subgroup_closure)
 
@@ -247,6 +247,14 @@ def test_direct_product_with_trivial():
     base = cyclic_group(5)
     g = direct_product(cyclic_group(1), base)
     assert g.mult == base.mult
+
+
+def element_order(group: GroupTable, g: int) -> int:
+    k, x = 1, g
+    while x != 0:
+        x = group.mul(x, g)
+        k += 1
+    return k
 
 
 def test_direct_product_z2_z3_is_cyclic():

@@ -193,7 +193,7 @@ def test_every_attempt_failing_raises_with_the_seeds(monkeypatch):
                         lambda *args: [1, 0, 0, 0])
     with pytest.raises(DecompositionError) as exc:
         projective_dimensions(alg, seed=3)
-    assert exc.value.seeds == [f"3:{i}" for i in range(rep.MAX_ATTEMPTS)]
+    assert exc.value.seeds == [f"3:{i}" for i in range(splitting.MAX_ATTEMPTS)]
     assert "seeds tried" in str(exc.value)
 
 
@@ -245,7 +245,7 @@ def test_decompose_cross_checks_reject_wrong_dimensions(monkeypatch, dims,
                                                         check, witness):
     # the semion tube: two classes, each a 2-dimensional algebra
     monkeypatch.setattr(splitting, "projective_dimensions",
-                        lambda alg, seed: rep.Seeded(dims, [f"{seed}:0"]))
+                        lambda alg, seed: splitting.Seeded(dims, [f"{seed}:0"]))
     with pytest.raises(DecompositionError) as exc:
         semion = standard_cyclic_cocycle(2, 1)
         rep.decompose(TubeAlgebra(semion.group, semion))
