@@ -4,7 +4,7 @@ Every subcommand prints a single JSON report on stdout (sorted keys, so
 identical inputs and seed give identical bytes apart from the timing
 block) and logs human-readable progress to stderr.  Exit codes: 0 for
 success, 1 when a verification fails (the report carries a witness),
-2 for malformed input files.
+2 for malformed input files or arguments (``--help`` prints its text).
 """
 
 from __future__ import annotations
@@ -287,8 +287,14 @@ def _cmd_rep(args) -> tuple[list, dict]:
 # -- driver -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line gets a report too
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tubealg",
         description="exact annular-algebra toolbox for finite groups "
                     "with 3-cocycle data")
@@ -328,13 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
     t0 = time.monotonic()
-    report = {"command": ["tubealg"] + argv, "seed": args.seed,
-              "max_exhaustive": args.max_exhaustive, "inputs": {},
+    report = {"command": ["tubealg"] + argv, "seed": None,
+              "max_exhaustive": None, "inputs": {},
               "checks": [], "data": {}, "status": "ok"}
     code = 0
     try:
+        args = build_parser().parse_args(argv)
+        report.update(seed=args.seed, max_exhaustive=args.max_exhaustive)
         for f in filter(None, (getattr(args, k, None) for k in INPUTS)):
             report["inputs"][f] = _sha256(f) if os.path.exists(f) else None
             if report["inputs"][f] is None:

@@ -166,15 +166,17 @@ def projective_dimensions(alg: staralg.TwistedGroupAlgebra,
                           seed: int = 0) -> Seeded:
     """The dimensions of the irreducible representations of C^phi[S], sorted.
 
-    Exact, over F_p with p the least prime above 2**16 that is 1 mod
-    m |S|, with m = N / gcd(N, phases) the conductor of the twist: it
-    holds a primitive m-th root zeta, which stands for exp(2 pi i / m)
-    (a phase k mod N is k m / N mod m), it splits the algebra, and it
-    does not divide the order of the central extension.  A central
-    element z acts on the block M_d of the algebra by a scalar, so left
-    multiplication by z has characteristic polynomial
+    Exact, over F_p.  Summed over its last argument, the 2-cocycle law
+    gives |S| phi = dF with F(g) = sum_h phi(g, h), so for phases k mod N,
+    psi = (|S| k(a, b) - F(a) - F(b) + F(ab)) / N is an integer: rescaling
+    each [g] by exp(-2 pi i F(g) / (N |S|)) turns the twist into
+    zeta^psi with zeta = exp(2 pi i / |S|), whatever N is.  p is the least
+    prime above 2**16 that is 1 mod |S|^2: F_p holds zeta, splits the
+    algebra and does not divide the order of the central extension.
+    A central element z acts on the block M_d of the algebra by a
+    scalar, so left multiplication by z has characteristic polynomial
     prod (x - c_i)^(d_i^2).  Its power sums are
-    Tr(L_z^j) = |S| zeta^phi(e,e) t_j, with t_j the coefficient of [e]
+    Tr(L_z^j) = |S| zeta^psi(e,e) t_j, with t_j the coefficient of [e]
     in z^j; Newton's identities give the polynomial, and Yun's
     square-free factorization gives, for each multiplicity d^2, the
     number of blocks of dimension d.  A random z separates the blocks;
@@ -186,18 +188,18 @@ def projective_dimensions(alg: staralg.TwistedGroupAlgebra,
     """
     els = list(alg.labels())
     n = len(els)
-    products = alg.products
-    step = math.gcd(alg.modulus, *(ph for ph, _ in products.values()))
-    conductor = alg.modulus // step
-    p = _splitting_prime(conductor * n)
-    zeta = _root_of_unity(conductor, p)
+    products, N = alg.products, alg.modulus
+    F = {a: sum(products[(a, b)][0] for b in els) for a in els}
+    p = _splitting_prime(n * n)
+    zeta = _root_of_unity(n, p)
     pos = {g: i for i, g in enumerate(els)}
     mult = []
     for a in els:
         row = []
         for b in els:
             ph, r = products[(a, b)]
-            row.append((pos[r], pow(zeta, ph // step, p)))
+            k = (n * ph - F[a] - F[b] + F[r]) // N  # exact: |S| phi = dF
+            row.append((pos[r], pow(zeta, k % n, p)))
         mult.append(row)
     inverse = [pos[alg.group.inverse(g)] for g in els]
     e = pos[0]

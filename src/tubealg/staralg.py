@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Hashable, Optional, Sequence
 
-from .phase import CheckResult, Cocycle2
+from .phase import CheckResult, Cocycle2, CocycleError
 
 
 class MonomialStarAlgebra:
@@ -204,8 +204,8 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
     Associativity of this algebra is, term by term, the 2-cocycle law
     phi(a,b) phi(ab,c) = phi(b,c) phi(a,bc) of its twist, so the
     constructor walks :meth:`check_associativity` over all |S|^3
-    triples and rejects a twist that fails it; the result is kept, so
-    :meth:`check_all` does not walk them again.
+    triples and raises CocycleError, the triple as witness, if it fails;
+    the result is kept, so :meth:`check_all` does not walk them again.
     """
 
     _associativity: Optional[CheckResult] = None
@@ -217,8 +217,8 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
         self.modulus = twist.modulus
         res = self.check_associativity()
         if not res.ok:
-            raise ValueError(
-                f"twist fails associativity at triple {res.witness}")
+            raise CocycleError(f"twist fails associativity at triple "
+                               f"{res.witness}", res.witness)
         self.normalized = not any(twist(0, g) or twist(g, 0) for g in self.els)
 
     def check_associativity(self) -> CheckResult:

@@ -342,6 +342,40 @@ def test_env_default_max_exhaustive(files, capsys, monkeypatch):
 # -- malformed input: exit 2 with exactly one JSON report ----------------------
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "required: --cocycle"),
+    (["--cocycle", "c.json", "--seed", "x"], "invalid int value: 'x'"),
+    (["--cocycle", "c.json", "--samples", "3"], "unrecognized arguments"),
+], ids=["missing-flag", "bad-integer", "unknown-flag"])
+def test_argument_error_is_input_error(files, capsys, extra, message):
+    code = main(["tube", "check", "--group", files["z2.json"]] + extra)
+    out, err = capsys.readouterr()
+    [line] = out.splitlines()            # exactly one report
+    report = json.loads(line)
+    assert code == 2 and report["status"] == "error"
+    assert message in report["error"] and "usage:" in err
+    assert report["seed"] is None and report["max_exhaustive"] is None
+    assert report["checks"] == [] and report["inputs"] == {}
+
+
+def test_unknown_subcommand_is_input_error(capsys):
+    for argv in (["frobnicate"], []):
+        code = main(argv)
+        [line] = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        assert code == 2 and report["status"] == "error"
+        assert report["command"] == ["tubealg"] + argv
+        assert "invalid choice" in report["error"] if argv else \
+            "required: command" in report["error"]
+
+
+def test_help_keeps_argparse_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tube", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tubealg tube")
+
+
 @pytest.mark.parametrize("cocycle", ["semion_half.json", "semion_fraction.json"])
 def test_non_integer_cocycle_value_is_input_error(files, capsys, cocycle):
     code, report = run(capsys, ["verify-cocycle", "--group", files["z2.json"],
@@ -414,8 +448,9 @@ def test_rep_decompose_invalid_setup_fails_with_witness(files, capsys):
 @pytest.mark.parametrize("command", [["rep", "decompose"], ["bh", "simples"]])
 def test_large_modulus_splits_at_the_twists_conductor(tmp_path, capsys,
                                                        command):
-    # the splitting prime follows the twists' conductor (1 for a zero
-    # cocycle), not the file's modulus, which trial division cannot reach
+    # the twists are reduced to |S|-th roots of unity before the splitting
+    # prime is chosen, so the file's modulus, which trial division cannot
+    # reach, does not enter it
     s3, _ = symmetric_group(3)
     order = 2 if command[0] == "rep" else 6
 

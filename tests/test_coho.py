@@ -1,19 +1,27 @@
 """Centralizer cocycles, the transport cochain, and gauge fixing."""
 
+import ast
+import inspect
+from itertools import product
+from pathlib import Path
+
 import pytest
 
+from tubealg import coho
 from tubealg.coho import (BHSetup, BHSetupError, gamma,
                           gamma_identity_check, gamma_transport_check,
                           gauge_fix_bh, gl_relations_check, phi_a, phi_class)
 from tubealg.grp import (centralizer, conjugacy_data, cyclic_group,
                          subgroup_closure)
-from tubealg.phase import (coboundary2, cocycle3_check,
+from tubealg.phase import (CheckResult, Cocycle2, coboundary2, cocycle3_check,
                            inflate_cocycle, is_normalized,
                            restrict_trivial_on, standard_cyclic_cocycle,
                            trivial_cocycle)
 
+import gamma_identity_oracle
 from cocycle2_oracle import cocycle2_check
-from conftest import _FIXTURES, bh_setup_s3, bh_setup_v4, symmetric_group
+from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
+                      symmetric_group)
 
 
 def phi_a_oracle(group, omega, a, g, h):
@@ -143,26 +151,162 @@ def test_gamma_family():
             for g in range(2)} <= set(range(omega.modulus))
 
 
+def _certified(G) -> str:
+    """The detail of a passing certificate: every (a, g, h, x, y, z), the
+    pairs whose last morphism is one of the n + |C(a)| - 1 generators,
+    and every twist triple."""
+    cents = [centralizer(G, a) for a in G.elements()]
+    n = G.order
+    tuples = n ** 3 * sum(len(c) ** 2 for c in cents)
+    visited = sum((n + len(c) - 1) * n * len(c) for c in cents)
+    triples = sum(len(c) ** 3 for c in cents)
+    return (f"certified {tuples} by last morphism over generators, "
+            f"exhaustive {visited}, centralizer twists exhaustive {triples}")
+
+
 def test_gamma_identity_exhaustive(small_fixture):
     G = small_fixture.group
     res = gamma_identity_check(G, small_fixture.omega)
-    # every (a, g, h) with g, h in C(a), times every (x, y, z)
+    assert res.ok and res.detail == _certified(G)
+    oracle = gamma_identity_oracle.gamma_identity_check(G, small_fixture.omega)
     tuples = G.order ** 3 * sum(len(centralizer(G, a)) ** 2
                                 for a in G.elements())
-    assert res.ok and res.detail == f"exhaustive {tuples}"
+    assert oracle.ok and oracle.detail == f"exhaustive {tuples}"
 
 
 def test_gamma_identity_states_its_count():
     # S3: centralizers of orders 6, 2, 2, 2, 3, 3; 6^3 (36 + 3*4 + 2*9)
+    # tuples, 6 (6*11 + 3*2*7 + 2*3*8) generator pairs, 216 + 3*8 + 2*27
     fx = _FIXTURES["s3_sign"]
     res = gamma_identity_check(fx.group, fx.omega)
-    assert res.ok and res.detail == "exhaustive 14256"
+    assert res.ok and res.detail == (
+        "certified 14256 by last morphism over generators, exhaustive 936, "
+        "centralizer twists exhaustive 294")
 
 
-def test_gamma_identity_sampled_s4(s4_sign_fixture):
-    res = gamma_identity_check(s4_sign_fixture.group, s4_sign_fixture.omega,
-                               samples=2000, seed=7)
-    assert res.ok and "sampled" in res.detail
+def test_gamma_identity_certified_s4(s4_sign_fixture):
+    res = gamma_identity_check(s4_sign_fixture.group, s4_sign_fixture.omega)
+    assert res.ok and res.detail == (
+        "certified 14266368 by last morphism over generators, exhaustive "
+        "91008, centralizer twists exhaustive 16344")
+    assert res.detail == _certified(s4_sign_fixture.group)
+
+
+def test_gamma_identity_takes_no_knobs():
+    params = inspect.signature(gamma_identity_check).parameters
+    assert list(params) == ["group", "omega"]
+
+
+def test_only_splitting_imports_random():
+    importers = set()
+    for path in Path(coho.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "random" in names:
+                importers.add(path.stem)
+    assert importers == {"splitting"}
+
+
+# -- the certificate against the full walk, on mutated gamma and phi_a -------
+
+
+def _gamma_shifted(monkeypatch, at):
+    """gamma[a, x, y](g) plus 1 at ``at`` = (a, x, y, g)."""
+    real = coho.gamma
+
+    def shifted(G, omega, a, x, y, g):
+        return (real(G, omega, a, x, y, g) + ((a, x, y, g) == at)) \
+            % omega.modulus
+
+    monkeypatch.setattr(coho, "gamma", shifted)
+
+
+def _phi_shifted(monkeypatch, target, shift):
+    """phi_a of ``target`` plus ``shift(g, h)`` on its centralizer."""
+    real = coho.phi_a
+
+    def shifted(G, omega, a):
+        phi = real(G, omega, a)
+        if a != target:
+            return phi
+        els = phi.elements
+        return Cocycle2(G, els, [phi(g, h) + shift(g, h) for g in els
+                                 for h in els], phi.modulus)
+
+    monkeypatch.setattr(coho, "phi_a", shifted)
+
+
+def _agrees_with_the_oracle(G, omega) -> CheckResult:
+    res = gamma_identity_check(G, omega)
+    oracle = gamma_identity_oracle.gamma_identity_check(G, omega)
+    assert res.ok == oracle.ok, (res, oracle)
+    if not res.ok and len(res.witness) == 6:
+        # no fallback walk: the tuple it hit is a real counterexample
+        phis = {a: coho.phi_a(G, omega, a) for a in G.elements()}
+        assert not gamma_identity_oracle.identity_holds(G, omega, phis,
+                                                        *res.witness)
+    return res
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_gamma_shift_verdicts_match_the_walk(name, monkeypatch):
+    G, omega = _FIXTURES[name].group, _FIXTURES[name].omega
+    n, last = G.order, G.order - 1
+    targets = {(last, 1 % n, 0, centralizer(G, last)[-1]), (0, 0, 0, 0),
+               (0, last, last, last)}
+    for at in sorted(targets):
+        monkeypatch.undo()
+        _gamma_shifted(monkeypatch, at)
+        res = _agrees_with_the_oracle(G, omega)
+        # a shifted gamma is off by the coboundary of a point mass
+        assert res.ok == (omega.modulus == 1), (name, at)
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_phi_coboundary_shift_verdicts_match_the_walk(name, monkeypatch):
+    # phi_a plus d(f) for f a point mass at t: still a 2-cocycle, so the
+    # twist walk passes and the generator walk must find the tuple
+    G, omega = _FIXTURES[name].group, _FIXTURES[name].omega
+    for a in G.elements():
+        t = centralizer(G, a)[-1]
+
+        def df(g, h, t=t):
+            return (g == t) + (h == t) - (G.mul(g, h) == t)
+
+        monkeypatch.undo()
+        _phi_shifted(monkeypatch, a, df)
+        res = _agrees_with_the_oracle(G, omega)
+        ca = centralizer(G, a)
+        vanishes = not any(df(g, h) % omega.modulus for g in ca for h in ca)
+        assert res.ok == vanishes, (name, a)
+        assert res.ok or len(res.witness) == 6
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_phi_law_breaking_shift_verdicts_match_the_walk(name, monkeypatch):
+    # phi_a plus 1 at one pair (g, h): when that breaks the 2-cocycle law
+    # (always, at (e, h) with h not e), the twist walk names a and a
+    # failing triple
+    G, omega = _FIXTURES[name].group, _FIXTURES[name].omega
+    broken = 0
+    for a, pair in product(G.elements(), ("unit", "middle")):
+        ca = centralizer(G, a)
+        pair = (0, ca[-1]) if pair == "unit" else (ca[-1], ca[len(ca) // 2])
+        monkeypatch.undo()
+        _phi_shifted(monkeypatch, a, lambda g, h, pair=pair: (g, h) == pair)
+        phi = coho.phi_a(G, omega, a)
+        law = cocycle2_check(phi)
+        res = _agrees_with_the_oracle(G, omega)
+        if not law.ok:
+            broken += 1
+            assert res.witness[0] == a and len(res.witness) == 2
+            assert "2-cocycle law" in res.detail
+            (c, b, d) = res.witness[1]
+            assert (phi(b, d) - phi(G.mul(c, b), d) + phi(c, G.mul(b, d))
+                    - phi(c, b)) % phi.modulus
+    assert broken or omega.modulus == 1
 
 
 def test_gamma_transport(small_fixture):

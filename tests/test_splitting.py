@@ -7,13 +7,14 @@ by forcing central elements that do not separate the blocks.
 from these dimensions, is checked against the same oracle.
 """
 
+import time
 from functools import cache
 
 import pytest
 
 from tubealg import rep, splitting
 from tubealg.annular_bh import AnnularAlgebra, end_xg_algebra
-from tubealg.coho import phi_class
+from tubealg.coho import phi_class, phi_class_plain_conjugate
 from tubealg.grp import conjugacy_data, cyclic_group, direct_product
 from tubealg.phase import (Cocycle2, Cocycle3, inflate_cocycle,
                            standard_cyclic_cocycle)
@@ -110,6 +111,30 @@ def test_known_dimensions():
     # each nonidentity flux of the type-III tube keeps 2 of its 8 charges
     assert [projective_dimensions(_block(*_type_iii(), c)) for c in range(8)] \
         == [[1] * 8] + [[2, 2]] * 7
+
+
+def test_huge_modulus_is_reduced_by_a_coboundary():
+    # the phase 2 mod 10^20 at (1, 1) is a coboundary: the prime follows
+    # |S|, not the twist's conductor 5 * 10^19
+    z2 = cyclic_group(2)
+    alg = TwistedGroupAlgebra(Cocycle2(z2, (0, 1), [0, 0, 0, 2], 10 ** 20))
+    start = time.perf_counter()
+    assert projective_dimensions(alg) == [1, 1]
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("convention", [phi_class, phi_class_plain_conjugate])
+def test_reduced_twist_exponents_are_exact(convention):
+    # summing the 2-cocycle law over its last argument gives |S| phi = dF,
+    # so every exponent of the coboundary-reduced twist is an integer
+    for G, omega in (dihedral8_sign(), _s4_sign(), _type_iii()):
+        cd = conjugacy_data(G)
+        for c in range(cd.num_classes()):
+            tw = convention(G, omega, cd, c)
+            els, N = tw.elements, tw.modulus
+            F = {a: sum(tw(a, b) for b in els) for a in els}
+            assert not any((len(els) * tw(a, b) - F[a] - F[b]
+                            + F[G.mul(a, b)]) % N for a in els for b in els)
 
 
 def test_result_does_not_depend_on_the_seed():
