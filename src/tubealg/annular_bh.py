@@ -36,7 +36,7 @@ from .grp import GroupTable
 from .phase import CheckResult, Cocycle2
 from .staralg import MonomialStarAlgebra, TwistedGroupAlgebra, center_dimension
 from .tube_diag import SimpleCount, TubeAlgebra, TubeBasisElement, \
-    TubeShapedAlgebra, block_simple_count
+    TubeShapedAlgebra, simple_count
 
 
 class ABasisElement(NamedTuple):
@@ -297,7 +297,7 @@ def tube_cutdown(alg: AnnularAlgebra, seed: int = 0) -> CutdownReport:
         end_data.append(EndSplitting(
             weight=g, subgroup=tw.elements, blocks=[(d, d) for d in dims],
             minimal_projections=sum(dims)))
-    full = block_simple_count(alg.block_algebra("op-inverse"))
+    full = simple_count(alg)
     cut_count = center_dimension(cut)
     return CutdownReport(
         weights=cut.weights,

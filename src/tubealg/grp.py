@@ -8,6 +8,11 @@ trust it.  All outputs are deterministic: conjugacy-class
 representatives are the minimal element index of each class, and the
 transporting conjugator chosen for each element is the first one in
 index order.
+
+One closure walk, right multiplication from the identity (in a finite
+group the monoid a set generates is its subgroup), serves subgroup
+closure, the greedy generating set and permutation-group enumeration;
+over the greedy generators, Light's test checks a table's associativity.
 """
 
 from __future__ import annotations
@@ -105,6 +110,12 @@ def group_from_table(order: int, mult: Sequence[Sequence[int]],
     Raises :class:`GroupError` with a witness tuple if the table has the
     wrong shape, index 0 is not a two-sided identity, some triple is not
     associative, or some element has no inverse.
+
+    Associativity is Light's test, (ab)s == a(bs) for s in the greedy
+    generators only: the c with (ab)c == a(bc) for all a, b include the
+    identity and are closed under right multiplication by one another,
+    and the greedy walk reaches every element as a left-normed product
+    of generators.
     """
     if type(order) is not int or not 1 <= order <= MAX_GROUP_ORDER:
         raise GroupError(f"group order {order!r} is not an integer "
@@ -127,16 +138,17 @@ def group_from_table(order: int, mult: Sequence[Sequence[int]],
         if table[0][g] != g or table[g][0] != g:
             raise GroupError(f"index 0 is not an identity at element {g}",
                              witness=(g,))
+    gens = _greedy_generators(table)
     for a in range(order):
         ta = table[a]
         for b in range(order):
             tab = table[ta[b]]
             tb = table[b]
-            for c in range(order):
-                if tab[c] != ta[tb[c]]:
+            for s in gens:
+                if tab[s] != ta[tb[s]]:
                     raise GroupError(
-                        f"associativity fails at ({a}, {b}, {c})",
-                        witness=(a, b, c))
+                        f"associativity fails at ({a}, {b}, {s})",
+                        witness=(a, b, s))
     inv = []
     for a in range(order):
         for b in range(order):
@@ -186,17 +198,7 @@ def group_from_permutations(degree: int, generators: Sequence[Sequence[int]],
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for g in gens:
-            y = _compose(x, g)
-            if y not in index:
-                if len(elements) >= max_order:
-                    raise GroupError(f"closure exceeds {max_order} elements")
-                index[y] = len(elements)
-                elements.append(y)
+    _close(elements, index, gens, _compose, max_order)
     n = len(elements)
     mult = [[index[_compose(elements[a], elements[b])] for b in range(n)]
             for a in range(n)]
@@ -256,49 +258,45 @@ def centralizer(group: GroupTable, a: int) -> tuple[int, ...]:
                  if group.mul(s, a) == group.mul(a, s))
 
 
+def _close(members: list, index: dict, gens: Sequence, mul,
+           limit: int) -> None:
+    """Close ``members`` (positions in ``index``) under right
+    multiplication by ``gens``, breadth-first, visiting new members too;
+    raises :class:`GroupError` past ``limit`` members."""
+    for x in members:
+        for s in gens:
+            y = mul(x, s)
+            if y not in index:
+                if len(members) >= limit:
+                    raise GroupError(f"closure exceeds {limit} elements")
+                index[y] = len(members)
+                members.append(y)
+
+
+def _greedy_generators(mult: Sequence[Sequence[int]]) -> list[int]:
+    """Each generator is the first index outside the closure of the ones
+    before it; the closures end with every index as a member."""
+    members, index, gens = [0], {0: 0}, []
+    for g in range(1, len(mult)):
+        if g not in index:
+            gens.append(g)
+            _close(members, index, gens, lambda x, s: mult[x][s], len(mult))
+    return gens
+
+
 def subgroup_closure(group: GroupTable, elements: Sequence[int]) -> tuple[int, ...]:
     """Smallest subgroup containing ``elements``, as a sorted tuple."""
-    seen = {0}
-    queue = [0]
-    for g in elements:
-        if g not in seen:
-            seen.add(g)
-            queue.append(g)
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for g in list(seen):
-            for y in (group.mul(x, g), group.mul(g, x)):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return tuple(sorted(seen))
+    members, mult = [0], group.mult
+    _close(members, {0: 0}, tuple(elements), lambda x, s: mult[x][s],
+           group.order)
+    return tuple(sorted(members))
 
 
 def generating_set(group: GroupTable) -> tuple[int, ...]:
     """Greedy generators: each is the first element, in index order, outside
     the subgroup generated by the ones before it.  Never empty: ``(0,)``
     for the trivial group."""
-    n, mult = group.order, group.mult
-    gens = []
-    members = [0]
-    inside = bytearray(n)
-    inside[0] = 1
-    for g in range(1, n):
-        if inside[g]:
-            continue
-        gens.append(g)
-        # close under right multiplication by every generator, which in a
-        # finite group gives the subgroup; the loop also visits new members
-        for x in members:
-            row = mult[x]
-            for s in gens:
-                y = row[s]
-                if not inside[y]:
-                    inside[y] = 1
-                    members.append(y)
-    return tuple(gens) or (0,)
+    return tuple(_greedy_generators(group.mult)) or (0,)
 
 
 def is_subgroup(group: GroupTable, elements: Sequence[int]) -> bool:

@@ -314,10 +314,10 @@ def test_bh_phi_iso_bijection(annular):
 def test_annular_counts_agree_both_ways():
     # exact centers of the block twists vs numerical regular splitting
     from regular_split_oracle import regular_split
-    from tubealg.tube_diag import block_simple_count
+    from tubealg.tube_diag import simple_count
     for setup in (bh_setup_v4(), bh_setup_s3()):
         alg = AnnularAlgebra(setup)
-        counts = block_simple_count(alg.block_algebra("op-inverse"))
+        counts = simple_count(alg)
         blocks = regular_split(alg, seed=9)
         assert counts.total == len(blocks)
 

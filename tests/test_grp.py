@@ -1,6 +1,8 @@
 """Group tables, conjugacy data, and the canonical choices they fix."""
 
+import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -9,8 +11,9 @@ from tubealg.grp import (GroupError, GroupTable, centralizer, conjugacy_data,
                          group_from_json, group_from_permutations,
                          group_from_table, group_to_json, subgroup_closure)
 
-from conftest import (bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
-                      dihedral8_sign, symmetric_group)
+from conftest import (_FIXTURES, bh_setup_s3, bh_setup_v4, bh_setup_z1,
+                      bh_setup_z2z4, dihedral8_sign, symmetric_group)
+import group_oracle
 
 
 def brute_force_classes(group):
@@ -275,3 +278,85 @@ def test_group_json_roundtrip():
 def test_group_json_unknown_type():
     with pytest.raises(KeyError):
         group_from_json({"type": "nope"})
+
+
+# -- Light's associativity test and the one closure walk, against oracles ------
+
+
+_ORACLE_GROUPS = {
+    "z1": lambda: cyclic_group(1),
+    "z2": lambda: _FIXTURES["z2_semion"].group,
+    "z3": lambda: _FIXTURES["z3_trivial"].group,
+    "z4": lambda: _FIXTURES["z4_std"].group,
+    "v4": lambda: _FIXTURES["v4_product"].group,
+    "s3": lambda: symmetric_group(3)[0],
+    "s4": lambda: symmetric_group(4)[0],
+}
+
+
+def _light_fails(mult) -> bool:
+    """Whether group_from_table rejects ``mult`` as non-associative,
+    asserting that the full walk agrees and that the witness fails."""
+    witness = None
+    try:
+        group_from_table(len(mult), mult)
+    except GroupError as exc:
+        if str(exc).startswith("associativity fails"):
+            witness = exc.witness
+    assert (witness is None) == \
+        (group_oracle.first_non_associative(mult) is None)
+    if witness is not None:
+        a, b, s = witness
+        assert mult[mult[a][b]][s] != mult[a][mult[b][s]]
+    return witness is not None
+
+
+@pytest.mark.parametrize("name", _ORACLE_GROUPS)
+def test_light_test_matches_the_full_walk_on_single_entry_changes(name):
+    mult = [list(row) for row in _ORACLE_GROUPS[name]().mult]
+    n, changed, failing = len(mult), 0, 0
+    for i in range(1, n):
+        for j in range(1, n):
+            kept = mult[i][j]
+            for v in range(n):
+                if v != kept:
+                    mult[i][j] = v
+                    changed += 1
+                    failing += _light_fails(mult)
+            mult[i][j] = kept
+    assert changed == (n - 1) ** 3 and (failing or n <= 2)
+
+
+def test_light_test_matches_the_full_walk_on_every_order_3_table():
+    # six of these 81 tables fail only at the second greedy generator
+    for a, b, c, d in product(range(3), repeat=4):
+        _light_fails([[0, 1, 2], [1, a, b], [2, c, d]])
+
+
+def _fixture_group(name):
+    return _FIXTURES[name].group if name in _FIXTURES else _MORE_GROUPS[name]()
+
+
+@pytest.mark.parametrize("name", list(_FIXTURES) + list(_MORE_GROUPS))
+def test_fixture_tables_and_a_relabelling_pass(name):
+    group = _fixture_group(name)
+    n = group.order
+    again = group_from_table(n, [list(row) for row in group.mult])
+    assert (again.mult, again.inv) == (group.mult, group.inv)
+    perm = [0] + random.Random(n).sample(range(1, n), n - 1)
+    mult = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mult[perm[a]][perm[b]] = perm[group.mul(a, b)]
+    relabelled = group_from_table(n, mult)
+    assert all(relabelled.inv[perm[a]] == perm[group.inv[a]] for a in range(n))
+
+
+@pytest.mark.parametrize("name", list(_FIXTURES) + list(_MORE_GROUPS))
+def test_subgroup_closure_matches_the_two_sided_oracle(name):
+    group = _fixture_group(name)
+    assert group.order <= 24
+    for a in group.elements():
+        for b in group.elements():
+            assert subgroup_closure(group, [a, b]) == \
+                group_oracle.subgroup_closure(group, [a, b])

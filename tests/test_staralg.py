@@ -215,6 +215,17 @@ def test_certificate_accepts_no_table_the_walk_rejects(name):
     assert counts["walk rejects"] > 0 or len(alg.labels()) == 1
 
 
+@pytest.mark.parametrize("name", list(_CERTIFIED_ALGEBRAS))
+def test_certified_triple_count_is_the_walked_count(name):
+    # sum over classes of |I_C|^4 |C_G(g_C)|^3, against the composable
+    # triples the walk would visit
+    alg = _CERTIFIED_ALGEBRAS[name]()
+    comp = alg._composable()
+    walked = sum(len(comp[b]) for b, _ in alg.products)
+    res = alg.check_associativity()
+    assert res.ok and res.detail.startswith(f"certified {walked} by block map ")
+
+
 def test_no_sampler_is_left():
     source = Path(staralg.__file__).read_text()
     assert "random" not in source and "samples" not in source
