@@ -114,9 +114,10 @@ class BoxAlgebra(MonomialStarAlgebra):
 
     @cached_property
     def _into(self) -> dict:
-        weights = self.group.elements()  # g1-major, as in the labels
-        return {g2: [b for g1 in weights for b in self.box_basis(g1, g2)]
-                for g2 in weights}
+        into: dict = {g: [] for g in self.group.elements()}
+        for b in self._labels:  # g1-major, so each list is too
+            into[b.g2].append(b)
+        return into
 
     def labels(self) -> list[BoxMorphism]:
         return self._labels

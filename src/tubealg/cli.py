@@ -34,8 +34,11 @@ def _log(msg: str) -> None:
 
 
 def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:  # a directory, say: reported as _load does
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load(path: str, what: str, parse, errors: dict | None = None):

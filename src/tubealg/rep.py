@@ -4,7 +4,9 @@
 representation off its block isomorphism, exactly: it loads
 :mod:`tubealg.splitting` when it runs, to split each class's twisted
 centralizer algebra over a prime field.  The regular representation
-and induction are nested lists of ``complex``.  numpy is loaded only to
+and induction are nested lists of ``complex``.  Induction and
+restriction read the block images the block-map check certifies
+(``block_images``).  numpy is loaded only to
 check float matrices (`rep induce --rep`) and by `restrict` and
 `support_decompose`.  Twisted group algebras, center dimensions and
 the wire key of a label live in :mod:`tubealg.staralg`, with the
@@ -175,16 +177,24 @@ def _range_basis(P, tol: float = 1e-9):
 
 
 def restrict(context, class_index: int, Pi: Representation) -> Representation:
-    """Compress a class-supported representation to the centralizer algebra."""
+    """Compress a class-supported representation to the centralizer algebra.
+
+    The preimage of E[pivot, pivot] tensor [v], with pivot
+    :meth:`support_block_index`, is read off ``context.block_images``:
+    the label whose image sits there, times the conjugate image scalar.
+    """
     import numpy as np
     blocks = context.block_algebra()
     tw = blocks.twists[class_index]
     P = Pi.matrices[context.support_projector_label(class_index)]
     Q = _range_basis(P)
     pivot = context.support_block_index(class_index)
+    preimage = {im.element: (-im.scalar, label)
+                for label, im in context.block_images.items()
+                if (im.class_index, im.row, im.col) == (class_index, pivot, pivot)}
     mats = {}
     for v in tw.elements:
-        scalar, label = context.phi_iso_inverse(class_index, pivot, pivot, v)
+        scalar, label = preimage[v]
         M = Q.conj().T @ np.asarray(Pi.matrices[label], dtype=complex) @ Q
         mats[v] = (root(scalar, context.modulus) * M).tolist()
     return Representation(labels=list(tw.elements), dim=Q.shape[1], matrices=mats)

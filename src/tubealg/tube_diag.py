@@ -25,14 +25,16 @@ the isomorphism on basis elements, with the transport cochain supplying
 the scalar, and ``block_images`` holds its image of every basis
 element; ``check_block_map`` checks multiplicativity and
 *-preservation exhaustively and exactly, once per twist convention, and
-``verify_star_iso`` runs it on the tube algebra.  With the class twists'
-2-cocycle laws it certifies associativity; triples are walked on failure.
+``verify_star_iso`` runs it on the tube algebra.  Induction and
+restriction in :mod:`tubealg.rep` read that certified table.  With the
+class twists' 2-cocycle laws it certifies associativity; triples are
+walked on failure.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coho import gamma, phi_class, phi_class_plain_conjugate
 from .grp import ClassData, GroupTable, conjugacy_data
@@ -138,20 +140,14 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     def class_data(self) -> ClassData:
         return conjugacy_data(self.group)
 
-    def sc_index(self) -> list[list]:
-        """Per class, the objects whose weight lies in it, in object order."""
-        cd = self.class_data
-        sets: list[list] = [[] for _ in cd.classes]
-        for x in self.objects:
-            sets[cd.class_of[self._weight[x]]].append(x)
-        return sets
-
     def block_algebra(self, convention: str = "op-inverse") -> "BlockAlgebra":
         """Block sum with the chosen twist convention.
 
         ``op-inverse`` uses phi_C(s, t) = conj(phi_{g_C}(t^-1, s^-1)), the
         twist under which the block map is multiplicative;
         ``plain-conjugate`` uses the pointwise conjugate of phi_{g_C}.
+        The index set of class C is the objects whose weight lies in C,
+        in object order.
         """
         if convention not in self._blocks:
             cd = self.class_data
@@ -159,8 +155,11 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                        "plain-conjugate": phi_class_plain_conjugate}[convention]
             twists = [builder(self.group, self.omega, cd, c)
                       for c in range(cd.num_classes())]
+            index_sets: list[list] = [[] for _ in cd.classes]
+            for x in self.objects:
+                index_sets[cd.class_of[self._weight[x]]].append(x)
             self._blocks[convention] = BlockAlgebra(
-                self.group, cd, self.sc_index(), twists)
+                self.group, cd, index_sets, twists)
         return self._blocks[convention]
 
     def phi_iso(self, label) -> BlockImage:
@@ -179,7 +178,8 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     @cached_property
     def block_images(self) -> dict:
         """label -> :meth:`phi_iso` of it, for every basis label: the one
-        table the block-map check certifies and induction reads."""
+        table the block-map check certifies and induction and restriction
+        read."""
         return {a: self.phi_iso(a) for a in self.labels()}
 
     def check_block_map(self, convention: str = "op-inverse") -> CheckResult:
@@ -211,18 +211,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                     f"certified {triples} by block map {iso.detail}, "
                     f"class twists exhaustive {laws}"))
         return super().check_associativity()
-
-    def phi_iso_inverse(self, c: int, row, col, element: int) -> tuple[int, object]:
-        """Preimage of E[row, col] tensor [element] as scalar * basis label."""
-        G, cd = self.group, self.class_data
-        wa = cd.transport[self._weight[col]]
-        wb = cd.transport[self._weight[row]]
-        u = G.inverse(element)
-        s = G.mul(wa, G.mul(u, G.inverse(wb)))
-        label = self._label_of.get((col, s, row))
-        if label is None:
-            raise ValueError(f"no basis label {col} -{s}-> {row}")
-        return gamma(G, self.omega, cd.reps[c], wa, wb, u), label
 
     def support_block_index(self, c: int):
         """The least object whose weight is the representative of class c."""
@@ -314,13 +302,6 @@ class BlockAlgebra:
         vi = self.group.inverse(x.element)
         scalar = -(x.scalar + tw(vi, x.element)) % tw.modulus
         return BlockImage(x.class_index, scalar, x.col, x.row, vi)
-
-    def basis_labels(self) -> Iterator[tuple[int, object, object, int]]:
-        for c, idx in enumerate(self.index_sets):
-            for row in idx:
-                for col in idx:
-                    for v in self.twists[c].elements:
-                        yield (c, row, col, v)
 
     def total_dimension(self) -> int:
         return sum(len(idx) ** 2 * len(tw.elements)

@@ -280,13 +280,12 @@ def test_basis_and_block_counts():
     alg = AnnularAlgebra(setup)
     G, H = alg.group, alg.H
     assert len(alg.labels()) == (len(H) * G.order) ** 2
-    sc = alg.sc_index()
+    blocks = alg.block_algebra()
     cd = alg.class_data
-    for c, pairs in enumerate(sc):
+    for c, pairs in enumerate(blocks.index_sets):
         assert len(pairs) == len(H) * len(cd.classes[c])
         for (h, g) in pairs:
             assert cd.class_of[G.mul(h, g)] == c
-    blocks = alg.block_algebra()
     assert blocks.total_dimension() == (len(H) * G.order) ** 2 == 144
 
 

@@ -1,5 +1,8 @@
 """Command-line surface: exit codes, report shape, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tubealg.annular_bh import AnnularAlgebra
 from tubealg import annular_bh, phase, rep, splitting, staralg, tube_diag
@@ -165,6 +170,23 @@ def test_unreadable_json_is_input_error(files, capsys, tmp_path, flag, content):
     code, report = run(capsys, argv)
     assert code == 2
     assert report["status"] == "error" and "not valid JSON" in report["error"]
+
+
+@pytest.mark.parametrize("flag", ["--group", "--cocycle", "--bh", "--rep"])
+def test_directory_input_is_input_error(files, capsys, tmp_path, flag):
+    # the path exists, so it is hashed before any handler runs
+    tube = ["--group", files["z2.json"], "--cocycle", files["semion.json"]]
+    argv = {"--group": ["verify-group", "--group", str(tmp_path)],
+            "--cocycle": ["verify-cocycle", *tube[:2], "--cocycle",
+                          str(tmp_path)],
+            "--bh": ["bh", "check", "--bh", str(tmp_path)],
+            "--rep": ["rep", "induce", *tube, "--rep", str(tmp_path)]}[flag]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["error"].startswith(f"cannot read {tmp_path}: ")
 
 
 def test_bad_group_in_pipeline_is_input_error(files, capsys):
@@ -1075,3 +1097,88 @@ def test_package_and_exact_subcommands_never_import_dataclasses(files):
     runs = _child_runs(exact, ["dataclasses", "inspect"])
     assert runs == ([[step, []] for step in _PREAMBLE]
                     + [[a, 0, []] for a in exact])
+
+
+# -- the contract under arbitrary JSON ------------------------------------------
+
+
+def _fuzz_payloads() -> dict:
+    z2 = standard_cyclic_cocycle(2, 1)
+    tw = TubeAlgebra(z2.group, z2).block_algebra().twists[1]
+    return {"group": group_to_json(z2.group),
+            "cocycle": cocycle_to_json(z2),
+            "bh": {"group": {"type": "perm", "degree": 2, "generators": [[1, 0]]},
+                   "H": [0, 1], "K": [0],
+                   "cocycle": cocycle_to_json(trivial_cocycle(z2.group))},
+            "rep": rep.rep_to_json(rep.regular_representation(
+                rep.TwistedGroupAlgebra(tw)))}
+
+
+_FUZZ_PAYLOADS = _fuzz_payloads()
+_TUBE = ("group", "cocycle")
+# every subcommand, with the inputs it reads
+_FUZZ_RUNS = [(["verify-group"], ("group",)), (["verify-cocycle"], _TUBE),
+              (["normalize"], _TUBE), (["gauge-fix"], ("bh",)),
+              *((["tube", a], _TUBE) for a in ("build", "check", "simples")),
+              *((["bh", a], ("bh",)) for a in ("build", "check", "simples")),
+              (["rep", "induce", "--class-index", "1"], _TUBE + ("rep",)),
+              (["rep", "decompose"], _TUBE), (["rep", "decompose"], ("bh",))]
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([2 ** 64, -2 ** 63, 10 ** 40]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+def _fields(obj, at=()):
+    """The path of ``obj`` itself and of every field inside it."""
+    yield at
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _fields(value, at + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for kind, payload in _FUZZ_PAYLOADS.items():
+        (d / f"{kind}.json").write_text(json.dumps(payload))
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_FUZZ_PAYLOADS)), data=st.data())
+@example(kind="group", data=None)  # the valid payloads
+def test_every_subcommand_keeps_the_contract_on_arbitrary_json(fuzz_dir, kind,
+                                                               data):
+    """One field of a valid payload (or the whole of it) replaced by any
+    JSON: every subcommand exits 0, 1 or 2 with one JSON object on stdout."""
+    payload = copy.deepcopy(_FUZZ_PAYLOADS[kind])
+    if data is not None:
+        at = data.draw(st.sampled_from(list(_fields(payload))), label="field")
+        value = data.draw(_ANY_JSON, label="value")
+        if not at:
+            payload = value
+        else:
+            parent = payload
+            for key in at[:-1]:
+                parent = parent[key]
+            parent[at[-1]] = value
+    path = fuzz_dir / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    try:
+        for argv, reads in _FUZZ_RUNS:
+            if kind not in reads:
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + [a for k in reads for a in
+                                    (f"--{k}", str(fuzz_dir / f"{k}.json"))])
+            assert code in (0, 1, 2), argv
+            assert out.getvalue().count("\n") == 1, argv
+            assert isinstance(json.loads(out.getvalue()), dict), argv
+    finally:
+        path.write_text(json.dumps(_FUZZ_PAYLOADS[kind]))

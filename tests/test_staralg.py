@@ -139,13 +139,19 @@ def _callers(names) -> dict:
 def test_one_product_path():
     # structure constants are read through the tables only, and phases
     # become complex numbers only in rep's numerical half
-    callers = _callers(("mult_basis", "star_basis", "root", "phi_iso"))
+    callers = _callers(("mult_basis", "star_basis", "root", "phi_iso",
+                        "gamma"))
     assert callers["mult_basis"] == {"staralg.MonomialStarAlgebra.products"}
     assert callers["star_basis"] == {"staralg.MonomialStarAlgebra.stars"}
     assert callers["root"] and \
         {c.split(".")[0] for c in callers["root"]} == {"rep"}
-    # block images are computed once, for the block-map check and induction
+    # block images are computed once, for the block-map check, induction
+    # and restriction
     assert callers["phi_iso"] == {"tube_diag.TubeShapedAlgebra.block_images"}
+    # the transport cochain has one block-map caller, beside the identity
+    # certificate
+    assert callers["gamma"] == {"tube_diag.TubeShapedAlgebra.phi_iso",
+                                "coho._gamma_identity_holds"}
     # a twist's 2-cocycle law is its twisted group algebra's associativity
     assert not hasattr(phase, "cocycle2_check")
     assert not hasattr(staralg, "Element")
