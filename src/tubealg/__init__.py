@@ -24,8 +24,7 @@ _EXPORTS = {
               "product_type_cocycle", "root", "standard_cyclic_cocycle",
               "trivial_cocycle", "two_factor_cocycle"),
     "coho": ("BHSetup", "BHSetupError", "gamma", "gamma_identity_check",
-             "gamma_transport_check", "gauge_fix_bh", "gl_relations_check",
-             "phi_a", "phi_class"),
+             "gauge_fix_bh", "gl_relations_check", "phi_a", "phi_class"),
     "tube_diag": ("BlockAlgebra", "BlockImage", "SimpleCount", "TubeAlgebra",
                   "TubeBasisElement", "TubeShapedAlgebra", "simple_count",
                   "verify_star_iso"),

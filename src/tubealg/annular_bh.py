@@ -191,8 +191,6 @@ def box_checks(alg: AnnularAlgebra) -> list[CheckResult]:
 class BHIsoReport(NamedTuple):
     results: dict
     passing: list[str]
-    basis_count: int
-    block_count: int
 
     @property
     def ok(self) -> bool:
@@ -209,9 +207,7 @@ def bh_verify_star_iso(alg: AnnularAlgebra) -> BHIsoReport:
     results = {convention: alg.check_block_map(convention)
                for convention in ("op-inverse", "plain-conjugate")}
     return BHIsoReport(results=results,
-                       passing=[c for c, r in results.items() if r.ok],
-                       basis_count=len(alg.labels()),
-                       block_count=alg.block_algebra().total_dimension())
+                       passing=[c for c, r in results.items() if r.ok])
 
 
 def end_xg_algebra(setup: BHSetup, g: int) -> Cocycle2:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -37,7 +36,7 @@ def _sha256(path: str) -> str:
     try:
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:  # a directory, say: reported as _load does
+    except OSError as exc:  # missing or a directory, say: as _load reports it
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -346,9 +345,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         report.update(seed=args.seed, max_exhaustive=args.max_exhaustive)
         for f in filter(None, (getattr(args, k, None) for k in INPUTS)):
-            report["inputs"][f] = _sha256(f) if os.path.exists(f) else None
-            if report["inputs"][f] is None:
-                raise InputError(f"input file not found: {f}")
+            report["inputs"][f] = _sha256(f)
         report["checks"], report["data"] = args.handler(args)
         failed = [c for c in report["checks"] if c["status"] == "fail"]
         if failed:

@@ -148,19 +148,6 @@ def gamma_identity_check(group: GroupTable, omega: Cocycle3) -> CheckResult:
         f"{visited}, centralizer twists exhaustive {triples}"))
 
 
-def gamma_transport_check(group: GroupTable, omega: Cocycle3) -> CheckResult:
-    """gamma[a, x, x] trivializes phi along conjugation: for all a, x and
-    g, h in G_a, phi_{xax^-1}(xgx^-1, xhx^-1) = gamma(g) gamma(h)
-    gamma(gh)^-1 phi_a(g, h), the transport identity at x = y = z."""
-    omega.ensure_valid()
-    phis = {a: phi_a(group, omega, a) for a in range(group.order)}
-    for a, phi in phis.items():
-        for x, g, h in product(range(group.order), phi.elements, phi.elements):
-            if not _gamma_identity_holds(group, omega, phis, a, x, x, x, g, h):
-                return CheckResult(False, "gamma-transport", (a, x, g, h))
-    return CheckResult(True, "gamma-transport")
-
-
 class BHSetup(NamedTuple):
     """A group generated by two subgroups, with a compatible cocycle.
 

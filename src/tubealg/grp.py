@@ -225,31 +225,34 @@ def _perm_name(p: tuple[int, ...]) -> str:
 
 
 def conjugacy_data(group: GroupTable) -> ClassData:
-    """Conjugacy classes with canonical representatives and transports."""
-    n = group.order
+    """Conjugacy classes with canonical representatives and transports.
+
+    One conjugation walk per class: conjugating its representative g by
+    every x in index order meets each member first at its transport, and
+    the x with x g x^-1 == g are the representative's centralizer.
+    """
+    n, mult, inv = group.order, group.mult, group.inv
     class_of = [-1] * n
-    classes = []
-    reps = []
+    transport = [0] * n
+    classes, reps, centralizers = [], [], []
     for g in range(n):
         if class_of[g] >= 0:
             continue
-        c = len(classes)
-        orbit = sorted({group.conjugate(x, g) for x in range(n)})
-        for h in orbit:
-            class_of[h] = c
-        classes.append(tuple(orbit))
-        reps.append(g)  # g is minimal in its class: smaller ones were visited
-    transport = [0] * n
-    for g in range(n):
-        gc = reps[class_of[g]]
+        c, members, cent = len(classes), [], []
         for x in range(n):
-            if group.conjugate(x, gc) == g:
-                transport[g] = x
-                break
-    centralizers = tuple(centralizer(group, gc) for gc in reps)
+            h = mult[mult[x][g]][inv[x]]  # x g x^-1
+            if class_of[h] < 0:
+                class_of[h] = c
+                transport[h] = x
+                members.append(h)
+            if h == g:
+                cent.append(x)
+        classes.append(tuple(sorted(members)))
+        reps.append(g)  # g is minimal in its class: smaller ones were visited
+        centralizers.append(tuple(cent))
     return ClassData(classes=tuple(classes), reps=tuple(reps),
                      class_of=tuple(class_of), transport=tuple(transport),
-                     centralizers=centralizers)
+                     centralizers=tuple(centralizers))
 
 
 def centralizer(group: GroupTable, a: int) -> tuple[int, ...]:

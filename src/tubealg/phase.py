@@ -103,12 +103,12 @@ class Cocycle3:
         return self.values[(a * n + b) * n + c]
 
     def ensure_valid(self) -> CheckResult:
-        """The passing 3-cocycle check, run once per table, or CocycleError."""
+        """The passing 3-cocycle check, run once per table (a pass is
+        stored by :func:`cocycle3_check`), or CocycleError."""
         if self._check is None:
             res = cocycle3_check(self)
             if not res.ok:
                 raise CocycleError("3-cocycle law fails", witness=res.witness)
-            self._check = res
         return self._check
 
     def is_trivial(self) -> bool:

@@ -260,7 +260,9 @@ def rep_to_json(rep: Representation) -> dict:
 
 
 def rep_from_json(obj: dict, labels: list) -> Representation:
-    d = int(obj["dimension"])
+    d = obj["dimension"]
+    if type(d) is not int:
+        raise TypeError(f"dimension {d!r} is not an integer")
     raw = obj["matrices"]
     mats = {}
     for label in labels:

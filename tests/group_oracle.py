@@ -1,17 +1,18 @@
-"""Test oracle: group-table associativity over all n^3 triples, and a
-two-sided subgroup closure.
+"""Test oracle: group-table associativity over all n^3 triples, a
+two-sided subgroup closure, and conjugacy data by three separate walks.
 
 The library checks associativity by Light's test over the table's greedy
-generators and closes subgroups by right multiplication alone
-(:mod:`tubealg.grp`); these full searches are kept here to cross-check
-their verdicts and results.
+generators, closes subgroups by right multiplication alone and reads a
+class, its transports and its representative's centralizer off one
+conjugation walk (:mod:`tubealg.grp`); these full searches are kept here
+to cross-check their verdicts and results.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from tubealg.grp import GroupTable
+from tubealg.grp import ClassData, GroupTable
 
 
 def first_non_associative(mult: Sequence[Sequence[int]]) -> Optional[tuple]:
@@ -46,3 +47,35 @@ def subgroup_closure(group: GroupTable, elements: Sequence[int]) -> tuple[int, .
                     seen.add(y)
                     queue.append(y)
     return tuple(sorted(seen))
+
+
+def conjugacy_data(group: GroupTable) -> ClassData:
+    """Each class as a sorted orbit, then for every element the first x
+    in index order carrying its representative to it, then each
+    representative's commuting elements."""
+    n = group.order
+    class_of = [-1] * n
+    classes = []
+    reps = []
+    for g in range(n):
+        if class_of[g] >= 0:
+            continue
+        c = len(classes)
+        orbit = sorted({group.conjugate(x, g) for x in range(n)})
+        for h in orbit:
+            class_of[h] = c
+        classes.append(tuple(orbit))
+        reps.append(g)
+    transport = [0] * n
+    for g in range(n):
+        gc = reps[class_of[g]]
+        for x in range(n):
+            if group.conjugate(x, gc) == g:
+                transport[g] = x
+                break
+    centralizers = tuple(
+        tuple(s for s in range(n) if group.mul(s, gc) == group.mul(gc, s))
+        for gc in reps)
+    return ClassData(classes=tuple(classes), reps=tuple(reps),
+                     class_of=tuple(class_of), transport=tuple(transport),
+                     centralizers=centralizers)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tubealg
 from tubealg.annular_bh import AnnularAlgebra
 from tubealg import annular_bh, phase, rep, splitting, staralg, tube_diag
 from tubealg.cli import main
@@ -107,6 +108,10 @@ def files(tmp_path):
                         ("nan", [[[float("nan"), 0.0]]])):
         write(f"rep_{name}.json", {"dimension": 1,
                                    "matrices": {"0": one, "1": image}})
+    # the semion representation with a dimension that int() would coerce
+    for name, dim in (("float", 1.7), ("string", "1"), ("bool", True)):
+        write(f"rep_dimension_{name}.json", {
+            "dimension": dim, "matrices": {"0": one, "1": [[[0.0, 1.0]]]}})
     tw = TubeAlgebra(z2.group, z2).block_algebra().twists[1]
     write("rep_regular.json", rep.rep_to_json(rep.regular_representation(
         rep.TwistedGroupAlgebra(tw))))
@@ -172,21 +177,23 @@ def test_unreadable_json_is_input_error(files, capsys, tmp_path, flag, content):
     assert report["status"] == "error" and "not valid JSON" in report["error"]
 
 
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing"])
 @pytest.mark.parametrize("flag", ["--group", "--cocycle", "--bh", "--rep"])
-def test_directory_input_is_input_error(files, capsys, tmp_path, flag):
-    # the path exists, so it is hashed before any handler runs
+def test_directory_input_is_input_error(files, capsys, tmp_path, flag,
+                                        missing):
+    # every input is hashed before any handler runs
+    path = str(tmp_path / "no_such.json" if missing else tmp_path)
     tube = ["--group", files["z2.json"], "--cocycle", files["semion.json"]]
-    argv = {"--group": ["verify-group", "--group", str(tmp_path)],
-            "--cocycle": ["verify-cocycle", *tube[:2], "--cocycle",
-                          str(tmp_path)],
-            "--bh": ["bh", "check", "--bh", str(tmp_path)],
-            "--rep": ["rep", "induce", *tube, "--rep", str(tmp_path)]}[flag]
+    argv = {"--group": ["verify-group", "--group", path],
+            "--cocycle": ["verify-cocycle", *tube[:2], "--cocycle", path],
+            "--bh": ["bh", "check", "--bh", path],
+            "--rep": ["rep", "induce", *tube, "--rep", path]}[flag]
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 2 and out.count("\n") == 1
     report = json.loads(out)
     assert report["status"] == "error"
-    assert report["error"].startswith(f"cannot read {tmp_path}: ")
+    assert report["error"].startswith(f"cannot read {path}: ")
 
 
 def test_bad_group_in_pipeline_is_input_error(files, capsys):
@@ -510,11 +517,14 @@ def test_non_normalized_cocycle_is_input_error(files, capsys, argv):
     assert "tubealg normalize" in report["error"]
 
 
-@pytest.mark.parametrize("rep_file", ["rep_missing.json", "rep_shape.json",
-                                      "rep_entry.json"])
+@pytest.mark.parametrize("rep_file", [
+    "rep_missing.json", "rep_shape.json", "rep_entry.json",
+    "rep_dimension_float.json", "rep_dimension_string.json",
+    "rep_dimension_bool.json"])
 def test_malformed_representation_is_input_error(files, capsys, rep_file):
     code, report = run(capsys, ["rep", "induce", "--group", files["z2.json"],
                                 "--cocycle", files["semion.json"],
+                                "--class-index", "1",
                                 "--rep", files[rep_file]])
     assert code == 2
     assert report["status"] == "error"
@@ -1097,6 +1107,12 @@ def test_package_and_exact_subcommands_never_import_dataclasses(files):
     runs = _child_runs(exact, ["dataclasses", "inspect"])
     assert runs == ([[step, []] for step in _PREAMBLE]
                     + [[a, 0, []] for a in exact])
+
+
+def test_every_public_name_resolves():
+    # a stale export entry fails here rather than on a user's first use
+    for name in tubealg.__all__:
+        assert getattr(tubealg, name) is not None, name
 
 
 # -- the contract under arbitrary JSON ------------------------------------------

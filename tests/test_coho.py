@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from tubealg import coho
-from tubealg.coho import (BHSetup, BHSetupError, gamma,
-                          gamma_identity_check, gamma_transport_check,
+from tubealg.coho import (BHSetup, BHSetupError, gamma, gamma_identity_check,
                           gauge_fix_bh, gl_relations_check, phi_a, phi_class)
 from tubealg.grp import (centralizer, conjugacy_data, cyclic_group,
                          subgroup_closure)
@@ -307,10 +306,6 @@ def test_phi_law_breaking_shift_verdicts_match_the_walk(name, monkeypatch):
             assert (phi(b, d) - phi(G.mul(c, b), d) + phi(c, G.mul(b, d))
                     - phi(c, b)) % phi.modulus
     assert broken or omega.modulus == 1
-
-
-def test_gamma_transport(small_fixture):
-    assert gamma_transport_check(small_fixture.group, small_fixture.omega).ok
 
 
 # -- two-subgroup setups -------------------------------------------------------

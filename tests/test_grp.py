@@ -360,3 +360,9 @@ def test_subgroup_closure_matches_the_two_sided_oracle(name):
         for b in group.elements():
             assert subgroup_closure(group, [a, b]) == \
                 group_oracle.subgroup_closure(group, [a, b])
+
+
+@pytest.mark.parametrize("name", list(_FIXTURES) + list(_MORE_GROUPS) + ["s5"])
+def test_conjugacy_data_matches_the_three_walk_oracle(name):
+    group = symmetric_group(5)[0] if name == "s5" else _fixture_group(name)
+    assert conjugacy_data(group) == group_oracle.conjugacy_data(group)
