@@ -12,9 +12,9 @@ block and the full algebra by induction and restriction.
 
 import numpy as np
 
-from tubealg import (TubeAlgebra, TwistedGroupAlgebra, center_dimension,
-                     decompose, induce, regular_representation, restrict,
-                     simple_count, standard_cyclic_cocycle, support_decompose)
+from tubealg import (TubeAlgebra, center_dimension, decompose, induce,
+                     regular_representation, restrict, simple_count,
+                     standard_cyclic_cocycle, support_decompose)
 from tubealg.rep import Representation
 
 omega = standard_cyclic_cocycle(2, 1)
@@ -35,8 +35,7 @@ print("regular representation splits into:",
 # The nonidentity class carries a twisted group algebra in which the
 # generator squares to -1; its regular representation splits into two
 # lines where the generator acts by the eigenvalues +i and -i.
-tw = alg.block_algebra().twists[1]
-talg = TwistedGroupAlgebra(tw)
+talg = alg.block_algebra().algebras[1]
 print("twisted center dimension:", center_dimension(talg))
 for z in sorted(np.linalg.eigvals(regular_representation(talg).matrices[1]),
                 key=lambda z: z.imag):
@@ -57,8 +56,8 @@ print("restriction returns the original matrices:",
 # Support decomposition: a direct sum of inductions from different
 # classes is cut apart by the corner projections at class
 # representatives.
-pieces = [induce(alg, c, regular_representation(TwistedGroupAlgebra(t)))
-          for c, t in enumerate(alg.block_algebra().twists)]
+pieces = [induce(alg, c, regular_representation(talg))
+          for c, talg in enumerate(alg.block_algebra().algebras)]
 dim = sum(p.dim for p in pieces)
 mats = {}
 for lab in alg.labels():

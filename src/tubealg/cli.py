@@ -259,11 +259,10 @@ def _cmd_rep(args) -> tuple[list, dict]:
         blocks, index = alg.block_algebra(), args.class_index or 0
         if not 0 <= index < len(blocks.index_sets):
             raise InputError(f"class index {index} out of range")
-        tw = blocks.twists[index]
-        talg = rep.TwistedGroupAlgebra(tw)
+        talg = blocks.algebras[index]
         if args.rep:
             pi = _load(args.rep, "representation",
-                       lambda obj: rep.rep_from_json(obj, list(tw.elements)),
+                       lambda obj: rep.rep_from_json(obj, list(talg.labels())),
                        {ValueError: "malformed representation: "})
         else:
             pi = rep.regular_representation(talg)

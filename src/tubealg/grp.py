@@ -58,10 +58,6 @@ class GroupTable:
         return "GroupTable(order={!r}, mult={!r}, inv={!r}, names={!r})".format(
             *self._fields())
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
 

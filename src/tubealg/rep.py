@@ -2,15 +2,15 @@
 
 :func:`decompose` reads the blocks of a tube-shaped algebra's regular
 representation off its block isomorphism, exactly: it loads
-:mod:`tubealg.splitting` when it runs, to split each class's twisted
-centralizer algebra over a prime field.  The regular representation
+:mod:`tubealg.splitting` when it runs, to split each class twist's
+twisted group algebra, held by the block sum, over a prime field.  The regular representation
 and induction are nested lists of ``complex``.  Induction and
 restriction read the block images the block-map check certifies
 (``block_images``).  numpy is loaded only to
 check float matrices (`rep induce --rep`) and by `restrict` and
 `support_decompose`.  Twisted group algebras, center dimensions and
 the wire key of a label live in :mod:`tubealg.staralg`, with the
-algebras they read.
+algebras they read; the first two are also importable from here.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ def decompose(alg, seed: int = 0) -> list:
 
     The block map is checked exhaustively first; it makes the algebra
     the sum over classes C of M_|I_C| tensor C^phi_C[C_G(g_C)], with
-    I_C the objects whose weight lies in C.  So each projective
-    irreducible of dimension d of a twisted centralizer algebra
+    I_C the objects whose weight lies in C and C^phi_C[C_G(g_C)] the
+    block sum's twisted group algebra of class C.  So each projective
+    irreducible of dimension d of that algebra
     (:func:`tubealg.splitting.projective_dimensions`) gives a block of
     dimension and multiplicity D = |I_C| d.  Two exact cross-checks
     follow: the blocks number :func:`center_dimension` of ``alg``, and
@@ -110,9 +111,9 @@ def decompose(alg, seed: int = 0) -> list:
                                  check=res.name, witness=res.witness)
     blocks_alg = alg.block_algebra()
     blocks, seeds = [], []
-    for c, (index_set, tw) in enumerate(zip(blocks_alg.index_sets,
-                                            blocks_alg.twists)):
-        dims = projective_dimensions(TwistedGroupAlgebra(tw), seed)
+    for c, (index_set, talg) in enumerate(zip(blocks_alg.index_sets,
+                                              blocks_alg.algebras)):
+        dims = projective_dimensions(talg, seed)
         seeds = max(seeds, dims.seeds, key=len)
         blocks += [IrreducibleBlock(len(index_set) * d, len(index_set) * d, c)
                    for d in dims]
@@ -184,8 +185,7 @@ def restrict(context, class_index: int, Pi: Representation) -> Representation:
     the label whose image sits there, times the conjugate image scalar.
     """
     import numpy as np
-    blocks = context.block_algebra()
-    tw = blocks.twists[class_index]
+    els = context.block_algebra().algebras[class_index].labels()
     P = Pi.matrices[context.support_projector_label(class_index)]
     Q = _range_basis(P)
     pivot = context.support_block_index(class_index)
@@ -193,11 +193,11 @@ def restrict(context, class_index: int, Pi: Representation) -> Representation:
                 for label, im in context.block_images.items()
                 if (im.class_index, im.row, im.col) == (class_index, pivot, pivot)}
     mats = {}
-    for v in tw.elements:
+    for v in els:
         scalar, label = preimage[v]
         M = Q.conj().T @ np.asarray(Pi.matrices[label], dtype=complex) @ Q
         mats[v] = (root(scalar, context.modulus) * M).tolist()
-    return Representation(labels=list(tw.elements), dim=Q.shape[1], matrices=mats)
+    return Representation(labels=list(els), dim=Q.shape[1], matrices=mats)
 
 
 class SupportDecomposition(NamedTuple):
@@ -270,6 +270,8 @@ def rep_from_json(obj: dict, labels: list) -> Representation:
         if key not in raw:
             raise KeyError(f"missing matrix for label {key}")
         M = [[complex(re, im) for re, im in row] for row in raw[key]]
+        if any(type(p) not in (int, float) for z in chain(*raw[key]) for p in z):
+            raise TypeError(f"matrix for {key} has a part that is not a number")
         if len(M) != d or any(len(row) != d for row in M):
             raise ValueError(f"matrix for {key} is not {d} x {d}")
         mats[label] = M

@@ -20,7 +20,9 @@ The tube algebra has the objects g in G with weight g, and writes
 Each such algebra is isomorphic, as a *-algebra, to a direct sum over
 conjugacy classes C of (matrices indexed by the objects of weight in C)
 tensor (the group algebra of the centralizer of the class
-representative, twisted by the derived 2-cocycle).  ``phi_iso`` realizes
+representative, twisted by the derived 2-cocycle).  ``block_algebra``
+holds that sum with each class twist's :class:`TwistedGroupAlgebra`,
+built, and its 2-cocycle law walked, once.  ``phi_iso`` realizes
 the isomorphism on basis elements, with the transport cochain supplying
 the scalar, and ``block_images`` holds its image of every basis
 element; ``check_block_map`` checks multiplicativity and
@@ -28,7 +30,7 @@ element; ``check_block_map`` checks multiplicativity and
 ``verify_star_iso`` runs it on the tube algebra.  Induction and
 restriction in :mod:`tubealg.rep` read that certified table.  With the
 class twists' 2-cocycle laws it certifies associativity; triples are
-walked on failure.
+walked when it fails.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coho import gamma, phi_class, phi_class_plain_conjugate
 from .grp import ClassData, GroupTable, conjugacy_data
-from .phase import (CheckResult, Cocycle2, Cocycle3, CocycleError,
-                    is_normalized, phase_str)
+from .phase import (CheckResult, Cocycle3, CocycleError, is_normalized,
+                    phase_str)
 from .staralg import MonomialStarAlgebra, TwistedGroupAlgebra, center_dimension
 
 
@@ -147,19 +149,20 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         twist under which the block map is multiplicative;
         ``plain-conjugate`` uses the pointwise conjugate of phi_{g_C}.
         The index set of class C is the objects whose weight lies in C,
-        in object order.
+        in object order.  Each class twist's algebra walks its 2-cocycle
+        law here, once; a failing twist raises CocycleError, its triple as
+        witness.
         """
         if convention not in self._blocks:
-            cd = self.class_data
+            cd, G, w = self.class_data, self.group, self.omega
             builder = {"op-inverse": phi_class,
                        "plain-conjugate": phi_class_plain_conjugate}[convention]
-            twists = [builder(self.group, self.omega, cd, c)
-                      for c in range(cd.num_classes())]
+            algebras = [TwistedGroupAlgebra(builder(G, w, cd, c))
+                        for c in range(cd.num_classes())]
             index_sets: list[list] = [[] for _ in cd.classes]
             for x in self.objects:
                 index_sets[cd.class_of[self._weight[x]]].append(x)
-            self._blocks[convention] = BlockAlgebra(
-                self.group, cd, index_sets, twists)
+            self._blocks[convention] = BlockAlgebra(cd, index_sets, algebras)
         return self._blocks[convention]
 
     def phi_iso(self, label) -> BlockImage:
@@ -191,26 +194,21 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
 
     def check_associativity(self) -> CheckResult:
         """Associativity: a passing block map is an injective homomorphism
-        into the block sum, associative when every class twist passes the
-        2-cocycle law :class:`TwistedGroupAlgebra` checks, so (c b) a and
-        c (b a) have one image; the composable triples then number the
-        block sum's, sum over C of |I_C|^4 |C_G(g_C)|^3.  Else every
-        composable triple is walked."""
+        into the block sum, whose class twists' twisted group algebras
+        passed their 2-cocycle laws when :meth:`block_algebra` built them,
+        so (c b) a and c (b a) have one image; the composable triples then
+        number the block sum's, sum over C of |I_C|^4 |C_G(g_C)|^3.  Else
+        every composable triple is walked."""
         iso = self.check_block_map()
-        if iso.ok:
-            blocks = self.block_algebra()
-            try:
-                laws = sum(TwistedGroupAlgebra(tw).dimension ** 3
-                           for tw in blocks.twists)
-            except ValueError:  # a class twist fails its 2-cocycle law
-                pass
-            else:
-                triples = sum(len(idx) ** 4 * len(tw.elements) ** 3 for idx, tw
-                              in zip(blocks.index_sets, blocks.twists))
-                return CheckResult(True, "associativity", detail=(
-                    f"certified {triples} by block map {iso.detail}, "
-                    f"class twists exhaustive {laws}"))
-        return super().check_associativity()
+        if not iso.ok:
+            return super().check_associativity()
+        blocks = self.block_algebra()
+        laws = sum(alg.dimension ** 3 for alg in blocks.algebras)
+        triples = sum(len(idx) ** 4 * alg.dimension ** 3 for idx, alg
+                      in zip(blocks.index_sets, blocks.algebras))
+        return CheckResult(True, "associativity", detail=(
+            f"certified {triples} by block map {iso.detail}, "
+            f"class twists exhaustive {laws}"))
 
     def support_block_index(self, c: int):
         """The least object whose weight is the representative of class c."""
@@ -234,8 +232,8 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                 return CheckResult(False, "phi-mult", (b, a))
         # phi is a bijection of bases, so the nonzero products map onto
         # the nonzero block products (units chain) when there are as many
-        if len(products) != sum(len(idx) ** 3 * len(tw.elements) ** 2 for
-                                idx, tw in zip(blocks.index_sets, blocks.twists)):
+        if len(products) != sum(len(idx) ** 3 * alg.dimension ** 2 for idx, alg
+                                in zip(blocks.index_sets, blocks.algebras)):
             b, a = next((b, a) for b in labels for a in labels
                         if (b, a) not in products
                         and blocks.mult(images[b], images[a]) is not None)
@@ -278,34 +276,33 @@ class TubeAlgebra(TubeShapedAlgebra):
         return TubeBasisElement(g1, s, g2)
 
 
-class BlockAlgebra:
-    """Direct sum over classes of matrix units tensor a twisted group algebra."""
+class BlockAlgebra(NamedTuple):
+    """Direct sum over classes C of matrix units on ``index_sets[C]``
+    tensor ``algebras[C]``, the twisted group algebra of class C's twist;
+    products and stars read that algebra's tables."""
 
-    def __init__(self, group: GroupTable, class_data: ClassData,
-                 index_sets: list[list], twists: list[Cocycle2]):
-        self.group = group
-        self.class_data = class_data
-        self.index_sets = index_sets
-        self.twists = twists
+    class_data: ClassData
+    index_sets: list[list]
+    algebras: list[TwistedGroupAlgebra]
 
     def mult(self, x: BlockImage, y: BlockImage) -> Optional[BlockImage]:
         """x . y, with y acting first; zero unless the matrix units chain."""
         if x.class_index != y.class_index or x.col != y.row:
             return None
-        tw = self.twists[x.class_index]
-        scalar = (x.scalar + y.scalar + tw(x.element, y.element)) % tw.modulus
-        return BlockImage(x.class_index, scalar, x.row, y.col,
-                          self.group.mul(x.element, y.element))
+        alg = self.algebras[x.class_index]
+        ph, v = alg.products[(x.element, y.element)]
+        return BlockImage(x.class_index, (x.scalar + y.scalar + ph) % alg.modulus,
+                          x.row, y.col, v)
 
     def star(self, x: BlockImage) -> BlockImage:
-        tw = self.twists[x.class_index]
-        vi = self.group.inverse(x.element)
-        scalar = -(x.scalar + tw(vi, x.element)) % tw.modulus
-        return BlockImage(x.class_index, scalar, x.col, x.row, vi)
+        alg = self.algebras[x.class_index]
+        ph, v = alg.stars[x.element]
+        return BlockImage(x.class_index, (ph - x.scalar) % alg.modulus,
+                          x.col, x.row, v)
 
     def total_dimension(self) -> int:
-        return sum(len(idx) ** 2 * len(tw.elements)
-                   for idx, tw in zip(self.index_sets, self.twists))
+        return sum(len(idx) ** 2 * alg.dimension
+                   for idx, alg in zip(self.index_sets, self.algebras))
 
 
 def verify_star_iso(alg: TubeAlgebra) -> CheckResult:
@@ -321,15 +318,15 @@ class SimpleCount(NamedTuple):
 def simple_count(alg: TubeShapedAlgebra) -> SimpleCount:
     """Number of irreducible representations, summed over class blocks.
 
-    Counts the exact center dimension of each twisted centralizer
-    algebra of the ``op-inverse`` blocks.  :func:`tubealg.rep.decompose`
+    Counts the exact center dimension of each class twist's algebra in
+    the ``op-inverse`` block sum.  :func:`tubealg.rep.decompose`
     counts the same simples from the projective irreducible dimensions
     of those algebras and checks its count against the center of the
     whole algebra.
     """
     blocks = alg.block_algebra()
-    per = {blocks.class_data.reps[c]: center_dimension(TwistedGroupAlgebra(tw))
-           for c, tw in enumerate(blocks.twists)}
+    per = {blocks.class_data.reps[c]: center_dimension(talg)
+           for c, talg in enumerate(blocks.algebras)}
     return SimpleCount(per_class=per, total=sum(per.values()))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import pytest
 
@@ -138,11 +139,14 @@ def bh_z1() -> BHSetup:
 
 
 def corrupt_last_twist(monkeypatch) -> None:
-    """Flip the sign of one value of the last class's block twist.
+    """Multiply the last class's block twist by the coboundary d1(c) of
+    the 1-cochain c that is 1 on the last element of its subgroup.
 
-    Every block algebra is built through ``tube_diag.phi_class``, so
-    this reaches the tube and the annular block maps alike.  The twist's
-    modulus must be even, so that -1 is one of its phases.
+    The product still passes the 2-cocycle law, so it reaches the block
+    map, whose images it no longer multiplies.  Every block algebra is
+    built through ``tube_diag.phi_class``, so this reaches the tube and
+    the annular block maps alike.  d1(c) must be nonzero mod the twist's
+    modulus.
     """
     from tubealg import tube_diag
     from tubealg.phase import Cocycle2
@@ -153,10 +157,13 @@ def corrupt_last_twist(monkeypatch) -> None:
         tw = original(group, omega, class_data, c)
         if c != class_data.num_classes() - 1:
             return tw
-        assert tw.modulus % 2 == 0
-        values = list(tw.values)
-        values[-1] += tw.modulus // 2
-        return Cocycle2(group, tw.elements, values, tw.modulus)
+        last = tw.elements[-1]
+        c1 = {g: int(g == last) for g in tw.elements}
+        d1 = [c1[g] + c1[h] - c1[group.mul(g, h)]
+              for g, h in product(tw.elements, repeat=2)]
+        assert any(v % tw.modulus for v in d1)
+        return Cocycle2(group, tw.elements,
+                        [v + d for v, d in zip(tw.values, d1)], tw.modulus)
 
     monkeypatch.setattr(tube_diag, "phi_class", corrupted)
 

@@ -21,8 +21,8 @@ from tubealg.phase import (Cocycle3, coboundary2, cocycle3_check,
                            inflate_cocycle, is_normalized,
                            product_type_cocycle, restrict_trivial_on,
                            standard_cyclic_cocycle, trivial_cocycle)
-from tubealg.rep import (TwistedGroupAlgebra, induce, regular_representation,
-                         restrict, support_decompose)
+from tubealg.rep import (induce, regular_representation, restrict,
+                         support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count, verify_star_iso
 
 from cocycle2_oracle import cocycle2_check
@@ -136,8 +136,7 @@ def test_criterion_06_simple_counts():
         blocks = regular_split(alg, seed=0, tol=1e-9)
         assert len(blocks) == expected
     sem_alg = TubeAlgebra(semion.group, semion)
-    for tw in sem_alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(tw)
+    for talg in sem_alg.block_algebra().algebras:
         assert all(b.dimension == 1 for b in regular_split(talg, seed=0))
     _report(6, True, "8 / 4 / 9, center dims agree with regular splitting")
 
@@ -147,12 +146,11 @@ def test_criterion_07_induction_roundtrips():
     alg = TubeAlgebra(semion.group, semion)
     blocks = alg.block_algebra()
     reps = []
-    for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(tw)
+    for c, talg in enumerate(blocks.algebras):
         pi = regular_representation(talg)
         Pi = induce(alg, c, pi)
         back = restrict(alg, c, Pi)
-        for v in tw.elements:
+        for v in talg.labels():
             assert np.array_equal(back.matrices[v], pi.matrices[v])
         again = induce(alg, c, back)
         for lab in alg.labels():

@@ -30,10 +30,9 @@ def _algebras():
     out.append(("tube-d8_sign", lambda: TubeAlgebra(*dihedral8_sign())))
     for name, (G, omega) in tubes.items():
         for conv in ("op-inverse", "plain-conjugate"):
-            twists = TubeAlgebra(G, omega).block_algebra(conv).twists
-            out += [(f"block-{name}-{conv}-{c}",
-                     lambda tw=tw: TwistedGroupAlgebra(tw))
-                    for c, tw in enumerate(twists)]
+            algebras = TubeAlgebra(G, omega).block_algebra(conv).algebras
+            out += [(f"block-{name}-{conv}-{c}", lambda talg=talg: talg)
+                    for c, talg in enumerate(algebras)]
     for name, setup in _SETUPS.items():
         out.append((f"annular-{name}", lambda s=setup: AnnularAlgebra(s())))
         out.append((f"cutdown-{name}",
@@ -94,8 +93,7 @@ def test_center_dimension_drops_non_regular_classes():
     tube = TubeAlgebra(G, omega)
     assert center_dimension(tube) == center_dimension_oracle(tube) \
         == simple_count(tube).total == 8 + 7 * 2
-    for tw in tube.block_algebra().twists:
-        block = TwistedGroupAlgebra(tw)
+    for block in tube.block_algebra().algebras:
         assert center_dimension(block) == center_dimension_oracle(block)
 
 

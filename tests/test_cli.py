@@ -112,9 +112,12 @@ def files(tmp_path):
     for name, dim in (("float", 1.7), ("string", "1"), ("bool", True)):
         write(f"rep_dimension_{name}.json", {
             "dimension": dim, "matrices": {"0": one, "1": [[[0.0, 1.0]]]}})
-    tw = TubeAlgebra(z2.group, z2).block_algebra().twists[1]
+    # the same with JSON booleans for the entries' parts, which complex()
+    # would take as 1 and 0
+    write("rep_matrix_bool.json", {"dimension": 1, "matrices": {
+        "0": [[[True, False]]], "1": [[[False, True]]]}})
     write("rep_regular.json", rep.rep_to_json(rep.regular_representation(
-        rep.TwistedGroupAlgebra(tw))))
+        TubeAlgebra(z2.group, z2).block_algebra().algebras[1])))
     return out
 
 
@@ -520,7 +523,7 @@ def test_non_normalized_cocycle_is_input_error(files, capsys, argv):
 @pytest.mark.parametrize("rep_file", [
     "rep_missing.json", "rep_shape.json", "rep_entry.json",
     "rep_dimension_float.json", "rep_dimension_string.json",
-    "rep_dimension_bool.json"])
+    "rep_dimension_bool.json", "rep_matrix_bool.json"])
 def test_malformed_representation_is_input_error(files, capsys, rep_file):
     code, report = run(capsys, ["rep", "induce", "--group", files["z2.json"],
                                 "--cocycle", files["semion.json"],
@@ -697,16 +700,19 @@ def _count_walks(monkeypatch) -> tuple[list, list]:
     return walks, triples
 
 
-def test_rep_induce_walks_its_twist_once(files, capsys, monkeypatch):
-    # the twisted algebra's constructor walks the 4^3 triples of class 1's
-    # law; the exact representation check reuses that result
+def test_rep_induce_walks_each_class_twist_once(files, capsys, monkeypatch):
+    # the block map reads every class's twisted algebra, so the block sum
+    # walks the 5 class twists' laws, 8^3 + 8^3 + 3 * 4^3 = 1216 triples,
+    # once each; the exact representation check of class 1 reuses its
+    # algebra's result
     walks, triples = _count_walks(monkeypatch)
     code, report = run(capsys, ["rep", "induce", "--group", files["d8.json"],
                                 "--cocycle", files["d8_sign.json"],
                                 "--class-index", "1"])
     assert code == 0
-    assert [type(alg) for alg in walks] == [rep.TwistedGroupAlgebra]
-    assert len(triples) == 64
+    assert {type(alg) for alg in walks} == {rep.TwistedGroupAlgebra}
+    assert len(walks) == 5 and len(triples) == 1216
+    assert len({id(alg.twist) for alg in walks}) == 5
 
 
 def test_tube_check_walks_only_the_class_twists(files, capsys, monkeypatch):
@@ -1120,14 +1126,13 @@ def test_every_public_name_resolves():
 
 def _fuzz_payloads() -> dict:
     z2 = standard_cyclic_cocycle(2, 1)
-    tw = TubeAlgebra(z2.group, z2).block_algebra().twists[1]
+    talg = TubeAlgebra(z2.group, z2).block_algebra().algebras[1]
     return {"group": group_to_json(z2.group),
             "cocycle": cocycle_to_json(z2),
             "bh": {"group": {"type": "perm", "degree": 2, "generators": [[1, 0]]},
                    "H": [0, 1], "K": [0],
                    "cocycle": cocycle_to_json(trivial_cocycle(z2.group))},
-            "rep": rep.rep_to_json(rep.regular_representation(
-                rep.TwistedGroupAlgebra(tw)))}
+            "rep": rep.rep_to_json(rep.regular_representation(talg))}
 
 
 _FUZZ_PAYLOADS = _fuzz_payloads()

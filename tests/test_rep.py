@@ -63,8 +63,8 @@ def _twists() -> list:
     for name, (G, omega) in tubes.items():
         alg = TubeAlgebra(G, omega)
         for conv in ("op-inverse", "plain-conjugate"):
-            out += [(f"class-{name}-{conv}-{c}", tw)
-                    for c, tw in enumerate(alg.block_algebra(conv).twists)]
+            out += [(f"class-{name}-{conv}-{c}", talg.twist) for c, talg
+                    in enumerate(alg.block_algebra(conv).algebras)]
     for name, setup in (("s3", bh_setup_s3), ("v4", bh_setup_v4),
                         ("z2z4", bh_setup_z2z4), ("z1", bh_setup_z1)):
         s = setup()
@@ -121,9 +121,9 @@ def test_center_dimension_is_invariant_under_modulus_scaling():
     omega3 = Cocycle3(G, [3 * v for v in omega.values], 3 * omega.modulus)
     assert center_dimension(TubeAlgebra(G, omega3)) \
         == center_dimension(TubeAlgebra(G, omega)) == 22
-    for tw in TubeAlgebra(G, omega).block_algebra().twists:
-        assert center_dimension(TwistedGroupAlgebra(scaled(tw))) \
-            == center_dimension(TwistedGroupAlgebra(tw))
+    for talg in TubeAlgebra(G, omega).block_algebra().algebras:
+        assert center_dimension(TwistedGroupAlgebra(scaled(talg.twist))) \
+            == center_dimension(talg)
 
 
 def test_decompose_twisted_z2_blocks():
@@ -181,8 +181,7 @@ def test_decompose_failure_names_every_seed(monkeypatch):
 def test_block_dimension_sum_rule(small_fixture):
     # sum of squared irreducible dimensions fills each twisted algebra
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
-    for tw in alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(tw)
+    for talg in alg.block_algebra().algebras:
         blocks = regular_split(talg, seed=4)
         assert sum(b.dimension ** 2 for b in blocks) == talg.dimension
         assert all(b.multiplicity == b.dimension for b in blocks)
@@ -198,8 +197,7 @@ def test_center_count_matches_regular_decomposition(small_fixture):
 
 def test_regular_representation_is_star_rep(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
-    for tw in alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(tw)
+    for talg in alg.block_algebra().algebras:
         reg = regular_representation(talg)
         assert reg.check(talg).ok
 
@@ -207,19 +205,16 @@ def test_regular_representation_is_star_rep(small_fixture):
 def _semion_context():
     omega = standard_cyclic_cocycle(2, 1)
     alg = TubeAlgebra(omega.group, omega)
-    tw = alg.block_algebra().twists[1]
-    talg = TwistedGroupAlgebra(tw)
-    return alg, talg
+    return alg, alg.block_algebra().algebras[1]
 
 
 def test_induce_trivial_class():
     s3, _ = symmetric_group(3)
     alg = TubeAlgebra(s3, trivial_cocycle(s3))
-    tw = alg.block_algebra().twists[0]
-    talg = TwistedGroupAlgebra(tw)
-    pi = Representation(labels=list(tw.elements), dim=1,
+    talg = alg.block_algebra().algebras[0]
+    pi = Representation(labels=list(talg.labels()), dim=1,
                         matrices={v: np.eye(1, dtype=complex)
-                                  for v in tw.elements})
+                                  for v in talg.labels()})
     assert pi.check(talg).ok
     Pi = induce(alg, 0, pi)
     assert Pi.dim == 1  # the identity class is a singleton
@@ -240,8 +235,7 @@ def test_induce_semion_one_dimensional():
 def _induce_certified(alg, c):
     """The regular induction of class ``c``, once the exact certificate
     (the exact check of pi and the block-map check) has accepted it."""
-    tw = alg.block_algebra().twists[c]
-    talg = TwistedGroupAlgebra(tw)
+    talg = alg.block_algebra().algebras[c]
     pi = regular_representation(talg)
     res = pi.check(talg)
     assert res.ok and res.detail.startswith("exact: ")
@@ -253,7 +247,7 @@ def test_induce_regular_has_product_dimension(small_fixture):
     # the numerical check passes on what the exact certificate accepts
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     blocks = alg.block_algebra()
-    for c in range(len(blocks.twists)):
+    for c in range(len(blocks.algebras)):
         talg, Pi = _induce_certified(alg, c)
         assert Pi.dim == len(blocks.index_sets[c]) * talg.dimension
         assert Pi.check(alg).ok
@@ -265,7 +259,7 @@ def test_exact_certificate_implies_numerical_check(context):
     from conftest import bh_setup_s3
     alg = TubeAlgebra(*dihedral8_sign()) if context == "d8_sign" \
         else AnnularAlgebra(bh_setup_s3())
-    for c in range(len(alg.block_algebra().twists)):
+    for c in range(len(alg.block_algebra().algebras)):
         _, Pi = _induce_certified(alg, c)
         res = Pi.check(alg)
         assert res.ok and res.detail.startswith("tol 1e-09, ")
@@ -283,12 +277,11 @@ def test_matrices_are_nested_lists_of_complex():
 def test_restrict_after_induce_is_exact(small_fixture):
     alg = TubeAlgebra(small_fixture.group, small_fixture.omega)
     blocks = alg.block_algebra()
-    for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(tw)
+    for c, talg in enumerate(blocks.algebras):
         pi = regular_representation(talg)
         back = restrict(alg, c, induce(alg, c, pi))
         assert back.dim == pi.dim
-        for v in tw.elements:
+        for v in talg.labels():
             assert np.array_equal(back.matrices[v], pi.matrices[v])
 
 
@@ -327,8 +320,7 @@ def test_support_decompose_two_inductions():
     alg, _ = _semion_context()
     blocks = alg.block_algebra()
     reps = []
-    for c, tw in enumerate(blocks.twists):
-        talg = TwistedGroupAlgebra(tw)
+    for c, talg in enumerate(blocks.algebras):
         reps.append(induce(alg, c, regular_representation(talg)))
     S = _direct_sum(alg, reps)
     sd = support_decompose(alg, S)
@@ -351,13 +343,11 @@ def test_induce_restrict_annular_context():
     alg = AnnularAlgebra(bh_setup_s3())
     blocks = alg.block_algebra()
     c = 1
-    tw = blocks.twists[c]
-    talg = TwistedGroupAlgebra(tw)
-    pi = regular_representation(talg)
+    pi = regular_representation(blocks.algebras[c])
     Pi = induce(alg, c, pi)
     assert Pi.dim == len(blocks.index_sets[c]) * pi.dim
     back = restrict(alg, c, Pi)
-    for v in tw.elements:
+    for v in pi.labels:
         assert np.array_equal(back.matrices[v], pi.matrices[v])
 
 

@@ -259,7 +259,7 @@ def test_decompose_names_each_block_class():
     blocks = alg.block_algebra()
     got = sorted((b.class_index, b.dimension) for b in rep.decompose(alg))
     want = sorted((c, len(blocks.index_sets[c]) * d)
-                  for c in range(len(blocks.twists))
+                  for c in range(len(blocks.algebras))
                   for d in projective_dimensions(_block(*_s4_sign(), c)))
     assert got == want and len(got) == 21
 

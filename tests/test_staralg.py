@@ -12,7 +12,7 @@ from tubealg.annular_bh import AnnularAlgebra, CutdownAlgebra
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data
 from tubealg.rep import TwistedGroupAlgebra
-from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
+from tubealg.tube_diag import BlockAlgebra, TubeAlgebra, TubeShapedAlgebra
 
 from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
                       bh_setup_z1, dihedral8_sign)
@@ -140,7 +140,7 @@ def test_one_product_path():
     # structure constants are read through the tables only, and phases
     # become complex numbers only in rep's numerical half
     callers = _callers(("mult_basis", "star_basis", "root", "phi_iso",
-                        "gamma"))
+                        "gamma", "TwistedGroupAlgebra"))
     assert callers["mult_basis"] == {"staralg.MonomialStarAlgebra.products"}
     assert callers["star_basis"] == {"staralg.MonomialStarAlgebra.stars"}
     assert callers["root"] and \
@@ -152,6 +152,14 @@ def test_one_product_path():
     # certificate
     assert callers["gamma"] == {"tube_diag.TubeShapedAlgebra.phi_iso",
                                 "coho._gamma_identity_holds"}
+    # a class twist's algebra is built once, by the block sum; the other
+    # two build the weight-endomorphism and transport-identity twists'
+    assert callers["TwistedGroupAlgebra"] == {
+        "tube_diag.TubeShapedAlgebra.block_algebra", "annular_bh.tube_cutdown",
+        "coho.gamma_identity_check"}
+    # and the block sum multiplies through those algebras' tables alone
+    assert BlockAlgebra._fields == ("class_data", "index_sets", "algebras")
+    assert not any(hasattr(BlockAlgebra, a) for a in ("twists", "group"))
     # a twist's 2-cocycle law is its twisted group algebra's associativity
     assert not hasattr(phase, "cocycle2_check")
     assert not hasattr(staralg, "Element")

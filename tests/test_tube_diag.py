@@ -6,12 +6,13 @@ import pytest
 
 from tubealg import tube_diag
 from tubealg.coho import gamma
-from tubealg.phase import root, standard_cyclic_cocycle, trivial_cocycle
+from tubealg.phase import (Cocycle2, CocycleError, root,
+                           standard_cyclic_cocycle, trivial_cocycle)
 from tubealg.tube_diag import (TubeAlgebra, TubeBasisElement, simple_count,
                                structure_constants_json, verify_star_iso)
-from tubealg.rep import TwistedGroupAlgebra
 from tubealg.staralg import MonomialStarAlgebra
 
+from cocycle2_oracle import cocycle2_check
 from conftest import corrupt_last_twist, dihedral8_sign, symmetric_group
 from regular_split_oracle import regular_split
 
@@ -123,7 +124,7 @@ def test_associativity_detail_states_coverage():
 def test_associativity_takes_no_bound():
     # no bound, no samples, no seed: the certificate covers every triple
     alg = TubeAlgebra(*dihedral8_sign())
-    talg = TwistedGroupAlgebra(alg.block_algebra().twists[0])
+    talg = alg.block_algebra().algebras[0]
     for kwargs in ({"exhaustive_limit": 0}, {"samples": 100}, {"seed": 3}):
         for a in (alg, talg):
             with pytest.raises(TypeError):
@@ -143,14 +144,34 @@ def test_associativity_certified_and_walked_z4():
     assert res.ok and res.detail == "exhaustive 256"
 
 
-def test_associativity_walks_when_a_class_twist_fails(monkeypatch):
-    # a class twist that fails its 2-cocycle law voids the certificate
-    def failing(twist):
-        raise ValueError("twist fails associativity")
+def test_block_sum_rejects_a_class_twist_that_fails_its_law(monkeypatch):
+    # a class twist that fails its 2-cocycle law never reaches the block
+    # map or the certificate: building the block sum raises, naming a
+    # triple at which the law fails
+    original, broken = tube_diag.phi_class, []
 
-    monkeypatch.setattr(tube_diag, "TwistedGroupAlgebra", failing)
-    res = TubeAlgebra(*dihedral8_sign()).check_associativity()
-    assert res.ok and res.detail == "exhaustive 4096"
+    def flipped(group, omega, class_data, c):
+        tw = original(group, omega, class_data, c)
+        if c != class_data.num_classes() - 1:
+            return tw
+        values = list(tw.values)
+        values[-1] += tw.modulus // 2
+        broken.append(Cocycle2(group, tw.elements, values, tw.modulus))
+        return broken[-1]
+
+    monkeypatch.setattr(tube_diag, "phi_class", flipped)
+    alg = TubeAlgebra(*dihedral8_sign())
+    with pytest.raises(CocycleError, match="twist fails associativity at "
+                                           "triple") as exc:
+        alg.block_algebra()
+    [tw] = broken
+    assert not cocycle2_check(tw).ok
+    x, y, z = exc.value.witness
+    G = tw.group
+    assert (tw(x, y) + tw(G.mul(x, y), z) - tw(y, z) - tw(x, G.mul(y, z))) \
+        % tw.modulus
+    with pytest.raises(CocycleError):
+        alg.check_associativity()
 
 
 def test_associativity_falls_back_to_the_walk_on_late_triples():
@@ -247,7 +268,7 @@ def test_phi_iso_roundtrip(small_fixture):
     assert len(positions) == len(alg.labels()) == blocks.total_dimension()
     for (c, row, col, v) in positions:
         idx = blocks.index_sets[c]
-        assert row in idx and col in idx and v in blocks.twists[c].elements
+        assert row in idx and col in idx and v in blocks.algebras[c].labels()
 
 
 def test_star_iso_fixtures(small_fixture):
@@ -284,8 +305,7 @@ def test_simple_count_trivial_group():
 def test_semion_blocks_all_one_dimensional():
     sem = standard_cyclic_cocycle(2, 1)
     alg = TubeAlgebra(sem.group, sem)
-    for tw in alg.block_algebra().twists:
-        talg = TwistedGroupAlgebra(tw)
+    for talg in alg.block_algebra().algebras:
         assert all(b.dimension == 1 for b in regular_split(talg))
 
 
