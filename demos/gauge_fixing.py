@@ -27,9 +27,10 @@ print("setup valid: H, K generate, cocycle trivial on H^3 and K^3")
 res = gl_relations_check(G, H, K, omega)
 print(f"raw cocycle gauge relations: {res.name} fails at {res.witness}")
 
-# The fix chooses a representative in every orbit of two explicit
-# involutions on G x G and reads the correcting 2-cochain off the
-# cocycle at those representatives.
+# The fix walks the relations once: each pairs two points of G x G,
+# (g, l) with (gl, l^-1) or (l, g) with (l^-1, lg), and the correcting
+# 2-cochain takes the relation's value, w(g, l, l^-1) or the inverse of
+# w(l^-1, l, g), on one point of its pair.
 omega_prime, f = gauge_fix_bh(setup)
 print("after fixing:")
 print("  still a cocycle:", cocycle3_check(omega_prime).ok)

@@ -20,10 +20,10 @@ it over a generating set of a groupoid (:func:`gamma_identity_check`).
 
 The second half implements a gauge fix for a group generated by two
 subgroups H and K: given a normalized cocycle that is trivial on H^3 and
-on K^3, a coboundary is constructed (by choosing representatives of
-explicit orbits in G x G) so that the corrected cocycle additionally
-kills every triple of the shapes (g, l, l^-1) and (l^-1, l, g) for
-l in H or K.
+on K^3, one walk over the l in H or K and the g outside l's subgroup
+puts each relation's value on one point of its orbit pair in G x G, so
+that the coboundary of the resulting 2-cochain corrects the cocycle to
+kill every triple of the shapes (g, l, l^-1) and (l^-1, l, g).
 """
 
 from __future__ import annotations
@@ -197,89 +197,53 @@ def bh_setup_from_json(obj: dict) -> BHSetup:
     return BHSetup(group=group, H=H, K=K, omega=omega)
 
 
-def _hat(G: GroupTable, p: tuple[int, int]) -> tuple[int, int]:
-    return (G.mul(p[0], p[1]), G.inverse(p[1]))
-
-
-def _check(G: GroupTable, p: tuple[int, int]) -> tuple[int, int]:
-    return (G.inverse(p[0]), G.mul(p[0], p[1]))
-
-
 def gauge_fix_bh(setup: BHSetup) -> tuple[Cocycle3, tuple[int, ...]]:
     """Correct the cocycle by a coboundary so the (g, l, l^-1) values die.
 
     Returns ``(w', f)`` with ``w' = d2(f) * w``; ``f`` is a table of
-    phases mod the modulus of ``w``.  The 2-cochain ``f`` is
-    1 off two explicit representative sets A and V: A picks one point
-    from each orbit of (g1, g2) -> (g1 g2, g2^-1) inside the region
-    where g2 lies in H (or K) minus the identity and g1 outside H (or
-    K); V does the same for (g1, g2) -> (g1^-1, g1 g2) in the mirrored
-    region.  Orbits meeting both regions get the representative pushed
-    off the overlap; free orbits use the lexicographically smaller pair.
+    phases mod the modulus of ``w``.  One walk over L in (H, K), l in L
+    minus the identity and g outside L meets each relation as an orbit
+    pair of points of G x G, with the value the pair must carry::
+
+        (g, l) <-> (g l, l^-1)     w(g, l, l^-1)
+        (l, g) <-> (l^-1, l g)     w(l^-1, l, g)^-1
+
+    because d2(f) multiplies the first triple by f(g, l)^-1 f(gl, l^-1)^-1
+    and the second by f(l, g) f(l^-1, lg).  The value goes on the smaller
+    point of its pair, or on the other one when the smaller point is
+    shared: it lies in (K-H) x (H-K) or (H-K) x (K-H), where the two
+    families meet, and the other point of its pair never does.  So no
+    point gets two values, and ``f`` is 1 off the chosen points.
     """
     setup.validate()
-    G = setup.group
-    n = G.order
+    G, w = setup.group, setup.omega
+    n, N = G.order, w.modulus
     Hs, Ks = set(setup.H), set(setup.K)
+    HmK, KmH = Hs - Ks, Ks - Hs
 
-    def in_AH(p):
-        return p[0] not in Hs and p[1] in Hs and p[1] != 0
+    def shared(p):
+        return (p[0] in KmH and p[1] in HmK) or (p[0] in HmK and p[1] in KmH)
 
-    def in_AK(p):
-        return p[0] not in Ks and p[1] in Ks and p[1] != 0
+    f: dict[tuple[int, int], int] = {}
+    for L in (Hs, Ks):
+        for l, g in product(L - {0}, range(n)):
+            if g in L:
+                continue
+            li, gl, lg = G.inverse(l), G.mul(g, l), G.mul(l, g)
+            right, left = w(g, l, li), w(li, l, g)
+            assert right == w(gl, li, l)
+            assert left == w(l, li, lg)
+            for p, q, val in (((g, l), (gl, li), right),
+                              ((l, g), (li, lg), -left % N)):
+                at = max(p, q) if shared(min(p, q)) else min(p, q)
+                assert f.get(at, val) == val, "a point is given two values"
+                f[at] = val
 
-    def in_VH(p):
-        return p[0] in Hs and p[0] != 0 and p[1] not in Hs
-
-    def in_VK(p):
-        return p[0] in Ks and p[0] != 0 and p[1] not in Ks
-
-    def in_overlap(p):
-        # (K\H) x (H\K) together with (H\K) x (K\H)
-        return (in_AH(p) and in_VK(p)) or (in_AK(p) and in_VH(p))
-
-    def representatives(in_region, move) -> set[tuple[int, int]]:
-        """One pair from each orbit of the involution ``move`` meeting
-        the region, pushed off the overlap when the orbit touches it."""
-        reps: set[tuple[int, int]] = set()
-        seen: set[tuple[int, int]] = set()
-        for g1 in range(n):
-            for g2 in range(n):
-                p = (g1, g2)
-                if p in seen or not in_region(p):
-                    continue
-                q = move(G, p)
-                seen.add(p)
-                seen.add(q)
-                if in_overlap(p):
-                    reps.add(q)
-                elif in_overlap(q):
-                    reps.add(p)
-                else:
-                    reps.add(min(p, q))
-        return reps
-
-    A = representatives(lambda p: in_AH(p) or in_AK(p), _hat)
-    V = representatives(lambda p: in_VH(p) or in_VK(p), _check)
-    assert not (A & V), "orbit representative sets must not meet"
-
-    w, N = setup.omega, setup.omega.modulus
-    f = [0] * (n * n)
-    for (g, l) in A:
-        li = G.inverse(l)
-        val = w(g, l, li)
-        assert val == w(G.mul(g, l), li, l)
-        f[g * n + l] = val
-    for (l, g) in V:
-        li = G.inverse(l)
-        val = w(li, l, g)
-        assert val == w(l, li, G.mul(l, g))
-        f[l * n + g] = val
-
-    d2f = coboundary2(G, f, N)
+    table = tuple(f.get((a, b), 0) for a in range(n) for b in range(n))
+    d2f = coboundary2(G, table, N)
     omega_prime = Cocycle3(G, [d + v for d, v in zip(d2f, w.values)], N)
     omega_prime.ensure_valid()
-    return omega_prime, tuple(f)
+    return omega_prime, table
 
 
 def gl_relations_check(group: GroupTable, H: Sequence[int], K: Sequence[int],

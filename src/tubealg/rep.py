@@ -15,6 +15,7 @@ algebras they read; the first two are also importable from here.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 from typing import NamedTuple
 
@@ -269,9 +270,12 @@ def rep_from_json(obj: dict, labels: list) -> Representation:
         key = label_key(label)
         if key not in raw:
             raise KeyError(f"missing matrix for label {key}")
-        M = [[complex(re, im) for re, im in row] for row in raw[key]]
-        if any(type(p) not in (int, float) for z in chain(*raw[key]) for p in z):
+        parts = [p for z in chain(*raw[key]) for p in z]
+        if any(type(p) not in (int, float) for p in parts):
             raise TypeError(f"matrix for {key} has a part that is not a number")
+        if any(type(p) is int and abs(p) > sys.float_info.max for p in parts):
+            raise ValueError(f"matrix for {key} has a part beyond float range")
+        M = [[complex(re, im) for re, im in row] for row in raw[key]]
         if len(M) != d or any(len(row) != d for row in M):
             raise ValueError(f"matrix for {key} is not {d} x {d}")
         mats[label] = M

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -10,9 +11,9 @@ import pytest
 from tubealg.coho import BHSetup
 from tubealg.grp import (GroupTable, cyclic_group, group_from_permutations,
                          subgroup_closure)
-from tubealg.phase import (Cocycle3, inflate_cocycle, product_type_cocycle,
-                           standard_cyclic_cocycle, trivial_cocycle,
-                           two_factor_cocycle)
+from tubealg.phase import (Cocycle3, coboundary2, inflate_cocycle,
+                           product_type_cocycle, standard_cyclic_cocycle,
+                           trivial_cocycle, two_factor_cocycle)
 
 
 def _sign(name: str) -> int:
@@ -121,6 +122,27 @@ def bh_setup_z2z4() -> BHSetup:
     """Order-8 abelian setup whose block twists separate the conventions."""
     G, omega = two_factor_cocycle(2, 4, 1)
     return BHSetup(G, (0, 4), (0, 1, 2, 3), omega)
+
+
+def coboundary_shift(omega: Cocycle3, scale: int, seed: int,
+                     subgroups: tuple = ()) -> Cocycle3:
+    """``omega`` times d2(f), at ``scale`` times its modulus, for a 2-cochain
+    f drawn from ``seed``.  Given subgroups, f is 0 on each S x S and on
+    the identity's row and column, so a setup on them stays valid."""
+    G = omega.group
+    n, N = G.order, omega.modulus * scale
+    rng = random.Random(seed)
+    f = [0 if subgroups and (0 in (a, b) or any(a in S and b in S
+                                                 for S in subgroups))
+         else rng.randrange(N) for a in range(n) for b in range(n)]
+    return Cocycle3(G, [d + scale * v for d, v in
+                        zip(coboundary2(G, f, N), omega.values)], N)
+
+
+def bh_coboundary_shift(setup: BHSetup, scale: int, seed: int) -> BHSetup:
+    """``setup`` with its cocycle shifted by a coboundary that keeps it valid."""
+    return setup._replace(omega=coboundary_shift(
+        setup.omega, scale, seed, (setup.H, setup.K)))
 
 
 @pytest.fixture

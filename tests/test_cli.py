@@ -19,7 +19,7 @@ from tubealg.annular_bh import AnnularAlgebra
 from tubealg import annular_bh, phase, rep, splitting, staralg, tube_diag
 from tubealg.cli import main
 from tubealg.coho import BHSetup, BHSetupError, bh_setup_from_json
-from tubealg.grp import cyclic_group, group_to_json
+from tubealg.grp import cyclic_group, direct_product, group_to_json
 from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
                            standard_cyclic_cocycle, trivial_cocycle,
                            two_factor_cocycle)
@@ -116,6 +116,9 @@ def files(tmp_path):
     # would take as 1 and 0
     write("rep_matrix_bool.json", {"dimension": 1, "matrices": {
         "0": [[[True, False]]], "1": [[[False, True]]]}})
+    # an int part beyond float range, which complex() cannot take
+    write("rep_matrix_huge_int.json", {"dimension": 1, "matrices": {
+        "0": one, "1": [[[0, 10 ** 400]]]}})
     write("rep_regular.json", rep.rep_to_json(rep.regular_representation(
         TubeAlgebra(z2.group, z2).block_algebra().algebras[1])))
     return out
@@ -250,6 +253,20 @@ def test_gauge_fix(files, capsys):
     code, report = run(capsys, ["gauge-fix", "--bh", files["bh_s3.json"]])
     assert code == 0
     assert "cocycle" in report["data"] and "cochain" in report["data"]
+
+
+def test_gauge_fix_order_three_coboundary(tmp_path, capsys):
+    """The Klein four-group with w = d2(f) mod 3, f 1 at (1, 2) and 0
+    elsewhere: a relation's value and its inverse differ mod 3."""
+    G = direct_product(cyclic_group(2), cyclic_group(2))
+    f = [int((a, b) == (1, 2)) for a in range(4) for b in range(4)]
+    omega = Cocycle3(G, coboundary2(G, f, 3), 3)
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({"group": group_to_json(G), "H": [0, 1],
+                                "K": [0, 2], "cocycle": cocycle_to_json(omega)}))
+    code, report = run(capsys, ["gauge-fix", "--bh", str(path)])
+    assert code == 0
+    assert all(c["status"] == "pass" for c in report["checks"])
 
 
 def test_normalize_roundtrip(files, capsys):
@@ -523,7 +540,8 @@ def test_non_normalized_cocycle_is_input_error(files, capsys, argv):
 @pytest.mark.parametrize("rep_file", [
     "rep_missing.json", "rep_shape.json", "rep_entry.json",
     "rep_dimension_float.json", "rep_dimension_string.json",
-    "rep_dimension_bool.json", "rep_matrix_bool.json"])
+    "rep_dimension_bool.json", "rep_matrix_bool.json",
+    "rep_matrix_huge_int.json"])
 def test_malformed_representation_is_input_error(files, capsys, rep_file):
     code, report = run(capsys, ["rep", "induce", "--group", files["z2.json"],
                                 "--cocycle", files["semion.json"],
@@ -1146,7 +1164,7 @@ _FUZZ_RUNS = [(["verify-group"], ("group",)), (["verify-cocycle"], _TUBE),
               (["rep", "decompose"], _TUBE), (["rep", "decompose"], ("bh",))]
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-    | st.sampled_from([2 ** 64, -2 ** 63, 10 ** 40]),
+    | st.sampled_from([2 ** 64, -2 ** 63, 10 ** 40, 10 ** 400, -10 ** 400]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12)

@@ -15,12 +15,12 @@ from tubealg.grp import (centralizer, conjugacy_data, cyclic_group,
 from tubealg.phase import (CheckResult, Cocycle2, coboundary2, cocycle3_check,
                            inflate_cocycle, is_normalized,
                            restrict_trivial_on, standard_cyclic_cocycle,
-                           trivial_cocycle)
+                           trivial_cocycle, two_factor_cocycle)
 
 import gamma_identity_oracle
 from cocycle2_oracle import cocycle2_check
-from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
-                      symmetric_group)
+from conftest import (SMALL_NAMES, _FIXTURES, bh_coboundary_shift, bh_setup_s3,
+                      bh_setup_v4, bh_setup_z2z4, symmetric_group)
 
 
 def phi_a_oracle(group, omega, a, g, h):
@@ -370,7 +370,6 @@ def test_gauge_fix_product_type():
 
 
 def test_gauge_fix_z2z4():
-    from conftest import bh_setup_z2z4
     setup = bh_setup_z2z4()
     omega_prime, f = gauge_fix_bh(setup)
     G = setup.group
@@ -379,6 +378,33 @@ def test_gauge_fix_z2z4():
     assert gl_relations_check(G, setup.H, setup.K, omega_prime).ok
     assert restrict_trivial_on(omega_prime, setup.H) is None
     assert restrict_trivial_on(omega_prime, setup.K) is None
+
+
+def _bh_setup_z3z3() -> BHSetup:
+    G, omega = two_factor_cocycle(3, 3, 1)
+    return BHSetup(G, (0, 3, 6), (0, 1, 2), omega)
+
+
+_GAUGE_SETUPS = {"s3": bh_setup_s3, "v4": bh_setup_v4, "z2z4": bh_setup_z2z4,
+                 "z3z3": _bh_setup_z3z3}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("scale", [3, 6])
+@pytest.mark.parametrize("name", sorted(_GAUGE_SETUPS))
+def test_gauge_fix_kills_the_relations_of_a_shifted_cocycle(name, scale, seed):
+    """Shifted by a coboundary at a modulus above 2, a value and its
+    inverse differ, so each relation's value must carry its sign."""
+    setup = bh_coboundary_shift(_GAUGE_SETUPS[name](), scale, seed)
+    omega_prime, f = gauge_fix_bh(setup)
+    G, omega, N = setup.group, setup.omega, setup.omega.modulus
+    assert cocycle3_check(omega_prime).ok
+    assert is_normalized(omega_prime)
+    assert restrict_trivial_on(omega_prime, setup.H) is None
+    assert restrict_trivial_on(omega_prime, setup.K) is None
+    assert gl_relations_check(G, setup.H, setup.K, omega_prime).ok
+    assert omega_prime.values == tuple(
+        (d + v) % N for d, v in zip(coboundary2(G, f, N), omega.values))
 
 
 def test_gauge_fix_idempotent_in_effect():

@@ -4,21 +4,23 @@ numerical regular split (the test oracle of ``rep.decompose``)."""
 import numpy as np
 import pytest
 
-from tubealg.annular_bh import end_xg_algebra
+from tubealg.annular_bh import AnnularAlgebra, end_xg_algebra, tube_cutdown
 from tubealg.coho import phi_class
 from tubealg.grp import conjugacy_data, cyclic_group
-from tubealg.phase import (Cocycle2, Cocycle3, root, standard_cyclic_cocycle,
-                           trivial_cocycle)
+from tubealg.phase import (Cocycle2, Cocycle3, normalize3, root,
+                           standard_cyclic_cocycle, trivial_cocycle)
 from tubealg.rep import (DecompositionError, Representation,
-                         TwistedGroupAlgebra, center_dimension, induce,
+                         TwistedGroupAlgebra, center_dimension, decompose,
+                         induce,
                          regular_representation, rep_from_json, rep_to_json,
                          restrict, support_decompose)
 from tubealg.tube_diag import TubeAlgebra, simple_count
 
 from cocycle2_oracle import cocycle2_check
-from conftest import (_FIXTURES, SMALL_NAMES, bh_setup_s3, bh_setup_v4,
-                      bh_setup_z1, bh_setup_z2z4, dihedral8_sign,
-                      force_ambiguous_eigh, symmetric_group)
+from conftest import (_FIXTURES, SMALL_NAMES, bh_coboundary_shift, bh_setup_s3,
+                      bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
+                      coboundary_shift, dihedral8_sign, force_ambiguous_eigh,
+                      symmetric_group)
 from regular_split_oracle import characters, regular_split
 
 
@@ -26,6 +28,43 @@ def _z2_twisted():
     z2 = cyclic_group(2)
     phi = Cocycle2(z2, (0, 1), [0, 0, 0, 1], 2)
     return TwistedGroupAlgebra(phi)
+
+
+# -- a coboundary changes no count and no verdict ----------------------------
+
+
+def _tube_verdicts(alg) -> tuple:
+    return (simple_count(alg).per_class, list(decompose(alg)),
+            [(r.name, r.ok) for r in alg.check_all()],
+            alg.check_block_map().ok)
+
+
+@pytest.mark.parametrize("scale", [2, 3, 5])
+@pytest.mark.parametrize("name", SMALL_NAMES + ["d8_sign"])
+def test_tube_verdicts_survive_a_coboundary(name, scale):
+    G, omega = dihedral8_sign() if name == "d8_sign" else \
+        (_FIXTURES[name].group, _FIXTURES[name].omega)
+    shifted = normalize3(coboundary_shift(omega, scale, seed=scale))
+    assert shifted.modulus == scale * omega.modulus
+    assert _tube_verdicts(TubeAlgebra(G, shifted)) == \
+        _tube_verdicts(TubeAlgebra(G, omega))
+
+
+def _bh_verdicts(setup) -> tuple:
+    alg = AnnularAlgebra(setup)
+    report = tube_cutdown(alg)
+    return (report.simple_objects, report.simple_count_full,
+            report.simple_count_cutdown, report.counts_agree,
+            list(decompose(alg)), alg.check_block_map("op-inverse").ok)
+
+
+@pytest.mark.parametrize("scale", [3, 5])
+@pytest.mark.parametrize("name, setup", [
+    ("s3", bh_setup_s3), ("v4", bh_setup_v4), ("z2z4", bh_setup_z2z4)])
+def test_bh_verdicts_survive_a_coboundary(name, setup, scale):
+    shifted = bh_coboundary_shift(setup(), scale, seed=scale)
+    shifted = shifted._replace(omega=normalize3(shifted.omega))
+    assert _bh_verdicts(shifted) == _bh_verdicts(setup())
 
 
 def test_untwisted_is_group_algebra():
