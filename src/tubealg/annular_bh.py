@@ -94,48 +94,40 @@ class AnnularAlgebra(TubeShapedAlgebra):
 
 
 class BoxAlgebra(MonomialStarAlgebra):
-    """The box calculus between the weights g in G: a box out of g
-    composes after the boxes into g.  Labels, enumerated on first use,
-    run g1-major, then g2, then in :meth:`box_basis` order; the identity
-    boxes carry the trace and sum to the unit."""
+    """The box calculus: the groupoid whose objects are the weights g in
+    G and whose morphisms g1 -> g2 are the boxes ``(h1, g1, g2, h2)``; a
+    box out of g composes after the boxes into g.  Labels, enumerated on
+    first use, run g1-major, then g2, then in :meth:`box_basis` order.
+    The identity of g is the box ``(e, g, g, e)``."""
 
     def __init__(self, setup: BHSetup):
         self.group = setup.group
         self.omega = setup.omega
         self.modulus = setup.omega.modulus
+        self.objects = tuple(setup.group.elements())
         self.H = tuple(setup.H)
         self._in_H = frozenset(self.H)
 
     @cached_property
     def _labels(self) -> list[BoxMorphism]:
-        weights = self.group.elements()
-        return [b for g1 in weights for g2 in weights
+        return [b for g1 in self.objects for g2 in self.objects
                 for b in self.box_basis(g1, g2)]
-
-    @cached_property
-    def _into(self) -> dict:
-        into: dict = {g: [] for g in self.group.elements()}
-        for b in self._labels:  # g1-major, so each list is too
-            into[b.g2].append(b)
-        return into
 
     def labels(self) -> list[BoxMorphism]:
         return self._labels
 
-    def _right_factors(self, outer: BoxMorphism) -> list[BoxMorphism]:
-        return self._into[outer.g1]
+    def ends(self, b: BoxMorphism) -> tuple[int, int]:
+        return b.g1, b.g2
+
+    @staticmethod
+    def identity(g: int) -> BoxMorphism:
+        return BoxMorphism(0, g, g, 0)
 
     def mult_basis(self, outer, inner) -> Optional[tuple[int, BoxMorphism]]:
         return self.box_compose(outer, inner) if inner.g2 == outer.g1 else None
 
     def star_basis(self, b: BoxMorphism) -> tuple[int, BoxMorphism]:
         return self.box_star(b)
-
-    def trace_basis(self, b: BoxMorphism) -> bool:
-        return b == self.identity_box(b.g1)
-
-    def unit_labels(self) -> list[BoxMorphism]:
-        return [self.identity_box(g) for g in self.group.elements()]
 
     def box_compose(self, outer: BoxMorphism,
                     inner: BoxMorphism) -> tuple[int, BoxMorphism]:
@@ -167,10 +159,6 @@ class BoxAlgebra(MonomialStarAlgebra):
         if b.h1 not in self._in_H or b.h2 not in self._in_H or \
                 self.group.mul(b.h1, b.g1) != self.group.mul(b.g2, b.h2):
             raise ValueError(f"malformed box {b}")
-
-    @staticmethod
-    def identity_box(g: int) -> BoxMorphism:
-        return BoxMorphism(0, g, g, 0)
 
 
 def box_checks(alg: AnnularAlgebra) -> list[CheckResult]:

@@ -181,15 +181,15 @@ def _range_basis(P, tol: float = 1e-9):
 def restrict(context, class_index: int, Pi: Representation) -> Representation:
     """Compress a class-supported representation to the centralizer algebra.
 
-    The preimage of E[pivot, pivot] tensor [v], with pivot
-    :meth:`support_block_index`, is read off ``context.block_images``:
-    the label whose image sits there, times the conjugate image scalar.
+    The space is the range of the pivot's identity, with pivot
+    :meth:`support_block_index`.  The preimage of E[pivot, pivot] tensor
+    [v] is read off ``context.block_images``: the label whose image sits
+    there, times the conjugate image scalar.
     """
     import numpy as np
     els = context.block_algebra().algebras[class_index].labels()
-    P = Pi.matrices[context.support_projector_label(class_index)]
-    Q = _range_basis(P)
     pivot = context.support_block_index(class_index)
+    Q = _range_basis(Pi.matrices[context.identity(pivot)])
     preimage = {im.element: (-im.scalar, label)
                 for label, im in context.block_images.items()
                 if (im.class_index, im.row, im.col) == (class_index, pivot, pivot)}
@@ -212,7 +212,8 @@ def support_decompose(context, Pi: Representation,
     """Orthogonal decomposition by the class-corner projections.
 
     Each class contributes the subrepresentation generated by the range
-    of its corner projection; the pieces are verified to be mutually
+    of its corner projection, the identity of its
+    :meth:`support_block_index`; the pieces are verified to be mutually
     orthogonal and to fill the space.
     """
     import numpy as np
@@ -221,8 +222,8 @@ def support_decompose(context, Pi: Representation,
     subspaces = {}
     dims = {}
     for c in range(len(blocks.index_sets)):
-        P = Pi.matrices[context.support_projector_label(c)]
-        R = _range_basis(P)
+        corner = context.identity(context.support_block_index(c))
+        R = _range_basis(Pi.matrices[corner])
         if R.shape[1] == 0:
             subspaces[c] = R
             dims[c] = 0

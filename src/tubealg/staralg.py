@@ -1,13 +1,16 @@
-"""The exact core: algebras with monomial structure constants.
+"""The exact core: twisted groupoid algebras with monomial structure constants.
 
 The tube algebra, the two-subgroup annular algebra, its double-coset
-cut-down, and twisted group algebras all share one shape: products of
-basis elements are a single phase times a basis element (or zero), the
-involution sends a basis element to a phase times a basis element, and
-the canonical trace is 0/1 on the basis.  :class:`MonomialStarAlgebra`
-captures that shape once, with the generic verifiers (associativity,
-anti-automorphism laws, trace symmetry, orthonormality of the basis),
-each exhaustive over the basis.  Structure constants are exact phases, ints mod the algebra's
+cut-down, the box calculus and twisted group algebras share one shape:
+the basis is the morphisms of a finite groupoid, the product of two
+composable morphisms is a phase times their composite (other products
+are zero), and the involution sends a morphism to a phase times its
+reverse.  :class:`MonomialStarAlgebra` captures that shape once: from
+the ends of each morphism and the identity of each object it derives
+the composable pairs, the canonical trace and the unit, and its generic
+verifiers (associativity, anti-automorphism laws, trace symmetry,
+orthonormality of the basis, the unit) are exhaustive over the basis.
+Structure constants are exact phases, ints mod the algebra's
 ``modulus`` (see :mod:`tubealg.phase`), read only from the ``products``
 and ``stars`` tables that ``mult_basis`` and ``star_basis`` fill.
 :class:`TwistedGroupAlgebra` is that shape on one object, checking its
@@ -19,25 +22,28 @@ and :mod:`tubealg.splitting` (prime-field splitting) build on this.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .phase import CheckResult, Cocycle2, CocycleError
 
 
 class MonomialStarAlgebra:
-    """Base for *-algebras whose basis multiplies monomially.
+    """Base for twisted groupoid *-algebras: the basis is morphisms.
 
     Subclasses provide:
       - ``modulus``: N; every phase below is an int k in range(N)
         standing for exp(2 pi i k / N),
-      - ``labels()``: the ordered basis,
+      - ``objects``: the groupoid's objects,
+      - ``labels()``: the ordered basis, its morphisms,
+      - ``ends(label)``: ``(source, target)`` of a morphism,
+      - ``identity(obj)``: the label of ``obj``'s identity morphism,
       - ``mult_basis(left, right)``: ``None`` or ``(phase, label)`` for
-        the product in which ``right`` acts first,
-      - ``star_basis(label)``: ``(phase, label)``,
-      - ``trace_basis(label)``: truthy exactly on trace-supporting labels,
-      - ``unit_labels()``: labels whose sum is the unit,
-    and may narrow ``_right_factors(left)``, the labels ``right`` for
-    which ``left . right`` can be nonzero (by default every label).
+        the product in which ``right`` acts first; it is asked only when
+        ``right`` ends where ``left`` starts,
+      - ``star_basis(label)``: ``(phase, label)``.
+
+    The base derives the right factors of ``left`` (the labels into its
+    source), the trace (1 on the identities, else 0) and the unit (their sum).
 
     ``mult_basis`` and ``star_basis`` only fill two tables, built on
     first use and read by every verifier, builder and consumer:
@@ -47,24 +53,32 @@ class MonomialStarAlgebra:
     """
 
     modulus: int
+    objects: Sequence[Hashable]
+    labels: Callable[[], Sequence[Hashable]]
+    ends: Callable[[Hashable], tuple[Hashable, Hashable]]
+    identity: Callable[[Hashable], Hashable]
+    mult_basis: Callable[[Hashable, Hashable], Optional[tuple[int, Hashable]]]
+    star_basis: Callable[[Hashable], tuple[int, Hashable]]
 
-    def labels(self) -> Sequence[Hashable]:
-        raise NotImplementedError
+    # -- the groupoid -------------------------------------------------------
 
-    def mult_basis(self, left, right) -> Optional[tuple[int, Hashable]]:
-        raise NotImplementedError
-
-    def star_basis(self, label) -> tuple[int, Hashable]:
-        raise NotImplementedError
-
-    def trace_basis(self, label) -> bool:
-        raise NotImplementedError
-
-    def unit_labels(self) -> Sequence[Hashable]:
-        raise NotImplementedError
+    @cached_property
+    def _into(self) -> dict:
+        """Object -> the labels ending there, in label order."""
+        into: dict = {x: [] for x in self.objects}
+        for a in self.labels():
+            into[self.ends(a)[1]].append(a)
+        return into
 
     def _right_factors(self, left) -> Sequence[Hashable]:
-        return self.labels()
+        return self._into[self.ends(left)[0]]
+
+    @cached_property
+    def _identities(self) -> frozenset:
+        return frozenset(self.identity(x) for x in self.objects)
+
+    def trace_basis(self, label) -> bool:
+        return label in self._identities
 
     # -- structure tables ---------------------------------------------------
 
@@ -178,13 +192,16 @@ class MonomialStarAlgebra:
         return CheckResult(True, "gram", detail=f"exhaustive {len(products)}")
 
     def check_unit(self) -> CheckResult:
-        """The sum of unit labels multiplies as a two-sided identity."""
-        units, products = list(self.unit_labels()), self.products
+        """The sum of the identities is a two-sided unit: each a : x -> y
+        has 1_y a = a and a 1_x = a.  ``products`` holds no other product
+        of a with an identity: its pairs are composable by construction."""
+        products = self.products
         for a in self.labels():
-            for side, pairs in (("unit-left", [(u, a) for u in units]),
-                                ("unit-right", [(a, u) for u in units])):
-                hits = [products[p] for p in pairs if p in products]
-                if len(hits) != 1 or hits[0][1] != a or hits[0][0]:
+            x, y = self.ends(a)
+            for side, pair in (("unit-left", (self.identity(y), a)),
+                               ("unit-right", (a, self.identity(x)))):
+                hit = products.get(pair)
+                if hit is None or hit[1] != a or hit[0]:
                     return CheckResult(False, side, (a,))
         return CheckResult(True, "unit", detail=f"exhaustive {len(self.labels())}")
 
@@ -206,9 +223,12 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
     constructor walks :meth:`check_associativity` over all |S|^3
     triples and raises CocycleError, the triple as witness, if it fails;
     the result is kept, so :meth:`check_all` does not walk them again.
+    The groupoid has one object, ``"*"``, and its identity is the
+    group's, ``0``: a twist that is not normalized fails the unit check.
     """
 
     _associativity: Optional[CheckResult] = None
+    objects = ("*",)
 
     def __init__(self, twist: Cocycle2):
         self.group = twist.group
@@ -219,7 +239,6 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
         if not res.ok:
             raise CocycleError(f"twist fails associativity at triple "
                                f"{res.witness}", res.witness)
-        self.normalized = not any(twist(0, g) or twist(g, 0) for g in self.els)
 
     def check_associativity(self) -> CheckResult:
         if self._associativity is None:
@@ -233,20 +252,18 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
     def labels(self) -> Sequence[int]:
         return self.els
 
+    def ends(self, g: int) -> tuple[str, str]:
+        return "*", "*"
+
+    def identity(self, obj: str) -> int:
+        return 0
+
     def mult_basis(self, left: int, right: int):
         return self.twist(left, right), self.group.mul(left, right)
 
     def star_basis(self, g: int):
         gi = self.group.inverse(g)
         return -self.twist(gi, g) % self.modulus, gi
-
-    def trace_basis(self, g: int) -> bool:
-        return g == 0
-
-    def unit_labels(self):
-        if not self.normalized:
-            raise ValueError("unit label needs a normalized twist")
-        return [0]
 
 
 def center_dimension(alg: MonomialStarAlgebra) -> int:

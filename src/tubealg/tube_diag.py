@@ -69,7 +69,9 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
 
     Subclasses set ``_pack(x, s, y)``, which builds the label of the
     morphism ``x -s-> y``.  Basis labels come in object order, then in
-    group order of ``s``, then in object order of the target.
+    group order of ``s``, then in object order of the target.  The ends
+    of ``x -s-> y`` are ``(x, y)`` and the identity of ``x`` is
+    ``x -e-> x``, so the derived trace is the one above.
     """
 
     _pack: Callable
@@ -84,11 +86,9 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         self._by_weight: dict = {}
         for x in self.objects:
             self._by_weight.setdefault(self._weight[x], []).append(x)
-        # (x, s, y) -> label, label -> (x, s, y, wt(x), wt(y)), and
-        # y -> the labels into y: the right factors of a label out of y
+        # (x, s, y) -> label and label -> (x, s, y, wt(x), wt(y))
         self._label_of: dict = {}
         self._parts: dict = {}
-        self._into: dict = {y: [] for y in self.objects}
         for x in self.objects:
             a = self._weight[x]
             for s in group.elements():
@@ -97,7 +97,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                     label = self._pack(x, s, y)
                     self._label_of[(x, s, y)] = label
                     self._parts[label] = (x, s, y, a, b)
-                    self._into[y].append(label)
         self._labels = list(self._label_of.values())
         self._blocks: dict[str, BlockAlgebra] = {}
         self._block_checks: dict[str, CheckResult] = {}
@@ -111,8 +110,12 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     def labels(self) -> list:
         return self._labels
 
-    def _right_factors(self, left) -> list:
-        return self._into[self._split(left)[0]]
+    def ends(self, label) -> tuple:
+        x, _, y, _, _ = self._split(label)
+        return x, y
+
+    def identity(self, x):
+        return self._label_of[(x, 0, x)]
 
     def mult_basis(self, left, right) -> Optional[tuple[int, object]]:
         x, s, y, a, b = self._split(right)
@@ -128,13 +131,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         w, si = self.omega, self.group.inverse(s)
         scalar = (w(s, b, si) - w(a, s, si) - w(s, si, a)) % self.modulus
         return scalar, self._label_of[(y, si, x)]
-
-    def trace_basis(self, label) -> bool:
-        x, s, y, _, _ = self._split(label)
-        return s == 0 and x == y
-
-    def unit_labels(self) -> list:
-        return [self._label_of[(x, 0, x)] for x in self.objects]
 
     # -- block decomposition ------------------------------------------------
 
@@ -213,10 +209,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     def support_block_index(self, c: int):
         """The least object whose weight is the representative of class c."""
         return min(self._by_weight[self.class_data.reps[c]])
-
-    def support_projector_label(self, c: int):
-        x = self.support_block_index(c)
-        return self._label_of[(x, 0, x)]
 
     def _walk_block_map(self, convention: str) -> CheckResult:
         blocks = self.block_algebra(convention)

@@ -89,11 +89,16 @@ def fixtures() -> dict[str, Fixture]:
     return _FIXTURES
 
 
+def s4_sign() -> tuple[GroupTable, Cocycle3]:
+    """The symmetric group on four points with the sign cocycle inflated
+    from Z/2."""
+    s4, signs = symmetric_group(4)
+    return s4, inflate_cocycle(standard_cyclic_cocycle(2, 1), s4, signs)
+
+
 @pytest.fixture(scope="session")
 def s4_sign_fixture() -> Fixture:
-    s4, signs = symmetric_group(4)
-    omega = inflate_cocycle(standard_cyclic_cocycle(2, 1), s4, signs)
-    return Fixture("s4_sign", s4, omega)
+    return Fixture("s4_sign", *s4_sign())
 
 
 @pytest.fixture

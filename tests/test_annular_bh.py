@@ -50,7 +50,7 @@ def test_label_fields():
 
 def test_identity_boxes_compose(annular):
     for g in annular.group.elements():
-        b = annular.boxes.identity_box(g)
+        b = annular.boxes.identity(g)
         ph, out = annular.boxes.box_compose(b, b)
         assert ph == 0 and out == b
 
@@ -80,7 +80,7 @@ def test_box_compose_product_fixture_oracle():
 
 
 def test_box_star_identity_box(annular):
-    b = annular.boxes.identity_box(0)
+    b = annular.boxes.identity(0)
     ph, out = annular.boxes.box_star(b)
     assert ph == 0 and out == b
 

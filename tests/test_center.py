@@ -144,9 +144,13 @@ class _TwoTermsOneSide(MonomialStarAlgebra):
     """Labels 0, 1, 2 with 0 * 1 = 0 * 2 = 0: not a twisted groupoid algebra."""
 
     modulus = 1
+    objects = (0,)
 
     def labels(self):
         return (0, 1, 2)
+
+    def ends(self, label):
+        return 0, 0
 
     def mult_basis(self, left, right):
         return (0, 0) if left == 0 and right in (1, 2) else None

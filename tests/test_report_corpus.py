@@ -10,8 +10,8 @@ hashed with SHA-256 and compared with the digest pinned in
 - ``tube check``, ``tube simples`` and ``rep decompose`` on the
   symmetric group S4 with the inflated sign cocycle;
 - ``gauge-fix``, ``bh check`` and ``bh simples`` on the Z2xZ2 setup
-  shifted by a coboundary at modulus 6, where each gauge-fix relation
-  value and its inverse differ.
+  shifted by a coboundary at modulus 6, where a gauge-fix relation's
+  value and its inverse can differ.
 
 A refactor that changes no result leaves every digest as it is.  To
 re-pin after a deliberate change of a report, run this file as a script
@@ -33,9 +33,9 @@ from pathlib import Path
 
 from tubealg.cli import main
 from tubealg.grp import group_to_json
-from tubealg.phase import cocycle_to_json, inflate_cocycle, standard_cyclic_cocycle
+from tubealg.phase import cocycle_to_json
 
-from conftest import bh_coboundary_shift, bh_setup_v4, symmetric_group
+from conftest import bh_coboundary_shift, bh_setup_v4, s4_sign
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("report_corpus.json")
@@ -70,10 +70,10 @@ def corpus_jobs(directory: Path) -> dict[str, list[str]]:
                     for j in inputs.workload_jobs(w, paths, seed)] \
                 + inputs.probe_jobs(paths, seed):
             jobs[f"seed {seed}: {job.name}"] = list(job.argv)
-    s4, signs = symmetric_group(4)
+    s4, omega = s4_sign()
     tube = ["--group", _write(directory, "s4.json", group_to_json(s4)),
-            "--cocycle", _write(directory, "s4_sign.json", cocycle_to_json(
-                inflate_cocycle(standard_cyclic_cocycle(2, 1), s4, signs)))]
+            "--cocycle", _write(directory, "s4_sign.json",
+                                cocycle_to_json(omega))]
     for argv in (["tube", "check"], ["tube", "simples"], ["rep", "decompose"]):
         jobs[" ".join(argv) + " s4_sign"] = argv + tube
     setup = bh_coboundary_shift(bh_setup_v4(), 3, SHIFT_SEED)

@@ -10,12 +10,13 @@ import tubealg
 from tubealg import phase, staralg
 from tubealg.annular_bh import AnnularAlgebra, CutdownAlgebra
 from tubealg.coho import phi_class
-from tubealg.grp import conjugacy_data
-from tubealg.rep import TwistedGroupAlgebra
+from tubealg.grp import conjugacy_data, cyclic_group
+from tubealg.phase import CheckResult, Cocycle2
+from tubealg.rep import TwistedGroupAlgebra, regular_representation
 from tubealg.tube_diag import BlockAlgebra, TubeAlgebra, TubeShapedAlgebra
 
 from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
-                      bh_setup_z1, dihedral8_sign)
+                      bh_setup_z1, bh_setup_z2z4, dihedral8_sign, s4_sign)
 
 
 def all_pairs_products(alg) -> dict:
@@ -168,6 +169,44 @@ def test_one_product_path():
         assert not hasattr(cls, "validate_label")
 
 
+def _definitions() -> dict:
+    """name -> the "module.Class" (or "module") scopes under src/tubealg
+    that define it: as a function, or by assigning it as a name or an
+    attribute."""
+    out: dict = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                names = [child.name]
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)) and child.value:
+                targets = getattr(child, "targets", [getattr(child, "target", None)])
+                names = [getattr(t, "id", None) or getattr(t, "attr", None)
+                         for t in targets]
+            for name in filter(None, names):
+                out.setdefault(name, set()).add(".".join(scope))
+            inner = scope + (child.name,) \
+                if isinstance(child, ast.ClassDef) else scope
+            visit(child, inner)
+
+    for path in sorted(Path(tubealg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    return out
+
+
+def test_the_groupoid_is_written_once():
+    # trace, unit and right factors are derived from ends and identity in
+    # the core; no algebra restates them
+    defs = _definitions()
+    assert defs["trace_basis"] == {"staralg.MonomialStarAlgebra"}
+    assert defs["_right_factors"] == {"staralg.MonomialStarAlgebra"}
+    assert defs["_into"] == {"staralg.MonomialStarAlgebra"}
+    for name in ("unit_labels", "support_projector_label", "identity_box",
+                 "normalized"):
+        assert name not in defs, (name, defs.get(name))
+
+
 # -- associativity: the block-map certificate against the walk -----------------
 
 
@@ -185,12 +224,13 @@ def _certified_algebras() -> dict:
 _CERTIFIED_ALGEBRAS = _certified_algebras()
 
 
-def _corruptions(alg, per_kind: int = 20):
+def _corruptions(alg, per_kind: int = 20, keys=None):
     """Product tables with one entry changed: its phase shifted, its label
     replaced by the next label, or the product dropped; for ``per_kind``
-    entries spread evenly over the table, skipping no-op changes."""
+    entries spread evenly over the table (or over ``keys``), skipping
+    no-op changes."""
     products, labels, N = alg.products, alg.labels(), alg.modulus
-    keys = list(products)
+    keys = list(products) if keys is None else keys
     nxt = {a: labels[(i + 1) % len(labels)] for i, a in enumerate(labels)}
     for key in keys[::max(1, len(keys) // per_kind)][:per_kind]:
         ph, lab = products[key]
@@ -243,3 +283,71 @@ def test_certified_triple_count_is_the_walked_count(name):
 def test_no_sampler_is_left():
     source = Path(staralg.__file__).read_text()
     assert "random" not in source and "samples" not in source
+
+
+# -- the unit: the walk over the source and target identities --------------
+
+
+def all_identities_unit_check(alg) -> CheckResult:
+    """The unit check that tries every label against every identity."""
+    units, products = [alg.identity(x) for x in alg.objects], alg.products
+    for a in alg.labels():
+        for side, pairs in (("unit-left", [(u, a) for u in units]),
+                            ("unit-right", [(a, u) for u in units])):
+            hits = [products[p] for p in pairs if p in products]
+            if len(hits) != 1 or hits[0][1] != a or hits[0][0]:
+                return CheckResult(False, side, (a,))
+    return CheckResult(True, "unit", detail=f"exhaustive {len(alg.labels())}")
+
+
+def _unit_algebras() -> dict:
+    algs = {name: (lambda fx=_FIXTURES[name]: TubeAlgebra(fx.group, fx.omega))
+            for name in SMALL_NAMES}
+    algs["d8_sign"] = lambda: TubeAlgebra(*dihedral8_sign())
+    algs["s4_sign"] = lambda: TubeAlgebra(*s4_sign())
+    for name, make in (("s3", bh_setup_s3), ("v4", bh_setup_v4),
+                       ("z1", bh_setup_z1), ("z2z4", bh_setup_z2z4)):
+        algs[f"{name}_annular"] = lambda make=make: AnnularAlgebra(make())
+        algs[f"{name}_cutdown"] = lambda make=make: CutdownAlgebra(make())
+        algs[f"{name}_boxes"] = lambda make=make: AnnularAlgebra(make()).boxes
+    return algs
+
+
+_UNIT_ALGEBRAS = _unit_algebras()
+
+
+@pytest.mark.parametrize("name", list(_UNIT_ALGEBRAS))
+def test_unit_check_matches_the_all_identities_walk(name):
+    alg = _UNIT_ALGEBRAS[name]()
+    res = alg.check_unit()
+    assert res.ok and res == all_identities_unit_check(alg)
+    twists = [] if not isinstance(alg, TubeShapedAlgebra) else \
+        [t for conv in ("op-inverse", "plain-conjugate")
+         for t in alg.block_algebra(conv).algebras]
+    for talg in twists:
+        assert talg.check_unit() == all_identities_unit_check(talg)
+    # tables with one product by an identity changed
+    ids = {alg.identity(x) for x in alg.objects}
+    rejected = 0
+    for table in _corruptions(alg, 4, [k for k in alg.products
+                                       if ids.intersection(k)]):
+        mutant = copy.copy(alg)
+        mutant.products = table          # shadows the cached table
+        res = mutant.check_unit()
+        assert res == all_identities_unit_check(mutant)
+        rejected += not res.ok
+    assert rejected > 0
+
+
+def test_unnormalized_twist_fails_the_unit_check():
+    # a 2-cocycle (a constant one) that is not normalized: [0][0] = -[0],
+    # so [0] is not the unit, and the star it gives [0] is no
+    # anti-automorphism either
+    tw = Cocycle2(cyclic_group(2), (0, 1), [1, 1, 1, 1], 2)
+    alg = TwistedGroupAlgebra(tw)
+    results = alg.check_all()
+    assert [(r.name, r.witness) for r in results if not r.ok] == [
+        ("star-antihom", (0, 0)), ("unit-left", (0,))]
+    res = regular_representation(alg).check(alg)
+    assert not res.ok and "star-antihom fails" in res.detail \
+        and res.detail.endswith("unit-left fails")
