@@ -11,7 +11,8 @@ hashed with SHA-256 and compared with the digest pinned in
   symmetric group S4 with the inflated sign cocycle;
 - ``gauge-fix``, ``bh check`` and ``bh simples`` on the Z2xZ2 setup
   shifted by a coboundary at modulus 6, where a gauge-fix relation's
-  value and its inverse can differ.
+  value and its inverse can differ;
+- the stdout of three demos under ``demos/``, keyed by their paths.
 
 A refactor that changes no result leaves every digest as it is.  To
 re-pin after a deliberate change of a report, run this file as a script
@@ -28,6 +29,7 @@ import importlib.util
 import io
 import json
 import os
+import runpy
 import sys
 from pathlib import Path
 
@@ -41,6 +43,9 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("report_corpus.json")
 SEEDS = (1, 7)
 SHIFT_SEED = 5
+# representation_splitting.py is not pinned: see test_demos_keep_their_stdout
+DEMOS = ("demos/annular_algebra.py", "demos/diagonal_tube_algebra.py",
+         "demos/gauge_fixing.py")
 
 
 def _perfbench_inputs():
@@ -110,21 +115,44 @@ def report_digest(argv: list[str], directory: Path) -> str:
         json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+def demo_digest(demo: str) -> str:
+    """SHA-256 of the stdout of the demo script at ``demo``, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(ROOT / demo), run_name="__main__")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def corpus_digests(directory: Path) -> dict[str, str]:
-    return {key: report_digest(argv, directory)
-            for key, argv in corpus_jobs(directory).items()}
+    digests = {key: report_digest(argv, directory)
+               for key, argv in corpus_jobs(directory).items()}
+    return digests | {demo: demo_digest(demo) for demo in DEMOS}
 
 
 def test_reports_keep_their_digests(tmp_path):
     pinned = json.loads(DIGESTS.read_text())
     jobs = corpus_jobs(tmp_path)
-    assert sorted(jobs) == sorted(pinned)
+    assert sorted([*jobs, *DEMOS]) == sorted(pinned)
     changed = []
     for key, argv in jobs.items():
         digest = report_digest(argv, tmp_path)
         if digest != pinned[key]:
             shown = _basenames(argv, str(tmp_path) + os.sep)
             changed.append(f"tubealg {' '.join(shown)}: report digest now {digest}")
+    assert not changed, "\n".join(changed)
+
+
+def test_demos_keep_their_stdout():
+    """The demos that print exact values keep their bytes.
+
+    ``demos/representation_splitting.py`` is left out: it prints
+    ``np.round`` of eigen-solver output, signed zeros included (it prints
+    ``(-0-1j)``), so its bytes depend on the numpy and LAPACK build, not
+    only on this package.
+    """
+    pinned = json.loads(DIGESTS.read_text())
+    changed = [f"{demo}: stdout digest now {digest}" for demo in DEMOS
+               if (digest := demo_digest(demo)) != pinned[demo]]
     assert not changed, "\n".join(changed)
 
 
