@@ -98,7 +98,8 @@ class BoxAlgebra(MonomialStarAlgebra):
     G and whose morphisms g1 -> g2 are the boxes ``(h1, g1, g2, h2)``; a
     box out of g composes after the boxes into g.  Labels, enumerated on
     first use, run g1-major, then g2, then in :meth:`box_basis` order.
-    The identity of g is the box ``(e, g, g, e)``."""
+    The identity of g is ``(e, g, g, e)`` and the inverse of a box is
+    ``(h1^-1, g2, g1, h2^-1)``; the star derived from it needs no gauge fix."""
 
     def __init__(self, setup: BHSetup):
         self.group = setup.group
@@ -123,11 +124,14 @@ class BoxAlgebra(MonomialStarAlgebra):
     def identity(g: int) -> BoxMorphism:
         return BoxMorphism(0, g, g, 0)
 
+    def inverse(self, b: BoxMorphism) -> BoxMorphism:
+        G = self.group
+        out = BoxMorphism(G.inverse(b.h1), b.g2, b.g1, G.inverse(b.h2))
+        self.validate_box(out)
+        return out
+
     def mult_basis(self, outer, inner) -> Optional[tuple[int, BoxMorphism]]:
         return self.box_compose(outer, inner) if inner.g2 == outer.g1 else None
-
-    def star_basis(self, b: BoxMorphism) -> tuple[int, BoxMorphism]:
-        return self.box_star(b)
 
     def box_compose(self, outer: BoxMorphism,
                     inner: BoxMorphism) -> tuple[int, BoxMorphism]:
@@ -139,13 +143,6 @@ class BoxAlgebra(MonomialStarAlgebra):
         h1, g1, _, h2 = inner.h1, inner.g1, inner.g2, inner.h2
         scalar = (w(h3, g2, h2) - w(h3, h1, g1) - w(g3, h4, h2)) % self.modulus
         out = BoxMorphism(G.mul(h3, h1), g1, g3, G.mul(h4, h2))
-        self.validate_box(out)
-        return scalar, out
-
-    def box_star(self, b: BoxMorphism) -> tuple[int, BoxMorphism]:
-        G, w = self.group, self.omega
-        scalar = -w(b.h1, b.g1, G.inverse(b.h2)) % self.modulus
-        out = BoxMorphism(G.inverse(b.h1), b.g2, b.g1, G.inverse(b.h2))
         self.validate_box(out)
         return scalar, out
 
@@ -164,7 +161,7 @@ class BoxAlgebra(MonomialStarAlgebra):
 def box_checks(alg: AnnularAlgebra) -> list[CheckResult]:
     """The shared verifiers on ``alg.boxes``, exhaustive, under box names.
 
-    ``box-star-involution`` is the star laws (involutive and
+    ``box-star-involution`` is the derived star's laws (involutive and
     anti-multiplicative); ``box-unitarity`` is the Gram identity, whose
     diagonal is b* b = 1 and, at b*, b b* = 1.  Both state the box count.
     """

@@ -201,7 +201,7 @@ def projective_dimensions(alg: staralg.TwistedGroupAlgebra,
             k = (n * ph - F[a] - F[b] + F[r]) // N  # exact: |S| phi = dF
             row.append((pos[r], pow(zeta, k % n, p)))
         mult.append(row)
-    inverse = [pos[alg.group.inverse(g)] for g in els]
+    inverse = [pos[alg.inverse(g)] for g in els]
     e = pos[0]
     trace_unit = n * mult[e][e][1] % p
     # looked up per call: a span recorder may rebind it after this import

@@ -5,11 +5,11 @@ cut-down, the box calculus and twisted group algebras share one shape:
 the basis is the morphisms of a finite groupoid, the product of two
 composable morphisms is a phase times their composite (other products
 are zero), and the involution sends a morphism to a phase times its
-reverse.  :class:`MonomialStarAlgebra` captures that shape once: from
-the ends of each morphism and the identity of each object it derives
-the composable pairs, the canonical trace and the unit, and its generic
-verifiers (associativity, anti-automorphism laws, trace symmetry,
-orthonormality of the basis, the unit) are exhaustive over the basis.
+inverse.  :class:`MonomialStarAlgebra` captures that shape once: from the
+groupoid and the product it derives the composable pairs, the trace, the
+unit and the star, and its generic verifiers (associativity,
+anti-automorphism laws, trace symmetry, orthonormality of the basis, the
+unit) are exhaustive over the basis.
 Structure constants are exact phases, ints mod the algebra's
 ``modulus`` (see :mod:`tubealg.phase`), read only from the ``products``
 and ``stars`` tables that ``mult_basis`` and ``star_basis`` fill.
@@ -37,13 +37,14 @@ class MonomialStarAlgebra:
       - ``labels()``: the ordered basis, its morphisms,
       - ``ends(label)``: ``(source, target)`` of a morphism,
       - ``identity(obj)``: the label of ``obj``'s identity morphism,
+      - ``inverse(label)``: the label of a morphism's inverse,
       - ``mult_basis(left, right)``: ``None`` or ``(phase, label)`` for
         the product in which ``right`` acts first; it is asked only when
-        ``right`` ends where ``left`` starts,
-      - ``star_basis(label)``: ``(phase, label)``.
+        ``right`` ends where ``left`` starts.
 
     The base derives the right factors of ``left`` (the labels into its
-    source), the trace (1 on the identities, else 0) and the unit (their sum).
+    source), the trace (1 on the identities, else 0), the unit (their
+    sum) and the star (:meth:`star_basis`).
 
     ``mult_basis`` and ``star_basis`` only fill two tables, built on
     first use and read by every verifier, builder and consumer:
@@ -57,8 +58,8 @@ class MonomialStarAlgebra:
     labels: Callable[[], Sequence[Hashable]]
     ends: Callable[[Hashable], tuple[Hashable, Hashable]]
     identity: Callable[[Hashable], Hashable]
+    inverse: Callable[[Hashable], Hashable]
     mult_basis: Callable[[Hashable, Hashable], Optional[tuple[int, Hashable]]]
-    star_basis: Callable[[Hashable], tuple[int, Hashable]]
 
     # -- the groupoid -------------------------------------------------------
 
@@ -79,6 +80,11 @@ class MonomialStarAlgebra:
 
     def trace_basis(self, label) -> bool:
         return label in self._identities
+
+    def star_basis(self, label) -> tuple[int, Hashable]:
+        """m* = -tau(m^-1, m) m^-1, tau the product phase: trace(m* m) = 1."""
+        inv = self.inverse(label)
+        return -self.mult_basis(inv, label)[0] % self.modulus, inv
 
     # -- structure tables ---------------------------------------------------
 
@@ -258,12 +264,11 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
     def identity(self, obj: str) -> int:
         return 0
 
+    def inverse(self, g: int) -> int:
+        return self.group.inverse(g)
+
     def mult_basis(self, left: int, right: int):
         return self.twist(left, right), self.group.mul(left, right)
-
-    def star_basis(self, g: int):
-        gi = self.group.inverse(g)
-        return -self.twist(gi, g) % self.modulus, gi
 
 
 def center_dimension(alg: MonomialStarAlgebra) -> int:

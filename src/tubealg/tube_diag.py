@@ -4,12 +4,11 @@ A tube-shaped algebra over a finite group G with a normalized 3-cocycle
 ``w`` is fixed by an ordered list of objects, each carrying a weight in
 G.  Its basis is the morphisms ``x -s-> y`` between objects with
 ``wt(x) s = s wt(y)``.  With ``a, b, c`` the weights of ``x, y, z``,
-products, the involution ``#`` and the canonical trace are explicit
-``w``-phases::
+products, the involution ``#`` and the canonical trace are ``w``-phases,
+with tau(n, m) the phase of n . m as an int mod N::
 
     (y -t-> z) . (x -s-> y) = w(a,s,t) w(s,b,t)^-1 w(s,t,c) (x -st-> z)
-    (x -s-> y)^#            = w(a,s,s^-1)^-1 w(s,b,s^-1) w(s,s^-1,a)^-1
-                              (y -s^-1-> x)
+    m^#                     = -tau(m^-1, m) . m^-1, derived
     trace (x -s-> y)        = [x == y][s == e]
 
 The tube algebra has the objects g in G with weight g, and writes
@@ -70,8 +69,8 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     Subclasses set ``_pack(x, s, y)``, which builds the label of the
     morphism ``x -s-> y``.  Basis labels come in object order, then in
     group order of ``s``, then in object order of the target.  The ends
-    of ``x -s-> y`` are ``(x, y)`` and the identity of ``x`` is
-    ``x -e-> x``, so the derived trace is the one above.
+    of ``x -s-> y`` are ``(x, y)``, its inverse is ``y -s^-1-> x`` and the
+    identity of ``x`` is ``x -e-> x``, so the derived trace is the one above.
     """
 
     _pack: Callable
@@ -117,6 +116,10 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
     def identity(self, x):
         return self._label_of[(x, 0, x)]
 
+    def inverse(self, label):
+        x, s, y, _, _ = self._split(label)
+        return self._label_of[(y, self.group.inverse(s), x)]
+
     def mult_basis(self, left, right) -> Optional[tuple[int, object]]:
         x, s, y, a, b = self._split(right)
         y2, t, z, _, c = self._split(left)
@@ -125,12 +128,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         w = self.omega
         scalar = (w(a, s, t) - w(s, b, t) + w(s, t, c)) % self.modulus
         return scalar, self._label_of[(x, self.group.mul(s, t), z)]
-
-    def star_basis(self, label) -> tuple[int, object]:
-        x, s, y, a, b = self._split(label)
-        w, si = self.omega, self.group.inverse(s)
-        scalar = (w(s, b, si) - w(a, s, si) - w(s, si, a)) % self.modulus
-        return scalar, self._label_of[(y, si, x)]
 
     # -- block decomposition ------------------------------------------------
 

@@ -81,7 +81,7 @@ def test_box_compose_product_fixture_oracle():
 
 def test_box_star_identity_box(annular):
     b = annular.boxes.identity(0)
-    ph, out = annular.boxes.box_star(b)
+    ph, out = annular.boxes.stars[b]
     assert ph == 0 and out == b
 
 
@@ -133,7 +133,7 @@ def test_corrupted_box_compose_fails_associativity(monkeypatch):
 def test_corrupted_box_star_fails_involution(monkeypatch):
     clean = AnnularAlgebra(bh_setup_v4()).boxes
     b, bs = next((b, bs) for b, (_, bs) in clean.stars.items() if bs != b)
-    _shift_phase(monkeypatch, "box_star", (b,))
+    _shift_phase(monkeypatch, "star_basis", (b,))
     res = box_checks(AnnularAlgebra(bh_setup_v4()))[0]
     assert (res.name, res.ok) == ("box-star-involution", False)
     assert res.witness in {(b,), (bs,)}

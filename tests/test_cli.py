@@ -26,8 +26,9 @@ from tubealg.phase import (Cocycle3, coboundary2, cocycle_to_json,
 from tubealg.tube_diag import TubeAlgebra, TubeShapedAlgebra
 
 from cocycle2_oracle import cocycle2_check
-from conftest import (bh_setup_s3, bh_setup_v4, corrupt_last_twist,
-                      dihedral8_sign, dihedral_sign, symmetric_group)
+from conftest import (bh_coboundary_shift, bh_setup_s3, bh_setup_v4,
+                      bh_setup_z2z4, corrupt_last_twist, dihedral8_sign,
+                      dihedral_sign, symmetric_group)
 
 
 @pytest.fixture
@@ -267,6 +268,26 @@ def test_gauge_fix_order_three_coboundary(tmp_path, capsys):
     code, report = run(capsys, ["gauge-fix", "--bh", str(path)])
     assert code == 0
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize("scale", [3, 6])
+@pytest.mark.parametrize("make", [bh_setup_s3, bh_setup_v4, bh_setup_z2z4],
+                         ids=["s3", "v4", "z2z4"])
+def test_bh_check_needs_no_gauge_fix(tmp_path, capsys, make, scale):
+    """A setup shifted by a coboundary at a modulus above 2 is valid but
+    not gauge-fixed; the box star, derived from the box product, passes
+    the box checks all the same."""
+    setup = bh_coboundary_shift(make(), scale, 0)
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({
+        "group": group_to_json(setup.group), "H": list(setup.H),
+        "K": list(setup.K), "cocycle": cocycle_to_json(setup.omega)}))
+    code, report = run(capsys, ["bh", "check", "--bh", str(path)])
+    assert code == 0 and report["status"] == "ok"
+    box = {c["name"]: c["status"] for c in report["checks"]
+           if c["name"].startswith("box-")}
+    assert box == dict.fromkeys(
+        ["box-star-involution", "box-unitarity", "box-associativity"], "pass")
 
 
 def test_normalize_roundtrip(files, capsys):
@@ -635,12 +656,13 @@ def test_boolean_group_data_is_input_error(files, capsys, group, cocycle):
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["tube", "check", "--group", "d8.json", "--cocycle", "d8_sign.json"], 512),
-    (["bh", "check", "--bh", "bh_s3.json"], 1728)])
+    (["tube", "check", "--group", "d8.json", "--cocycle", "d8_sign.json"], 576),
+    (["bh", "check", "--bh", "bh_s3.json"], 1872)])
 def test_check_builds_the_product_table_once(files, capsys, monkeypatch,
                                              argv, calls):
     # D8: 8^3 composable pairs; the S3 annular algebra: 144 labels times
-    # the 12 labels into each source object
+    # the 12 labels into each source object; and one product m^-1 m per
+    # label for its star, 64 and 144
     counted = []
     original = TubeShapedAlgebra.mult_basis
 

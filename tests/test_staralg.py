@@ -8,15 +8,17 @@ import pytest
 
 import tubealg
 from tubealg import phase, staralg
-from tubealg.annular_bh import AnnularAlgebra, CutdownAlgebra
-from tubealg.coho import phi_class
+from tubealg.annular_bh import AnnularAlgebra, CutdownAlgebra, box_checks
+from tubealg.coho import gauge_fix_bh, phi_class
 from tubealg.grp import conjugacy_data, cyclic_group
 from tubealg.phase import CheckResult, Cocycle2
 from tubealg.rep import TwistedGroupAlgebra, regular_representation
 from tubealg.tube_diag import BlockAlgebra, TubeAlgebra, TubeShapedAlgebra
 
-from conftest import (SMALL_NAMES, _FIXTURES, bh_setup_s3, bh_setup_v4,
-                      bh_setup_z1, bh_setup_z2z4, dihedral8_sign, s4_sign)
+from conftest import (SMALL_NAMES, _FIXTURES, bh_coboundary_shift,
+                      bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
+                      dihedral8_sign, s4_sign)
+from star_oracle import oracle_stars
 
 
 def all_pairs_products(alg) -> dict:
@@ -142,7 +144,8 @@ def test_one_product_path():
     # become complex numbers only in rep's numerical half
     callers = _callers(("mult_basis", "star_basis", "root", "phi_iso",
                         "gamma", "TwistedGroupAlgebra"))
-    assert callers["mult_basis"] == {"staralg.MonomialStarAlgebra.products"}
+    assert callers["mult_basis"] == {"staralg.MonomialStarAlgebra.products",
+                                     "staralg.MonomialStarAlgebra.star_basis"}
     assert callers["star_basis"] == {"staralg.MonomialStarAlgebra.stars"}
     assert callers["root"] and \
         {c.split(".")[0] for c in callers["root"]} == {"rep"}
@@ -196,15 +199,84 @@ def _definitions() -> dict:
 
 
 def test_the_groupoid_is_written_once():
-    # trace, unit and right factors are derived from ends and identity in
-    # the core; no algebra restates them
+    # trace, unit, right factors and star are derived from ends, identity,
+    # inverse and product in the core; no algebra restates them
     defs = _definitions()
     assert defs["trace_basis"] == {"staralg.MonomialStarAlgebra"}
+    assert defs["star_basis"] == {"staralg.MonomialStarAlgebra"}
+    assert {"staralg.TwistedGroupAlgebra", "tube_diag.TubeShapedAlgebra",
+            "annular_bh.BoxAlgebra"} <= defs["inverse"]
     assert defs["_right_factors"] == {"staralg.MonomialStarAlgebra"}
     assert defs["_into"] == {"staralg.MonomialStarAlgebra"}
     for name in ("unit_labels", "support_projector_label", "identity_box",
-                 "normalized"):
+                 "normalized", "box_star"):
         assert name not in defs, (name, defs.get(name))
+
+
+# -- the star: derived from the product, against the hand-written formulas ---
+
+
+def _class_twists(alg) -> list:
+    """The class twists' algebras of a tube-shaped alg, both conventions."""
+    if not isinstance(alg, TubeShapedAlgebra):
+        return []
+    return [t for conv in ("op-inverse", "plain-conjugate")
+            for t in alg.block_algebra(conv).algebras]
+
+
+def _assert_stars_match_oracle(alg):
+    """alg's stars and its class twists' equal the hand-written formulas."""
+    for a in [alg] + _class_twists(alg):
+        assert a.stars == oracle_stars(a)
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES + ["d8_sign", "s4_sign"])
+def test_tube_stars_match_the_oracle(name):
+    make = {"d8_sign": dihedral8_sign, "s4_sign": s4_sign}.get(
+        name, lambda: (_FIXTURES[name].group, _FIXTURES[name].omega))
+    _assert_stars_match_oracle(TubeAlgebra(*make()))
+
+
+_SHIFTED = {"s3": bh_setup_s3, "v4": bh_setup_v4, "z1": bh_setup_z1,
+            "z2z4": bh_setup_z2z4}
+
+
+def _shifts(make) -> dict:
+    """(scale, seed) -> the setup shifted by a coboundary: 16 setups."""
+    return {(scale, seed): bh_coboundary_shift(make(), scale, seed)
+            for scale in (1, 2, 3, 6) for seed in range(4)}
+
+
+@pytest.mark.parametrize("name", list(_SHIFTED))
+def test_bh_stars_match_the_oracle(name):
+    # the annular and cut-down stars as given and shifted, and the box
+    # star once gauge-fixed, where the paper's formula is an involution
+    make = _SHIFTED[name]
+    for setup in [make(), *_shifts(make).values()]:
+        _assert_stars_match_oracle(AnnularAlgebra(setup))
+        _assert_stars_match_oracle(CutdownAlgebra(setup))
+        fixed = setup._replace(omega=gauge_fix_bh(setup)[0])
+        _assert_stars_match_oracle(AnnularAlgebra(fixed).boxes)
+
+
+def test_box_star_needs_no_gauge_fix():
+    # On the 64 shifted setups, not gauge-fixed: the derived box star
+    # passes every box check, and the paper's formula fails the star laws
+    # or the Gram identity exactly where the two stars differ.
+    differ, oracle_fails = set(), set()
+    for name, make in _SHIFTED.items():
+        for key, setup in _shifts(make).items():
+            alg = AnnularAlgebra(setup)
+            assert all(r.ok for r in box_checks(alg)), (name, key)
+            mutant = copy.copy(alg.boxes)
+            mutant.stars = oracle_stars(alg.boxes)   # shadows the cached table
+            if mutant.stars != alg.boxes.stars:
+                differ.add((name, key))
+            if not (mutant.check_star_laws().ok
+                    and mutant.check_gram_identity().ok):
+                oracle_fails.add((name, key))
+    assert differ == oracle_fails
+    assert len(differ) == 43
 
 
 # -- associativity: the block-map certificate against the walk -----------------
@@ -321,10 +393,7 @@ def test_unit_check_matches_the_all_identities_walk(name):
     alg = _UNIT_ALGEBRAS[name]()
     res = alg.check_unit()
     assert res.ok and res == all_identities_unit_check(alg)
-    twists = [] if not isinstance(alg, TubeShapedAlgebra) else \
-        [t for conv in ("op-inverse", "plain-conjugate")
-         for t in alg.block_algebra(conv).algebras]
-    for talg in twists:
+    for talg in _class_twists(alg):
         assert talg.check_unit() == all_identities_unit_check(talg)
     # tables with one product by an identity changed
     ids = {alg.identity(x) for x in alg.objects}
