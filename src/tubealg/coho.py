@@ -1,16 +1,15 @@
 """Derived 2-cocycles, the conjugation-transport cochain, and gauge fixing.
 
-From a 3-cocycle ``w`` on G, each element ``a`` receives a 2-cocycle on
-its centralizer::
+From a 3-cocycle ``w`` on G, each element ``a`` receives a 2-cocycle on its
+centralizer, minus the tube phase tau = ``Cocycle3.tube_phase`` on a's endomorphisms::
 
-    phi_a(g, h) = w(a, g, h)^-1 * w(g, a, h) * w(g, h, a)^-1
+    phi_a(g, h) = tau(a, g, a, h, a)^-1
 
 and each triple ``(a, x, y)`` receives a transport cochain
 ``gamma[a, x, y]: G_a -> S^1`` (an explicit eight-factor product of
 ``w``-values) satisfying, for all ``g, h`` in the centralizer of ``a``::
 
-    w(xax^-1, xgy^-1, yhz^-1)^-1 * w(xgy^-1, yay^-1, yhz^-1)
-                                 * w(xgy^-1, yhz^-1, zaz^-1)^-1
+    tau(xax^-1, xgy^-1, yay^-1, yhz^-1, zaz^-1)^-1
       = gamma[a,x,y](g) * gamma[a,y,z](h) * gamma[a,x,z](gh)^-1 * phi_a(g, h)
 
 These scalars are exactly what the block isomorphisms of the tube and
@@ -47,26 +46,25 @@ class BHSetupError(ValueError):
 
 
 def phi_a(group: GroupTable, omega: Cocycle3, a: int) -> Cocycle2:
-    """The centralizer 2-cocycle of ``a`` derived from ``omega``."""
+    """The centralizer 2-cocycle of ``a``: -tau(a, g, a, h, a), the
+    negated phase of (a -h-> a) . (a -g-> a)."""
     omega.ensure_valid()
     els = centralizer(group, a)
-    values = [omega(g, a, h) - omega(a, g, h) - omega(g, h, a)
-              for g in els for h in els]
+    values = [-omega.tube_phase(a, g, a, h, a) for g in els for h in els]
     return Cocycle2(group, els, values, omega.modulus)
 
 
 def phi_class(group: GroupTable, omega: Cocycle3, class_data, c: int) -> Cocycle2:
-    """The block twist on the centralizer of the class representative.
+    """The block twist on the centralizer of the class representative g.
 
-    phi_C(s, t) = conj(phi_{g_C}(t^-1, s^-1)); this opposite-inverse
-    twist is the one under which the tube-algebra block map is
-    multiplicative.
+    phi_C(s, t) = conj(phi_g(t^-1, s^-1)) = tau(g, t^-1, g, s^-1, g), the
+    phase of (g -s^-1-> g) . (g -t^-1-> g); this opposite-inverse twist is
+    the one under which the tube-algebra block map is multiplicative.
     """
-    base = phi_a(group, omega, class_data.reps[c])
-    els = base.elements
-    values = [-base(group.inverse(t), group.inverse(s))
-              for s in els for t in els]
-    return Cocycle2(group, els, values, base.modulus)
+    omega.ensure_valid()
+    g, els, inv = class_data.reps[c], class_data.centralizers[c], group.inverse
+    values = [omega.tube_phase(g, inv(t), g, inv(s), g) for s in els for t in els]
+    return Cocycle2(group, els, values, omega.modulus)
 
 
 def phi_class_plain_conjugate(group: GroupTable, omega: Cocycle3,
@@ -97,13 +95,9 @@ def gamma(group: GroupTable, omega: Cocycle3, a: int, x: int, y: int,
 
 def _gamma_identity_holds(G: GroupTable, omega: Cocycle3, phis: dict,
                           a: int, x: int, y: int, z: int, g: int, h: int) -> bool:
-    xi, yi, zi = G.inverse(x), G.inverse(y), G.inverse(z)
-    xax = G.mul(G.mul(x, a), xi)
-    yay = G.mul(G.mul(y, a), yi)
-    zaz = G.mul(G.mul(z, a), zi)
-    xgy = G.mul(G.mul(x, g), yi)
-    yhz = G.mul(G.mul(y, h), zi)
-    lhs = omega(xgy, yay, yhz) - omega(xax, xgy, yhz) - omega(xgy, yhz, zaz)
+    xgy, yhz = G.mul3(x, g, G.inverse(y)), G.mul3(y, h, G.inverse(z))
+    lhs = -omega.tube_phase(G.conjugate(x, a), xgy, G.conjugate(y, a), yhz,
+                            G.conjugate(z, a))
     rhs = (gamma(G, omega, a, x, y, g) + gamma(G, omega, a, y, z, h)
            - gamma(G, omega, a, x, z, G.mul(g, h)) + phis[a](g, h))
     return (lhs - rhs) % omega.modulus == 0

@@ -299,10 +299,8 @@ def generating_set(group: GroupTable) -> tuple[int, ...]:
 
 
 def is_subgroup(group: GroupTable, elements: Sequence[int]) -> bool:
-    elems = set(elements)
-    if 0 not in elems:
-        return False
-    return all(group.mul(a, b) in elems for a in elems for b in elems)
+    """Whether ``elements`` is its own subgroup closure."""
+    return subgroup_closure(group, elements) == tuple(sorted(set(elements)))
 
 
 def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:

@@ -8,8 +8,8 @@ require: products of phases are sums mod N, inverses are negatives.
 Cocycle tables are stored densely: ``n**3`` entries is small at the
 group orders this library targets.
 
-Every scalar downstream (derived 2-cocycles, the transport cochain,
-structure constants, block-map scalars) is a sum of cocycle values, so:
+Every scalar downstream (the tube phase tau, derived 2-cocycles, the
+transport cochain, block-map scalars) is a sum of cocycle values, so:
 
 - A derived table keeps its source cocycle's modulus, unreduced.  Never
   compare phases taken from tables with different moduli.
@@ -101,6 +101,14 @@ class Cocycle3:
     def __call__(self, a: int, b: int, c: int) -> int:
         n = self.group.order
         return self.values[(a * n + b) * n + c]
+
+    def tube_phase(self, a: int, s: int, b: int, t: int, c: int) -> int:
+        """tau, the transgression of w: the phase of (y -t-> z) . (x -s-> y)
+        for objects x, y, z of weights a, b, c, w(a,s,t) w(s,b,t)^-1 w(s,t,c)
+        mod N.  On a's endomorphisms, -tau is the twist ``coho.phi_a``."""
+        n, v = self.group.order, self.values
+        return (v[(a * n + s) * n + t] - v[(s * n + b) * n + t]
+                + v[(s * n + t) * n + c]) % self.modulus
 
     def ensure_valid(self) -> CheckResult:
         """The passing 3-cocycle check, run once per table (a pass is

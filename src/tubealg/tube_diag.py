@@ -5,9 +5,10 @@ A tube-shaped algebra over a finite group G with a normalized 3-cocycle
 G.  Its basis is the morphisms ``x -s-> y`` between objects with
 ``wt(x) s = s wt(y)``.  With ``a, b, c`` the weights of ``x, y, z``,
 products, the involution ``#`` and the canonical trace are ``w``-phases,
-with tau(n, m) the phase of n . m as an int mod N::
+ints mod N, with tau(a, s, b, t, c) = ``Cocycle3.tube_phase`` (on a's
+endomorphisms, -tau is ``coho.phi_a``) and tau(n, m) the phase of n . m::
 
-    (y -t-> z) . (x -s-> y) = w(a,s,t) w(s,b,t)^-1 w(s,t,c) (x -st-> z)
+    (y -t-> z) . (x -s-> y) = tau(a, s, b, t, c) (x -st-> z)
     m^#                     = -tau(m^-1, m) . m^-1, derived
     trace (x -s-> y)        = [x == y][s == e]
 
@@ -125,9 +126,8 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
         y2, t, z, _, c = self._split(left)
         if y != y2:
             return None
-        w = self.omega
-        scalar = (w(a, s, t) - w(s, b, t) + w(s, t, c)) % self.modulus
-        return scalar, self._label_of[(x, self.group.mul(s, t), z)]
+        return (self.omega.tube_phase(a, s, b, t, c),
+                self._label_of[(x, self.group.mul(s, t), z)])
 
     # -- block decomposition ------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Test oracle: group-table associativity over all n^3 triples, a
-two-sided subgroup closure, and conjugacy data by three separate walks.
+two-sided subgroup closure, subgroup membership by pairwise products, and
+conjugacy data by three separate walks.
 
 The library checks associativity by Light's test over the table's greedy
-generators, closes subgroups by right multiplication alone and reads a
+generators, closes subgroups by right multiplication alone, tests a
+subset for a subgroup by comparing it with its closure and reads a
 class, its transports and its representative's centralizer off one
 conjugation walk (:mod:`tubealg.grp`); these full searches are kept here
 to cross-check their verdicts and results.
@@ -47,6 +49,14 @@ def subgroup_closure(group: GroupTable, elements: Sequence[int]) -> tuple[int, .
                     seen.add(y)
                     queue.append(y)
     return tuple(sorted(seen))
+
+
+def is_subgroup(group: GroupTable, elements: Sequence[int]) -> bool:
+    """Holds the identity and the product of every pair of its members."""
+    elems = set(elements)
+    if 0 not in elems:
+        return False
+    return all(group.mul(a, b) in elems for a in elems for b in elems)
 
 
 def conjugacy_data(group: GroupTable) -> ClassData:

@@ -17,10 +17,14 @@ from tubealg.phase import (CheckResult, Cocycle2, coboundary2, cocycle3_check,
                            restrict_trivial_on, standard_cyclic_cocycle,
                            trivial_cocycle, two_factor_cocycle)
 
+from tubealg.annular_bh import AnnularAlgebra, CutdownAlgebra
+from tubealg.tube_diag import TubeAlgebra
+
 import gamma_identity_oracle
 from cocycle2_oracle import cocycle2_check
 from conftest import (SMALL_NAMES, _FIXTURES, bh_coboundary_shift, bh_setup_s3,
-                      bh_setup_v4, bh_setup_z2z4, symmetric_group)
+                      bh_setup_v4, bh_setup_z1, bh_setup_z2z4, dihedral8_sign,
+                      s4_sign, symmetric_group)
 
 
 def phi_a_oracle(group, omega, a, g, h):
@@ -306,6 +310,49 @@ def test_phi_law_breaking_shift_verdicts_match_the_walk(name, monkeypatch):
             assert (phi(b, d) - phi(G.mul(c, b), d) + phi(c, G.mul(b, d))
                     - phi(c, b)) % phi.modulus
     assert broken or omega.modulus == 1
+
+
+# -- the class twists are the tube product's endomorphism phases -------------
+
+
+def _assert_twists_are_endomorphism_phases(alg):
+    """At every object x whose weight is a class representative g, read
+    off ``products``: the op-inverse twist phi_C(s, t) is the phase of
+    (x -s^-1-> x)(x -t^-1-> x), the plain-conjugate phi(s, t) that of
+    (x -t-> x)(x -s-> x)."""
+    G, cd, products = alg.group, alg.class_data, alg.products
+    op, plain = (alg.block_algebra(conv).algebras
+                 for conv in ("op-inverse", "plain-conjugate"))
+    seen = 0
+    for c, g in enumerate(cd.reps):
+        for x in (x for x in alg.objects if alg._weight[x] == g):
+            seen += 1
+            endo = {s: alg._label_of[(x, s, x)] for s in cd.centralizers[c]}
+            for s, t in product(cd.centralizers[c], repeat=2):
+                si, ti = G.inverse(s), G.inverse(t)
+                assert products[(endo[si], endo[ti])] == \
+                    (op[c].twist(s, t), endo[G.mul(ti, si)]), (x, s, t)
+                assert products[(endo[t], endo[s])] == \
+                    (plain[c].twist(s, t), endo[G.mul(s, t)]), (x, s, t)
+    assert seen
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES + ["d8_sign", "s4_sign"])
+def test_tube_class_twists_are_endomorphism_phases(name):
+    make = {"d8_sign": dihedral8_sign, "s4_sign": s4_sign}.get(
+        name, lambda: (_FIXTURES[name].group, _FIXTURES[name].omega))
+    _assert_twists_are_endomorphism_phases(TubeAlgebra(*make()))
+
+
+@pytest.mark.parametrize("name", ["s3", "v4", "z1", "z2z4"])
+def test_bh_class_twists_are_endomorphism_phases(name):
+    # as given and shifted by coboundaries at moduli above 2
+    make = {"s3": bh_setup_s3, "v4": bh_setup_v4, "z1": bh_setup_z1,
+            "z2z4": bh_setup_z2z4}[name]
+    for setup in [make()] + [bh_coboundary_shift(make(), scale, seed)
+                             for scale in (3, 6) for seed in range(2)]:
+        _assert_twists_are_endomorphism_phases(AnnularAlgebra(setup))
+        _assert_twists_are_endomorphism_phases(CutdownAlgebra(setup))
 
 
 # -- two-subgroup setups -------------------------------------------------------

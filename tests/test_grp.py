@@ -9,7 +9,8 @@ import pytest
 from tubealg.grp import (GroupError, GroupTable, centralizer, conjugacy_data,
                          cyclic_group, direct_product, generating_set,
                          group_from_json, group_from_permutations,
-                         group_from_table, group_to_json, subgroup_closure)
+                         group_from_table, group_to_json, is_subgroup,
+                         subgroup_closure)
 
 from conftest import (_FIXTURES, bh_setup_s3, bh_setup_v4, bh_setup_z1,
                       bh_setup_z2z4, dihedral8_sign, symmetric_group)
@@ -360,6 +361,30 @@ def test_subgroup_closure_matches_the_two_sided_oracle(name):
         for b in group.elements():
             assert subgroup_closure(group, [a, b]) == \
                 group_oracle.subgroup_closure(group, [a, b])
+
+
+def test_is_subgroup_matches_the_pairwise_oracle():
+    # every subset of S3: its six subgroups, and nothing else
+    s3 = symmetric_group(3)[0]
+    found = 0
+    for mask in range(2 ** s3.order):
+        sub = [g for g in s3.elements() if mask >> g & 1]
+        assert is_subgroup(s3, sub) == group_oracle.is_subgroup(s3, sub), sub
+        found += is_subgroup(s3, sub)
+    assert found == 6
+    # random subsets, and subgroups with one element taken out or put in
+    rng = random.Random(28)
+    for group in (dihedral8_sign()[0], symmetric_group(4)[0]):
+        n, hits = group.order, 0
+        for _ in range(100):
+            closed = list(subgroup_closure(group, rng.sample(range(n), 2)))
+            for sub in (rng.sample(range(n), rng.randint(0, n)), closed,
+                        closed[:-1], closed + [rng.randrange(n)]):
+                rng.shuffle(sub)
+                want = group_oracle.is_subgroup(group, sub)
+                assert is_subgroup(group, sub) == want, sub
+                hits += want
+        assert hits >= 100
 
 
 @pytest.mark.parametrize("name", list(_FIXTURES) + list(_MORE_GROUPS) + ["s5"])

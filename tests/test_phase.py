@@ -4,6 +4,7 @@ import ast
 import math
 import pathlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,19 @@ def test_table_to_json_is_lcm_of_reduced_denominators(values):
     mod = math.lcm(*(q.denominator for q in qs))
     assert table_to_json(values, L) == {
         "modulus": mod, "values": [int(q * mod) for q in qs]}
+
+
+@pytest.mark.parametrize("name", SMALL_NAMES)
+def test_tube_phase_matches_the_three_factors(name):
+    # the phase of (y -t-> z) . (x -s-> y), weights a, b = s^-1 a s and
+    # c = t^-1 b t, written out as its three cocycle factors
+    omega = _FIXTURES[name].omega
+    G = omega.group
+    for a, s, t in product(G.elements(), repeat=3):
+        b = G.conjugate(G.inverse(s), a)
+        c = G.conjugate(G.inverse(t), b)
+        want = (omega(a, s, t) - omega(s, b, t) + omega(s, t, c)) % omega.modulus
+        assert omega.tube_phase(a, s, b, t, c) == want, (name, a, s, t)
 
 
 def test_cocycle3_trivial_passes(small_fixture):

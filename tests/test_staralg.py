@@ -143,7 +143,7 @@ def test_one_product_path():
     # structure constants are read through the tables only, and phases
     # become complex numbers only in rep's numerical half
     callers = _callers(("mult_basis", "star_basis", "root", "phi_iso",
-                        "gamma", "TwistedGroupAlgebra"))
+                        "gamma", "TwistedGroupAlgebra", "tube_phase"))
     assert callers["mult_basis"] == {"staralg.MonomialStarAlgebra.products",
                                      "staralg.MonomialStarAlgebra.star_basis"}
     assert callers["star_basis"] == {"staralg.MonomialStarAlgebra.stars"}
@@ -156,6 +156,11 @@ def test_one_product_path():
     # certificate
     assert callers["gamma"] == {"tube_diag.TubeShapedAlgebra.phi_iso",
                                 "coho._gamma_identity_holds"}
+    # tau is written once, in Cocycle3.tube_phase: the tube product, the
+    # centralizer and class twists and the transport identity read it
+    assert callers["tube_phase"] == {
+        "tube_diag.TubeShapedAlgebra.mult_basis", "coho.phi_a",
+        "coho.phi_class", "coho._gamma_identity_holds"}
     # a class twist's algebra is built once, by the block sum; the other
     # two build the weight-endomorphism and transport-identity twists'
     assert callers["TwistedGroupAlgebra"] == {
