@@ -13,8 +13,8 @@ block and the full algebra by induction and restriction.
 import numpy as np
 
 from tubealg import (TubeAlgebra, center_dimension, decompose, induce,
-                     regular_representation, restrict, simple_count,
-                     standard_cyclic_cocycle, support_decompose)
+                     phase_str, regular_representation, restrict,
+                     simple_count, standard_cyclic_cocycle, support_decompose)
 from tubealg.rep import Representation
 
 omega = standard_cyclic_cocycle(2, 1)
@@ -33,13 +33,20 @@ print("regular representation splits into:",
       [(b.dimension, b.multiplicity) for b in blocks])
 
 # The nonidentity class carries a twisted group algebra in which the
-# generator squares to -1; its regular representation splits into two
-# lines where the generator acts by the eigenvalues +i and -i.
+# generator squares to exp(2 pi i k/N), here -1; its regular
+# representation splits into two lines where the generator acts by the
+# two square roots, exp(2 pi i (k + jN)/2N) for j = 0, 1, here +i and -i.
 talg = alg.block_algebra().algebras[1]
 print("twisted center dimension:", center_dimension(talg))
-for z in sorted(np.linalg.eigvals(regular_representation(talg).matrices[1]),
-                key=lambda z: z.imag):
-    print("  line with generator acting as", np.round(z, 6))
+k, N = talg.products[(1, 1)][0], talg.modulus
+halves = [k + j * N for j in (0, 1)]  # in units of 1/2N of a turn
+for h in halves:
+    print("  line with generator acting as exp(2 pi i *",
+          phase_str(h, 2 * N) + ")")
+eigvals = np.linalg.eigvals(regular_representation(talg).matrices[1])
+print("  the eigen-solver finds both:",
+      all(np.min(np.abs(eigvals - np.exp(1j * np.pi * h / N))) < 1e-9
+          for h in halves))
 
 # Induction: a 1-dimensional block representation extends to the tube
 # algebra, acting through the block map; restriction compresses back.

@@ -12,7 +12,7 @@ hashed with SHA-256 and compared with the digest pinned in
 - ``gauge-fix``, ``bh check`` and ``bh simples`` on the Z2xZ2 setup
   shifted by a coboundary at modulus 6, where a gauge-fix relation's
   value and its inverse can differ;
-- the stdout of three demos under ``demos/``, keyed by their paths.
+- the stdout of the four demos under ``demos/``, keyed by their paths.
 
 A refactor that changes no result leaves every digest as it is.  To
 re-pin after a deliberate change of a report, run this file as a script
@@ -43,9 +43,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("report_corpus.json")
 SEEDS = (1, 7)
 SHIFT_SEED = 5
-# representation_splitting.py is not pinned: see test_demos_keep_their_stdout
 DEMOS = ("demos/annular_algebra.py", "demos/diagonal_tube_algebra.py",
-         "demos/gauge_fixing.py")
+         "demos/gauge_fixing.py", "demos/representation_splitting.py")
 
 
 def _perfbench_inputs():
@@ -143,13 +142,10 @@ def test_reports_keep_their_digests(tmp_path):
 
 
 def test_demos_keep_their_stdout():
-    """The demos that print exact values keep their bytes.
-
-    ``demos/representation_splitting.py`` is left out: it prints
-    ``np.round`` of eigen-solver output, signed zeros included (it prints
-    ``(-0-1j)``), so its bytes depend on the numpy and LAPACK build, not
-    only on this package.
-    """
+    """The demos keep their bytes.  Each prints exact values only:
+    ``demos/representation_splitting.py`` prints its eigenvalues as exact
+    phases and the eigen-solver's agreement with them as a boolean, so
+    its bytes do not depend on the numpy and LAPACK build."""
     pinned = json.loads(DIGESTS.read_text())
     changed = [f"{demo}: stdout digest now {digest}" for demo in DEMOS
                if (digest := demo_digest(demo)) != pinned[demo]]
