@@ -61,8 +61,8 @@ print("restriction returns the original matrices:",
       all(np.array_equal(back.matrices[v], pi.matrices[v]) for v in (0, 1)))
 
 # Support decomposition: a direct sum of inductions from different
-# classes is cut apart by the corner projections at class
-# representatives.
+# classes is cut apart by the class units, each the sum of the
+# identities of its class's objects.
 pieces = [induce(alg, c, regular_representation(talg))
           for c, talg in enumerate(alg.block_algebra().algebras)]
 dim = sum(p.dim for p in pieces)

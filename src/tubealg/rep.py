@@ -3,25 +3,29 @@
 :func:`decompose` reads the blocks of a tube-shaped algebra's regular
 representation off its block isomorphism, exactly: it loads
 :mod:`tubealg.splitting` when it runs, to split each class twist's
-twisted group algebra, held by the block sum, over a prime field.  The regular representation
-and induction are nested lists of ``complex``.  Induction and
-restriction read the block images the block-map check certifies
-(``block_images``).  numpy is loaded only to
-check float matrices (`rep induce --rep`) and by `restrict` and
-`support_decompose`.  Twisted group algebras, center dimensions and
-the wire key of a label live in :mod:`tubealg.staralg`, with the
-algebras they read; the first two are also importable from here.
+twisted group algebra, held by the block sum, over a prime field.  The
+regular representation and induction are nested lists of ``complex``.
+Induction and restriction read the block images the block-map check
+certifies (``block_images``).  numpy is loaded only to check float
+matrices (`rep induce --rep`) and by `restrict` and
+`support_decompose`, which splits a representation into the ranges of
+its class units; their tolerance is the module constant :data:`TOL`.
+Twisted group algebras, center dimensions and the wire key of a label
+live in :mod:`tubealg.staralg`, with the algebras they read; the first
+two are also importable from here.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .phase import CheckResult, DecompositionError, root
 from .staralg import (MonomialStarAlgebra, TwistedGroupAlgebra,
                       center_dimension, label_key)
+
+TOL = 1e-9  # residuals of Representation.check, 0/1 entries of projections
 
 
 class Representation(NamedTuple):
@@ -34,12 +38,12 @@ class Representation(NamedTuple):
     matrices: dict
     regular_of: object = None
 
-    def check(self, alg: MonomialStarAlgebra, tol: float = 1e-9) -> CheckResult:
+    def check(self, alg: MonomialStarAlgebra) -> CheckResult:
         """Multiplicativity and *-compatibility: exact for the regular
         representation of ``alg``, whose verifiers certify it (L_b L_a =
         zeta^phi L_{ba} on each basis vector is associativity; with the star
         laws, trace, gram and unit, L_a^dagger = zeta^sigma L_{a*}); else to
-        ``tol`` with numpy, stating coverage and worst residual."""
+        :data:`TOL` with numpy, stating coverage and worst residual."""
         if self.regular_of is alg:
             results = alg.check_all()
             bad = [r.witness for r in results if not r.ok]
@@ -58,12 +62,12 @@ class Representation(NamedTuple):
                  for a in self.labels)):
             target = 0 if hit is None else root(hit[0], N) * mats[hit[1]]
             residual = float(np.max(np.abs(got - target), initial=0))
-            if not residual <= tol:  # a NaN residual fails too
+            if not residual <= TOL:  # a NaN residual fails too
                 return CheckResult(False, name, witness,
-                                   f"tol {tol:g}, residual {residual:.3g}")
+                                   f"tol {TOL:g}, residual {residual:.3g}")
             worst = max(worst, residual)
         m = len(self.labels)
-        return CheckResult(True, "representation", detail=f"tol {tol:g}, "
+        return CheckResult(True, "representation", detail=f"tol {TOL:g}, "
                            f"{m * m} products + {m} stars, max residual {worst:.3g}")
 
 
@@ -160,15 +164,17 @@ def induce(context, class_index: int, pi: Representation) -> Representation:
     return Representation(labels=list(context.labels()), dim=n, matrices=mats)
 
 
-def _range_basis(P, tol: float = 1e-9):
+def _range_basis(P):
+    """Orthonormal columns spanning the range of the projection ``P``: unit
+    vectors if ``P`` is 0/1-diagonal to :data:`TOL`, else by ``eigh``."""
     import numpy as np
     P = np.asarray(P, dtype=complex)
     if P.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
     diag = np.diag(P)
-    if np.max(np.abs(P - np.diag(diag))) < tol and \
-            np.all((np.abs(diag) < tol) | (np.abs(diag - 1) < tol)):
-        cols = [i for i, v in enumerate(diag) if abs(v - 1) < tol]
+    if np.max(np.abs(P - np.diag(diag))) < TOL and \
+            np.all((np.abs(diag) < TOL) | (np.abs(diag - 1) < TOL)):
+        cols = [i for i, v in enumerate(diag) if abs(v - 1) < TOL]
         Q = np.zeros((P.shape[0], len(cols)), dtype=complex)
         for j, i in enumerate(cols):
             Q[i, j] = 1.0
@@ -207,45 +213,34 @@ class SupportDecomposition(NamedTuple):
     total: int
 
 
-def support_decompose(context, Pi: Representation,
-                      tol: float = 1e-9) -> SupportDecomposition:
-    """Orthogonal decomposition by the class-corner projections.
+def support_decompose(context, Pi: Representation) -> SupportDecomposition:
+    """Orthogonal decomposition by the class units.
 
-    Each class contributes the subrepresentation generated by the range
-    of its corner projection, the identity of its
-    :meth:`support_block_index`; the pieces are verified to be mutually
-    orthogonal and to fill the space.
+    Class C's piece is the range of Pi(1_C), with 1_C the sum of the
+    identities of the objects in ``block_algebra().index_sets[C]``: the
+    unit of C's block.  1_C is central, so its range is a
+    subrepresentation, the one that the identity of any object of C
+    generates.  The pieces are verified to be mutually orthogonal and
+    to fill the space.  Whether Pi is a *-representation is not checked
+    here: :meth:`Representation.check` does that.
     """
     import numpy as np
-    blocks = context.block_algebra()
-    dim = Pi.dim
     subspaces = {}
-    dims = {}
-    for c in range(len(blocks.index_sets)):
-        corner = context.identity(context.support_block_index(c))
-        R = _range_basis(Pi.matrices[corner])
-        if R.shape[1] == 0:
-            subspaces[c] = R
-            dims[c] = 0
-            continue
-        stack = np.hstack([np.asarray(Pi.matrices[b], dtype=complex) @ R
-                           for b in Pi.labels])
-        u, s, _ = np.linalg.svd(stack, full_matrices=False)
-        rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
-        subspaces[c] = u[:, :rank]
-        dims[c] = rank
+    for c, index_set in enumerate(context.block_algebra().index_sets):
+        unit = np.zeros((Pi.dim, Pi.dim), dtype=complex)
+        for x in index_set:
+            unit += np.asarray(Pi.matrices[context.identity(x)], dtype=complex)
+        subspaces[c] = _range_basis(unit)
+    dims = {c: Q.shape[1] for c, Q in subspaces.items()}
     total = sum(dims.values())
-    if total != dim:
+    if total != Pi.dim:
         raise DecompositionError(
-            f"support pieces fill {total} of {dim} dimensions")
-    keys = sorted(subspaces)
-    for i in keys:
-        for j in keys:
-            if i < j and subspaces[i].size and subspaces[j].size:
-                overlap = np.max(np.abs(subspaces[i].conj().T @ subspaces[j]))
-                if overlap > 1e-7:
-                    raise DecompositionError(
-                        f"support pieces of classes {i} and {j} overlap")
+            f"support pieces fill {total} of {Pi.dim} dimensions")
+    for i, j in combinations(subspaces, 2):
+        overlap = subspaces[i].conj().T @ subspaces[j]
+        if np.max(np.abs(overlap), initial=0) > 1e-7:
+            raise DecompositionError(
+                f"support pieces of classes {i} and {j} overlap")
     return SupportDecomposition(subspaces=subspaces, dims=dims, total=total)
 
 

@@ -204,8 +204,10 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
             f"class twists exhaustive {laws}"))
 
     def support_block_index(self, c: int):
-        """The least object whose weight is the representative of class c."""
-        return min(self._by_weight[self.class_data.reps[c]])
+        """The least object whose weight is class c's representative, else
+        (a cut-down algebra may have none) the first of its index set."""
+        at_rep = self._by_weight.get(self.class_data.reps[c])
+        return min(at_rep) if at_rep else self.block_algebra().index_sets[c][0]
 
     def _walk_block_map(self, convention: str) -> CheckResult:
         blocks = self.block_algebra(convention)

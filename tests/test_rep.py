@@ -4,9 +4,10 @@ numerical regular split (the test oracle of ``rep.decompose``)."""
 import numpy as np
 import pytest
 
-from tubealg.annular_bh import AnnularAlgebra, end_xg_algebra, tube_cutdown
-from tubealg.coho import phi_class
-from tubealg.grp import conjugacy_data, cyclic_group
+from tubealg.annular_bh import (AnnularAlgebra, CutdownAlgebra, end_xg_algebra,
+                                tube_cutdown)
+from tubealg.coho import BHSetup, phi_class
+from tubealg.grp import conjugacy_data, cyclic_group, subgroup_closure
 from tubealg.phase import (Cocycle2, Cocycle3, normalize3, root,
                            standard_cyclic_cocycle, trivial_cocycle)
 from tubealg.rep import (DecompositionError, Representation,
@@ -22,6 +23,7 @@ from conftest import (_FIXTURES, SMALL_NAMES, bh_coboundary_shift, bh_setup_s3,
                       coboundary_shift, dihedral8_sign, force_ambiguous_eigh,
                       symmetric_group)
 from regular_split_oracle import characters, regular_split
+from support_oracle import support_pieces
 
 
 def _z2_twisted():
@@ -374,6 +376,119 @@ def test_support_decompose_zero_representation():
                                     for lab in alg.labels()})
     sd = support_decompose(alg, zero)
     assert all(d == 0 for d in sd.dims.values())
+
+
+def _identities(alg, blocks_of) -> dict:
+    """Label -> ``blocks_of[x]`` at the identity of object x, the zero matrix
+    at every other label."""
+    units = {alg.identity(x): M for x, M in blocks_of.items()}
+    dim = len(next(iter(blocks_of.values())))
+    return {lab: np.asarray(units.get(lab, np.zeros((dim, dim))), dtype=complex)
+            for lab in alg.labels()}
+
+
+def test_support_decompose_rejects_pieces_that_overfill():
+    # both class units act as the identity of one line: 1 + 1 pieces in 1
+    alg, _ = _semion_context()
+    mats = _identities(alg, {0: [[1]], 1: [[1]]})
+    with pytest.raises(DecompositionError,
+                       match="^support pieces fill 2 of 1 dimensions$"):
+        support_decompose(alg, Representation(list(alg.labels()), 1, mats))
+
+
+def test_support_decompose_rejects_overlapping_pieces():
+    # the class units project onto two lines at 45 degrees: they fill the
+    # plane by dimension count but are not orthogonal
+    alg, _ = _semion_context()
+    mats = _identities(alg, {0: [[1, 0], [0, 0]],
+                             1: [[0.5, 0.5], [0.5, 0.5]]})
+    with pytest.raises(DecompositionError,
+                       match="^support pieces of classes 0 and 1 overlap$"):
+        support_decompose(alg, Representation(list(alg.labels()), 2, mats))
+
+
+_SUPPORT_CONTEXTS = {
+    **{name: TubeAlgebra(_FIXTURES[name].group, _FIXTURES[name].omega)
+       for name in SMALL_NAMES},
+    "d8_sign": TubeAlgebra(*dihedral8_sign()),
+    "bh_s3": AnnularAlgebra(bh_setup_s3()),
+    "bh_v4": AnnularAlgebra(bh_setup_v4())}
+
+
+def _unitary(dim: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(dim, dim)) +
+                        1j * rng.normal(size=(dim, dim)))[0]
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("name", _SUPPORT_CONTEXTS)
+def test_support_decompose_matches_svd_oracle(name, conjugated):
+    # a unitary change of basis makes every class unit non-diagonal, so
+    # the range is found by eigh; the pieces then move with the basis
+    alg = _SUPPORT_CONTEXTS[name]
+    S = _direct_sum(alg, [induce(alg, c, regular_representation(talg))
+                          for c, talg in enumerate(alg.block_algebra().algebras)])
+    if conjugated:
+        U = _unitary(S.dim, seed=sum(map(ord, name)))
+        S = S._replace(matrices={lab: U @ M @ U.conj().T
+                                 for lab, M in S.matrices.items()})
+    sd, pieces = support_decompose(alg, S), support_pieces(alg, S)
+    assert sd.dims == {c: Q.shape[1] for c, Q in pieces.items()}
+    assert sd.total == S.dim
+    for c, Q in pieces.items():
+        P = sd.subspaces[c]
+        assert np.max(np.abs(P @ P.conj().T - Q @ Q.conj().T), initial=0) < 1e-9
+
+
+def _cutdowns_missing_a_representative_weight():
+    """(setup name, cut-down algebra, classes none of whose objects has the
+    representative's weight) over the subgroups H of S3 and S4, K = G."""
+    for degree in (3, 4):
+        G, _ = symmetric_group(degree)
+        subgroups = sorted({tuple(subgroup_closure(G, [a, b]))
+                            for a in G.elements() for b in G.elements()})
+        for H in subgroups:
+            cut = CutdownAlgebra(BHSetup(G, H, G.elements(), trivial_cocycle(G)))
+            index_sets = cut.block_algebra().index_sets
+            missing = [c for c, rep in enumerate(cut.class_data.reps)
+                       if index_sets[c] and
+                       all(cut._weight[x] != rep for x in index_sets[c])]
+            if missing:
+                yield f"S{degree}_H{'.'.join(map(str, H))}", cut, missing
+
+
+_MISSING = list(_cutdowns_missing_a_representative_weight())
+
+
+def test_cutdowns_missing_a_representative_weight_exist():
+    # one class of S3 at H = <(1 2)>, 19 class/subgroup pairs of S4
+    assert sum(len(m) for _, _, m in _MISSING) == 20
+
+
+@pytest.mark.parametrize("name, cut, missing", _MISSING,
+                         ids=[name for name, _, _ in _MISSING])
+def test_restrict_on_a_cutdown_without_the_representative(name, cut, missing):
+    assert cut.check_block_map().ok
+    blocks = cut.block_algebra()
+    for c in missing:
+        pi = regular_representation(blocks.algebras[c])
+        Pi = induce(cut, c, pi)
+        back = restrict(cut, c, Pi)
+        assert back.dim == pi.dim
+        for v in pi.labels:
+            assert np.max(np.abs(np.asarray(back.matrices[v]) -
+                                 np.asarray(pi.matrices[v]))) < 1e-12
+        dims = dict.fromkeys(range(len(blocks.index_sets)), 0) | {c: Pi.dim}
+        assert support_decompose(cut, Pi).dims == dims
+
+
+@pytest.mark.parametrize("name", _SUPPORT_CONTEXTS)
+def test_support_block_index_is_least_object_at_the_representative(name):
+    alg = _SUPPORT_CONTEXTS[name]
+    for c, rep in enumerate(alg.class_data.reps):
+        at_rep = [x for x in alg.objects if alg._weight[x] == rep]
+        assert alg.support_block_index(c) == min(at_rep)
 
 
 def test_induce_restrict_annular_context():
