@@ -238,7 +238,7 @@ def support_decompose(context, Pi: Representation) -> SupportDecomposition:
             f"support pieces fill {total} of {Pi.dim} dimensions")
     for i, j in combinations(subspaces, 2):
         overlap = subspaces[i].conj().T @ subspaces[j]
-        if np.max(np.abs(overlap), initial=0) > 1e-7:
+        if np.max(np.abs(overlap), initial=0) > TOL:
             raise DecompositionError(
                 f"support pieces of classes {i} and {j} overlap")
     return SupportDecomposition(subspaces=subspaces, dims=dims, total=total)

@@ -7,12 +7,12 @@ composable morphisms is a phase times their composite (other products
 are zero), and the involution sends a morphism to a phase times its
 inverse.  :class:`MonomialStarAlgebra` captures that shape once: from the
 groupoid and the product it derives the composable pairs, the trace, the
-unit and the star, and its generic verifiers (associativity,
-anti-automorphism laws, trace symmetry, orthonormality of the basis, the
-unit) are exhaustive over the basis.
-Structure constants are exact phases, ints mod the algebra's
-``modulus`` (see :mod:`tubealg.phase`), read only from the ``products``
-and ``stars`` tables that ``mult_basis`` and ``star_basis`` fill.
+unit and the star.  It walks associativity and the unit over the basis,
+and from them and one walk over the inverses certifies the star laws,
+trace symmetry and the orthonormality of the basis.  Structure
+constants are exact phases, ints mod the algebra's ``modulus`` (see
+:mod:`tubealg.phase`), read only from the ``products`` and ``stars``
+tables that ``mult_basis`` and ``star_basis`` fill.
 :class:`TwistedGroupAlgebra` is that shape on one object, checking its
 twist's 2-cocycle law as its associativity; :func:`center_dimension`
 counts the center of any of them.  :mod:`tubealg.rep` (representations)
@@ -44,13 +44,10 @@ class MonomialStarAlgebra:
 
     The base derives the right factors of ``left`` (the labels into its
     source), the trace (1 on the identities, else 0), the unit (their
-    sum) and the star (:meth:`star_basis`).
-
-    ``mult_basis`` and ``star_basis`` only fill two tables, built on
-    first use and read by every verifier, builder and consumer:
-    ``products``, ``(left, right) -> (phase, label)`` for the nonzero
-    basis products, left-major in label order, and ``stars``.  The
-    verifiers cover the zero products by counting.
+    sum) and the star (:meth:`star_basis`).  Every reader takes structure
+    constants from the tables ``mult_basis`` and ``star_basis`` fill on
+    first use: ``products``, ``(left, right) -> (phase, label)`` for the
+    nonzero basis products, left-major in label order, and ``stars``.
     """
 
     modulus: int
@@ -60,6 +57,7 @@ class MonomialStarAlgebra:
     identity: Callable[[Hashable], Hashable]
     inverse: Callable[[Hashable], Hashable]
     mult_basis: Callable[[Hashable, Hashable], Optional[tuple[int, Hashable]]]
+    _premises: Optional[tuple] = None   # (products, stars, failed premise)
 
     # -- the groupoid -------------------------------------------------------
 
@@ -127,80 +125,66 @@ class MonomialStarAlgebra:
         for c, b, a in self._triples(comp):
             ph_ba, ba = products[(b, a)]
             ph_cb, cb = products[(c, b)]
-            left = products.get((cb, a))
-            right = products.get((c, ba))
-            if left is None or right is None:
-                if left is not right:
-                    return CheckResult(False, "associativity", (c, b, a), detail)
-                continue
-            if left[1] != right[1] or (ph_cb + left[0] - ph_ba - right[0]) % N:
+            left, right = products.get((cb, a)), products.get((c, ba))
+            if (left is None) != (right is None) or left is not None and (
+                    left[1] != right[1] or (ph_cb + left[0] - ph_ba - right[0]) % N):
                 return CheckResult(False, "associativity", (c, b, a), detail)
         return CheckResult(True, "associativity", detail=detail)
 
     def check_star_laws(self) -> CheckResult:
-        """star is involutive and anti-multiplicative on the basis.
-
-        (b, a) -> (a*, b*) then permutes the label pairs, so sending the
-        nonzero products to nonzero ones also sends zero ones to zero.
-        """
-        stars, products, N = self.stars, self.products, self.modulus
-        for a, (ph1, a1) in stars.items():
-            ph2, a2 = stars[a1]
-            if a2 != a or ph1 != ph2:
-                # star is conjugate-linear: (ph1 * a1)* = conj(ph1) * a1*
-                return CheckResult(False, "star-involution", (a,))
-        for (b, a), (ph_ba, lab_ba) in products.items():
-            phb, bs = stars[b]
-            pha, as_ = stars[a]
-            ab = products.get((as_, bs))
-            if ab is None:
-                return CheckResult(False, "star-antihom", (b, a))
-            ph_star, lab_star = stars[lab_ba]
-            if lab_star != ab[1] or (ph_star - ph_ba - pha - phb - ab[0]) % N:
-                return CheckResult(False, "star-antihom", (b, a))
-        return CheckResult(True, "star-laws", detail=f"exhaustive {len(products)}")
+        """star is involutive and anti-multiplicative on the basis."""
+        return self._certify("star-laws")
 
     def check_trace(self) -> CheckResult:
-        """trace(b a) == trace(a b) for all basis pairs, exactly.
-
-        The swap permutes the pairs, so checking the pairs of nonzero
-        trace covers the others.
-        """
-        products = self.products
-        for (b, a), (ph, lab) in products.items():
-            if not self.trace_basis(lab):
-                continue
-            ab = products.get((a, b))
-            if ab is None or not self.trace_basis(ab[1]) or ab[0] != ph:
-                return CheckResult(False, "trace-symmetry", (b, a))
-        return CheckResult(True, "trace-symmetry",
-                           detail=f"exhaustive {len(products)}")
+        """trace(b a) == trace(a b) for all basis pairs."""
+        return self._certify("trace-symmetry")
 
     def check_gram_identity(self) -> CheckResult:
-        """<a, b> = trace(b* a) = delta_{a,b}: an orthonormal basis.
+        """<a, b> = trace(b* a) = delta_{a,b}: an orthonormal basis."""
+        return self._certify("gram")
 
-        Each trace-supported product (b*, a) must have a = b, and each
-        <a, a> must be 1.
-        """
-        stars, products = self.stars, self.products
-        starred: dict = {}
-        for b, (_, bs) in stars.items():
-            starred.setdefault(bs, []).append(b)
-        for (bs, a), (_, lab) in products.items():
-            others = [b for b in starred.get(bs, ()) if b != a]
-            if others and self.trace_basis(lab):
-                return CheckResult(False, "gram", (a, others[0]))
-        for a, (pha, as_) in stars.items():
-            prod = products.get((as_, a))
-            if prod is None or not self.trace_basis(prod[1]) or \
-                    (pha + prod[0]) % self.modulus:
-                return CheckResult(False, "gram", (a, a))
-        return CheckResult(True, "gram", detail=f"exhaustive {len(products)}")
+    def _certify(self, name: str) -> CheckResult:
+        """Law ``name``, certified: it holds when associativity, the unit
+        and :meth:`_inverse_walk` pass.  These make ``products`` a twisted
+        groupoid algebra, tau normalized, with a* = s(a) a^-1 for
+        s(a) = -tau(a^-1, a).  Each step uses the unit: a left inverse n
+        of a is a^-1, by associativity at (n, a, a^-1); involution, at
+        (m, m^-1, m); anti-multiplicativity, at (a^-1, b^-1, b) and
+        (a^-1 b^-1, b, a); trace symmetry, at (a, a^-1, a); Gram, off the
+        diagonal, groupoid cancellation, and on it the inverse walk's star
+        equation.  The premises run once for the tables they read (a copy
+        that shadows ``products`` or ``stars`` runs its own); a failure
+        names the first failing premise and gives its witness."""
+        products, stars = self.products, self.stars
+        kept = self._premises
+        if kept is None or kept[0] is not products or kept[1] is not stars:
+            kept = self._premises = (products, stars, next(
+                (res for res in (check() for check in (
+                    self.check_associativity, self.check_unit,
+                    self._inverse_walk)) if not res.ok), None))
+        if kept[2] is not None:
+            return CheckResult(False, name, kept[2].witness,
+                               f"premise {kept[2].name} fails")
+        return CheckResult(True, name, detail=(
+            f"certified {len(products)} by associativity, unit, inverses "
+            f"exhaustive {len(self.labels())}"))
+
+    def _inverse_walk(self) -> CheckResult:
+        """a^-1 a on 1_x, a a^-1 on 1_y, a* = -tau(a^-1, a) a^-1: a : x -> y."""
+        products, stars, N = self.products, self.stars, self.modulus
+        for a in self.labels():
+            x, y = self.ends(a)
+            inv = self.inverse(a)
+            ph, left = products.get((inv, a), (0, None))
+            right = products.get((a, inv), (0, None))[1]
+            if (left, right) != (self.identity(x), self.identity(y)) \
+                    or stars.get(a) != (-ph % N, inv):
+                return CheckResult(False, "inverses", (a,))
+        return CheckResult(True, "inverses")
 
     def check_unit(self) -> CheckResult:
-        """The sum of the identities is a two-sided unit: each a : x -> y
-        has 1_y a = a and a 1_x = a.  ``products`` holds no other product
-        of a with an identity: its pairs are composable by construction."""
+        """The sum of the identities is a two-sided unit: 1_y a = a = a 1_x
+        for each a : x -> y, whose only composable identities these are."""
         products = self.products
         for a in self.labels():
             x, y = self.ends(a)
@@ -212,13 +196,9 @@ class MonomialStarAlgebra:
         return CheckResult(True, "unit", detail=f"exhaustive {len(self.labels())}")
 
     def check_all(self) -> list[CheckResult]:
-        return [
-            self.check_associativity(),
-            self.check_star_laws(),
-            self.check_trace(),
-            self.check_gram_identity(),
-            self.check_unit(),
-        ]
+        return [check() for check in (
+            self.check_associativity, self.check_star_laws, self.check_trace,
+            self.check_gram_identity, self.check_unit)]
 
 
 class TwistedGroupAlgebra(MonomialStarAlgebra):

@@ -358,8 +358,10 @@ def test_rep_induce_default_checks_are_exact(files, capsys):
         ("cocycle3", "certified 4096 by last argument over 2 generators, "
                      "exhaustive 1024"),
         ("representation", "exact: associativity exhaustive 64, star-laws "
-         "exhaustive 16, trace-symmetry exhaustive 16, gram exhaustive 16, "
-         "unit exhaustive 4"),
+         "certified 16 by associativity, unit, inverses exhaustive 4, "
+         "trace-symmetry certified 16 by associativity, unit, inverses "
+         "exhaustive 4, gram certified 16 by associativity, unit, inverses "
+         "exhaustive 4, unit exhaustive 4"),
         ("star-isomorphism", "exhaustive 512")]
 
 

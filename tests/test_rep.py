@@ -407,6 +407,18 @@ def test_support_decompose_rejects_overlapping_pieces():
         support_decompose(alg, Representation(list(alg.labels()), 2, mats))
 
 
+def test_support_decompose_rejects_pieces_that_overlap_by_1e_8():
+    # the class units project onto two lines whose overlap, their angle's
+    # cosine, is 1e-8: above the module tolerance TOL = 1e-9
+    alg, _ = _semion_context()
+    u = [1e-8, (1 - 1e-16) ** 0.5]
+    mats = _identities(alg, {0: [[1, 0], [0, 0]],
+                             1: [[x * y for y in u] for x in u]})
+    with pytest.raises(DecompositionError,
+                       match="^support pieces of classes 0 and 1 overlap$"):
+        support_decompose(alg, Representation(list(alg.labels()), 2, mats))
+
+
 _SUPPORT_CONTEXTS = {
     **{name: TubeAlgebra(_FIXTURES[name].group, _FIXTURES[name].omega)
        for name in SMALL_NAMES},

@@ -18,6 +18,7 @@ from tubealg.tube_diag import BlockAlgebra, TubeAlgebra, TubeShapedAlgebra
 from conftest import (SMALL_NAMES, _FIXTURES, bh_coboundary_shift,
                       bh_setup_s3, bh_setup_v4, bh_setup_z1, bh_setup_z2z4,
                       dihedral8_sign, s4_sign)
+from basis_law_oracle import gram_walk, star_laws_walk, trace_walk
 from star_oracle import oracle_stars
 
 
@@ -103,15 +104,20 @@ def test_dropped_product_fails_the_verifiers():
     assert res.witness == alg.dropped
 
 
+# 512 products, certified by associativity, the unit and the walk over
+# the 64 labels' inverses
+CERTIFIED_D8 = "certified 512 by associativity, unit, inverses exhaustive 64"
+
+
 def test_checks_state_coverage():
     alg = TubeAlgebra(*dihedral8_sign())
     details = {r.name: r.detail for r in alg.check_all()}
     assert details == {"associativity": "certified 4096 by block map "
                                         "exhaustive 512, class twists "
                                         "exhaustive 1216",
-                       "star-laws": "exhaustive 512",
-                       "trace-symmetry": "exhaustive 512",
-                       "gram": "exhaustive 512",
+                       "star-laws": CERTIFIED_D8,
+                       "trace-symmetry": CERTIFIED_D8,
+                       "gram": CERTIFIED_D8,
                        "unit": "exhaustive 64"}
     assert alg.check_block_map().detail == "exhaustive 512"
 
@@ -357,6 +363,89 @@ def test_certified_triple_count_is_the_walked_count(name):
     assert res.ok and res.detail.startswith(f"certified {walked} by block map ")
 
 
+# -- star laws, trace symmetry, Gram identity: the certificate against the walks
+
+
+def _law_algebras() -> dict:
+    """28 algebras: the tube, annular and cut-down algebras above, the box
+    algebras of three setups and the class twists of three fixtures."""
+    algs = dict(_CERTIFIED_ALGEBRAS)
+    for name, make in (("s3", bh_setup_s3), ("v4", bh_setup_v4),
+                       ("z1", bh_setup_z1)):
+        algs[f"{name}_boxes"] = lambda make=make: AnnularAlgebra(make()).boxes
+    for name in ("s3_sign", "v4_product", "z4_std"):
+        fx = _FIXTURES[name]
+        cd = conjugacy_data(fx.group)
+        for c in range(cd.num_classes()):
+            algs[f"{name}_twist{c}"] = lambda fx=fx, cd=cd, c=c: \
+                TwistedGroupAlgebra(phi_class(fx.group, fx.omega, cd, c))
+    return algs
+
+
+_LAW_ALGEBRAS = _law_algebras()
+
+
+def _law_mutants(alg, per_kind: int = 20):
+    """(table name, table) with one value changed: a product's phase
+    shifted by 1 or its result moved to the next label, over products
+    spread evenly over the table and over the products of a label with
+    its inverse; or a star's phase shifted or its label moved, over
+    labels spread evenly.  No-op changes are skipped."""
+    labels, N = alg.labels(), alg.modulus
+    nxt = {a: labels[(i + 1) % len(labels)] for i, a in enumerate(labels)}
+    inverses = [pair for a in labels
+                for pair in ((alg.inverse(a), a), (a, alg.inverse(a)))]
+
+    def spread(keys):
+        return keys[::max(1, len(keys) // per_kind)][:per_kind]
+
+    for name, table, keys in (
+            ("products", alg.products, spread(list(alg.products))
+             + spread(inverses)),
+            ("stars", alg.stars, spread(list(labels)))):
+        for key in keys:
+            ph, lab = table[key]
+            for value in ((ph + 1) % N, lab), (ph, nxt[lab]):
+                if value != (ph, lab):
+                    yield name, {**table, key: value}
+
+
+def _laws(alg) -> list:
+    return [alg.check_star_laws(), alg.check_trace(), alg.check_gram_identity()]
+
+
+def _walks(alg) -> list:
+    return [star_laws_walk(alg), trace_walk(alg), gram_walk(alg)]
+
+
+@pytest.mark.parametrize("name", list(_LAW_ALGEBRAS))
+def test_law_certificate_passes_no_table_a_walk_rejects(name):
+    alg = _LAW_ALGEBRAS[name]()
+    if isinstance(alg, TubeShapedAlgebra):
+        alg.block_images, alg.block_algebra()   # shared by the copies
+    assert all(r.ok for r in _laws(alg) + _walks(alg))
+    mutants = rejected = 0
+    for table_name, table in _law_mutants(alg):
+        mutant = copy.copy(alg)
+        setattr(mutant, table_name, table)      # shadows the cached table
+        # the block-map and 2-cocycle verdicts the original keeps are its
+        # tables'; the certificate keeps none for a shadowed table
+        mutant._block_checks, mutant._associativity = {}, None
+        laws, walks = _laws(mutant), _walks(mutant)
+        # one verdict for the three laws: the first failing premise's
+        assert len({(r.ok, r.witness, r.detail) for r in laws}) == 1
+        for law, walk in zip(laws, walks):
+            assert walk.ok or not law.ok, (table_name, walk, law)
+        if all(w.ok for w in walks) and not laws[0].ok:
+            # stricter than the walks only where a reported check fails
+            assert not (mutant.check_associativity().ok
+                        and mutant.check_unit().ok), (table_name, laws[0])
+        mutants += 1
+        rejected += not all(w.ok for w in walks)
+    # one label: every change is a no-op or moves a result onto itself
+    assert rejected > 0 or len(alg.labels()) == 1
+
+
 def test_no_sampler_is_left():
     source = Path(staralg.__file__).read_text()
     assert "random" not in source and "samples" not in source
@@ -415,13 +504,16 @@ def test_unit_check_matches_the_all_identities_walk(name):
 
 def test_unnormalized_twist_fails_the_unit_check():
     # a 2-cocycle (a constant one) that is not normalized: [0][0] = -[0],
-    # so [0] is not the unit, and the star it gives [0] is no
-    # anti-automorphism either
+    # so [0] is not the unit, and the three laws certified from the unit
+    # fail on that premise, with its witness
     tw = Cocycle2(cyclic_group(2), (0, 1), [1, 1, 1, 1], 2)
     alg = TwistedGroupAlgebra(tw)
     results = alg.check_all()
-    assert [(r.name, r.witness) for r in results if not r.ok] == [
-        ("star-antihom", (0, 0)), ("unit-left", (0,))]
+    assert [(r.name, r.witness, r.detail) for r in results if not r.ok] == [
+        (name, (0,), "premise unit-left fails")
+        for name in ("star-laws", "trace-symmetry", "gram")] + [
+        ("unit-left", (0,), "")]
     res = regular_representation(alg).check(alg)
-    assert not res.ok and "star-antihom fails" in res.detail \
-        and res.detail.endswith("unit-left fails")
+    assert not res.ok and res.witness == (0,) and res.detail == (
+        "exact: associativity exhaustive 8, star-laws fails, trace-symmetry "
+        "fails, gram fails, unit-left fails")
