@@ -9,10 +9,10 @@ inverse.  :class:`MonomialStarAlgebra` captures that shape once: from the
 groupoid and the product it derives the composable pairs, the trace, the
 unit and the star.  It walks associativity and the unit over the basis,
 and from them and one walk over the inverses certifies the star laws,
-trace symmetry and the orthonormality of the basis.  Structure
-constants are exact phases, ints mod the algebra's ``modulus`` (see
-:mod:`tubealg.phase`), read only from the ``products`` and ``stars``
-tables that ``mult_basis`` and ``star_basis`` fill.
+trace symmetry and the orthonormality of the basis; each verdict is kept
+with the tables it read.  Structure constants are exact phases, ints mod
+the algebra's ``modulus`` (see :mod:`tubealg.phase`), read only from the
+``products`` and ``stars`` tables that ``mult_basis`` and ``star_basis`` fill.
 :class:`TwistedGroupAlgebra` is that shape on one object, checking its
 twist's 2-cocycle law as its associativity; :func:`center_dimension`
 counts the center of any of them.  :mod:`tubealg.rep` (representations)
@@ -48,6 +48,7 @@ class MonomialStarAlgebra:
     constants from the tables ``mult_basis`` and ``star_basis`` fill on
     first use: ``products``, ``(left, right) -> (phase, label)`` for the
     nonzero basis products, left-major in label order, and ``stars``.
+    A check runs once per table: its result is kept with the tables it read.
     """
 
     modulus: int
@@ -57,7 +58,6 @@ class MonomialStarAlgebra:
     identity: Callable[[Hashable], Hashable]
     inverse: Callable[[Hashable], Hashable]
     mult_basis: Callable[[Hashable, Hashable], Optional[tuple[int, Hashable]]]
-    _premises: Optional[tuple] = None   # (products, stars, failed premise)
 
     # -- the groupoid -------------------------------------------------------
 
@@ -102,6 +102,14 @@ class MonomialStarAlgebra:
 
     # -- exact checks over the basis ---------------------------------------
 
+    def _kept(self, key, check: Callable[[], object], *tables):
+        """``check()``, kept under ``key`` with the tables it read, by identity;
+        copies share the kept verdicts but are never served each other's."""
+        kept = vars(self).setdefault("_verdicts", {}).get(key)
+        if kept is None or any(a is not b for a, b in zip(kept[0], tables)):
+            kept = self._verdicts[key] = (tables, check())
+        return kept[1]
+
     def _composable(self) -> dict:
         """Per label a, the labels b with b . a nonzero, in label order."""
         comp: dict = {a: [] for a in self.labels()}
@@ -119,6 +127,10 @@ class MonomialStarAlgebra:
     def check_associativity(self) -> CheckResult:
         """(c b) a == c (b a) over every composable basis triple, exactly;
         ``detail`` is ``exhaustive <triples>``."""
+        return self._kept("associativity", self._associativity_walk,
+                          self.products)
+
+    def _associativity_walk(self) -> CheckResult:
         comp = self._composable()
         products, N = self.products, self.modulus
         detail = f"exhaustive {sum(len(comp[b]) for b, _ in products)}"
@@ -152,21 +164,17 @@ class MonomialStarAlgebra:
         (m, m^-1, m); anti-multiplicativity, at (a^-1, b^-1, b) and
         (a^-1 b^-1, b, a); trace symmetry, at (a, a^-1, a); Gram, off the
         diagonal, groupoid cancellation, and on it the inverse walk's star
-        equation.  The premises run once for the tables they read (a copy
-        that shadows ``products`` or ``stars`` runs its own); a failure
-        names the first failing premise and gives its witness."""
-        products, stars = self.products, self.stars
-        kept = self._premises
-        if kept is None or kept[0] is not products or kept[1] is not stars:
-            kept = self._premises = (products, stars, next(
-                (res for res in (check() for check in (
-                    self.check_associativity, self.check_unit,
-                    self._inverse_walk)) if not res.ok), None))
-        if kept[2] is not None:
-            return CheckResult(False, name, kept[2].witness,
-                               f"premise {kept[2].name} fails")
+        equation.  The premises are one verdict, kept with the tables they
+        read; a failure names the first failing premise and its witness."""
+        failed = self._kept("premises", lambda: next((res for res in (
+            check() for check in (self.check_associativity, self.check_unit,
+                                  self._inverse_walk)) if not res.ok), None),
+            self.products, self.stars)
+        if failed is not None:
+            return CheckResult(False, name, failed.witness,
+                               f"premise {failed.name} fails")
         return CheckResult(True, name, detail=(
-            f"certified {len(products)} by associativity, unit, inverses "
+            f"certified {len(self.products)} by associativity, unit, inverses "
             f"exhaustive {len(self.labels())}"))
 
     def _inverse_walk(self) -> CheckResult:
@@ -207,13 +215,11 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
     Associativity of this algebra is, term by term, the 2-cocycle law
     phi(a,b) phi(ab,c) = phi(b,c) phi(a,bc) of its twist, so the
     constructor walks :meth:`check_associativity` over all |S|^3
-    triples and raises CocycleError, the triple as witness, if it fails;
-    the result is kept, so :meth:`check_all` does not walk them again.
+    triples and raises CocycleError, the triple as witness, if it fails.
     The groupoid has one object, ``"*"``, and its identity is the
     group's, ``0``: a twist that is not normalized fails the unit check.
     """
 
-    _associativity: Optional[CheckResult] = None
     objects = ("*",)
 
     def __init__(self, twist: Cocycle2):
@@ -225,11 +231,6 @@ class TwistedGroupAlgebra(MonomialStarAlgebra):
         if not res.ok:
             raise CocycleError(f"twist fails associativity at triple "
                                f"{res.witness}", res.witness)
-
-    def check_associativity(self) -> CheckResult:
-        if self._associativity is None:
-            self._associativity = super().check_associativity()
-        return self._associativity
 
     @property
     def dimension(self) -> int:

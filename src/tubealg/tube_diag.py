@@ -26,7 +26,7 @@ built, and its 2-cocycle law walked, once.  ``phi_iso`` realizes
 the isomorphism on basis elements, with the transport cochain supplying
 the scalar, and ``block_images`` holds its image of every basis
 element; ``check_block_map`` checks multiplicativity and
-*-preservation exhaustively and exactly, once per twist convention, and
+*-preservation exhaustively and exactly, once per convention and table, and
 ``verify_star_iso`` runs it on the tube algebra.  Induction and
 restriction in :mod:`tubealg.rep` read that certified table.  With the
 class twists' 2-cocycle laws it certifies associativity; triples are
@@ -99,7 +99,6 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
                     self._parts[label] = (x, s, y, a, b)
         self._labels = list(self._label_of.values())
         self._blocks: dict[str, BlockAlgebra] = {}
-        self._block_checks: dict[str, CheckResult] = {}
 
     def _split(self, label) -> tuple:
         try:
@@ -180,10 +179,10 @@ class TubeShapedAlgebra(MonomialStarAlgebra):
 
     def check_block_map(self, convention: str = "op-inverse") -> CheckResult:
         """Exhaustively check the block map: bijective, multiplicative,
-        *-preserving; each convention is walked once and its result kept."""
-        if convention not in self._block_checks:
-            self._block_checks[convention] = self._walk_block_map(convention)
-        return self._block_checks[convention]
+        *-preserving; walked once per convention and table."""
+        return self._kept(("block-map", convention),
+                          lambda: self._walk_block_map(convention),
+                          self.products, self.stars)
 
     def check_associativity(self) -> CheckResult:
         """Associativity: a passing block map is an injective homomorphism

@@ -724,7 +724,7 @@ def test_bh_simples_checks_each_twist_once(files, capsys, monkeypatch):
 def _count_walks(monkeypatch) -> tuple[list, list]:
     """Record each associativity walk's algebra and each triple it visits."""
     walks, triples = [], []
-    walk, items = staralg.MonomialStarAlgebra.check_associativity, \
+    walk, items = staralg.MonomialStarAlgebra._associativity_walk, \
         staralg.MonomialStarAlgebra._triples
 
     def counted_walk(self):
@@ -736,7 +736,7 @@ def _count_walks(monkeypatch) -> tuple[list, list]:
             triples.append(item)
             yield item
 
-    monkeypatch.setattr(staralg.MonomialStarAlgebra, "check_associativity",
+    monkeypatch.setattr(staralg.MonomialStarAlgebra, "_associativity_walk",
                         counted_walk)
     monkeypatch.setattr(staralg.MonomialStarAlgebra, "_triples", counted_items)
     return walks, triples

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import re
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,16 @@ def test_the_groupoid_is_written_once():
         assert name not in defs, (name, defs.get(name))
 
 
+def test_one_verdict_cache():
+    # every kept verdict is kept by _kept, with the tables its check read;
+    # no algebra keeps one in an attribute of its own
+    assert _definitions()["_kept"] == {"staralg.MonomialStarAlgebra"}
+    for path in sorted(Path(tubealg.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert not re.search(r"\b_(premises|block_checks|associativity)\b",
+                             source), path.name
+
+
 # -- the star: derived from the product, against the hand-written formulas ---
 
 
@@ -336,7 +347,6 @@ def test_certificate_accepts_no_table_the_walk_rejects(name):
     for table in _corruptions(alg):
         mutant = copy.copy(alg)
         mutant.products = table          # shadows the cached table
-        mutant._block_checks = {}
         walk = staralg.MonomialStarAlgebra.check_associativity(mutant)
         res = mutant.check_associativity()
         certified = res.detail.startswith("certified ")
@@ -428,9 +438,6 @@ def test_law_certificate_passes_no_table_a_walk_rejects(name):
     for table_name, table in _law_mutants(alg):
         mutant = copy.copy(alg)
         setattr(mutant, table_name, table)      # shadows the cached table
-        # the block-map and 2-cocycle verdicts the original keeps are its
-        # tables'; the certificate keeps none for a shadowed table
-        mutant._block_checks, mutant._associativity = {}, None
         laws, walks = _laws(mutant), _walks(mutant)
         # one verdict for the three laws: the first failing premise's
         assert len({(r.ok, r.witness, r.detail) for r in laws}) == 1
@@ -449,6 +456,82 @@ def test_law_certificate_passes_no_table_a_walk_rejects(name):
 def test_no_sampler_is_left():
     source = Path(staralg.__file__).read_text()
     assert "random" not in source and "samples" not in source
+
+
+# -- kept verdicts: one per table, never passed between copies --------------
+
+
+def _first_shifted(alg) -> dict:
+    """alg's products with the first product's phase shifted by one."""
+    key, (ph, label) = next(iter(alg.products.items()))
+    return {**alg.products, key: ((ph + 1) % alg.modulus, label)}
+
+
+def _calls(monkeypatch, cls, name) -> list:
+    """The instance of each later call of ``cls.name``, in call order."""
+    calls, method = [], getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(self)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_copy_neither_passes_nor_inherits_a_verdict():
+    alg = TubeAlgebra(*dihedral8_sign())
+    alg.block_images, alg.products, alg.stars   # shared by the copies
+    mutant = copy.copy(alg)
+    mutant.products = _first_shifted(alg)       # shadows the cached table
+    assert mutant.check_block_map()[:2] == (False, "phi-mult")
+    assert alg.check_block_map()[:2] == (True, "star-isomorphism")
+    assert alg.check_associativity().detail.startswith("certified ")
+    # a copy made after the original's verdicts were kept
+    late = copy.copy(alg)
+    late.products = mutant.products
+    assert late.check_block_map()[:2] == (False, "phi-mult")
+    assert not late.check_associativity().ok
+
+
+@pytest.mark.parametrize("c", range(5))
+def test_a_class_twist_copy_walks_its_own_law(c):
+    G, omega = dihedral8_sign()
+    twist = TwistedGroupAlgebra(phi_class(G, omega, conjugacy_data(G), c))
+    mutant = copy.copy(twist)
+    mutant.products = _first_shifted(twist)
+    res = mutant.check_associativity()
+    assert not res.ok and res.witness is not None
+    assert res == staralg.MonomialStarAlgebra._associativity_walk(mutant)
+    assert twist.check_associativity().ok
+
+
+@pytest.mark.parametrize("make_setup", [bh_setup_s3, bh_setup_v4])
+def test_box_checks_walk_the_box_algebra_once(make_setup, monkeypatch):
+    # the box laws' premises and box-associativity read one walk
+    alg = AnnularAlgebra(make_setup())
+    walks = _calls(monkeypatch, staralg.MonomialStarAlgebra, "_triples")
+    assert all(res.ok for res in box_checks(alg))
+    assert [a for a in walks if a is alg.boxes] == [alg.boxes]
+
+
+def test_the_default_block_map_is_the_op_inverse_one(monkeypatch):
+    alg = TubeAlgebra(*dihedral8_sign())
+    walks = _calls(monkeypatch, TubeShapedAlgebra, "_walk_block_map")
+    assert alg.check_block_map() is alg.check_block_map("op-inverse")
+    assert walks == [alg]
+
+
+def test_a_corrupted_copy_walks_associativity_once(monkeypatch):
+    # the failing block map sends associativity to the walk, and the star
+    # laws' premises read the same walk
+    alg = TubeAlgebra(*dihedral8_sign())
+    mutant = copy.copy(alg)
+    mutant.products = _first_shifted(alg)
+    walks = _calls(monkeypatch, staralg.MonomialStarAlgebra, "_triples")
+    results = mutant.check_all()
+    assert not any(res.ok for res in results)
+    assert [a for a in walks if a is mutant] == [mutant]
 
 
 # -- the unit: the walk over the source and target identities --------------
